@@ -3,16 +3,7 @@ overlap coincidence on the suspension tiling, strong coincidence over
 admissible control-point families, and the equivalence between the two.
 """
 
-from .numberfield import (
-    AlgebraicReal,
-    NumberField,
-    fast_cmp,
-    is_pisot,
-    nf_add,
-    nf_mul,
-    nf_sign,
-    nf_sub,
-)
+from .numberfield import AlgebraicReal, NumberField, fast_cmp, is_pisot
 from .substitution import (
     NotPisotError,
     Substitution,

@@ -5,11 +5,14 @@ where beta is the unique root of a monic irreducible integer polynomial inside
 a rational isolating interval.  All comparisons are decided exactly: the zero
 test is coefficient-wise, and signs of nonzero elements are obtained by
 refining a rational enclosure of beta until the evaluated enclosure of the
-element excludes 0.  No floating point enters any decision.
+element excludes 0.  Floats decide a sign only when a proven bound on their
+error separates the value from 0 (see ``NumberField._float_enclosure``);
+otherwise the exact refinement decides.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -19,6 +22,16 @@ from sympy import Poly, Symbol
 _X = Symbol("x")
 
 RationalLike = Union[int, Fraction]
+
+# Width of the enclosure of beta that the float table is taken from.
+_TABLE_WIDTH = Fraction(1, 2**80)
+_U = 2.0**-53  # unit roundoff of binary64
+
+
+def _float_up(q: Fraction) -> float:
+    """The least float >= the nonnegative rational q."""
+    f = float(q)
+    return f if Fraction(f) >= q else math.nextafter(f, math.inf)
 
 
 class FieldMismatchError(ValueError):
@@ -82,7 +95,7 @@ class NumberField:
         self._sign_lo = 1 if _poly_eval(frac_coeffs, lo) > 0 else -1
         # beta^k for k = d .. 2d-2, reduced into the power basis.
         self._pow_table = self._build_pow_table()
-        self._approx_cache: tuple[float, float] | None = None
+        self._build_float_table()
 
     def _build_pow_table(self):
         d = self.degree
@@ -96,6 +109,67 @@ class NumberField:
             cur = [s + top * t for s, t in zip(shifted, table[0])]
             table.append(tuple(cur))
         return table
+
+    def _build_float_table(self) -> None:
+        """fl(beta^k) for k < d with proven error bounds, and the constants of
+        the bound in _float_enclosure.
+
+        beta lies in [lo, hi] with 1 <= lo, so beta^k lies in [lo^k, hi^k];
+        b_k is the float nearest the midpoint m_k and e_k, the least float
+        >= (hi^k - lo^k)/2 + |m_k - b_k|, bounds |beta^k - b_k| exactly.
+        B_k is a float >= |b_k| + e_k >= |beta^k|.
+        """
+        d = self.degree
+        lo, hi = self.enclosure(_TABLE_WIDTH)
+        table = []
+        for k in range(d):
+            plo, phi = lo**k, hi**k
+            m = (plo + phi) / 2
+            b = float(m)
+            e = _float_up((phi - plo) / 2 + abs(m - Fraction(b)))
+            table.append((b, e, _float_up(abs(Fraction(b)) + Fraction(e))))
+        self._float_table = tuple(table)
+        self._err_pad = 1 + 2 * (d + 5) * _U
+        self._ulp_pad = 4 * (d + 2) * _U
+        self._err_floor = (sum(t[2] for t in table) + 4 * d + 4) * 2.0**-1000
+
+    def _float_enclosure(self, coeffs) -> tuple[float, float]:
+        """(mid, err) with |sum c_k beta^k - mid| <= err, in O(d) float
+        operations; err is inf (abstain) if a float overflows.
+
+        With u = 2^-53, eta = 2^-1074 (the least subnormal), f_k = fl(c_k),
+        E = sum |f_k| e_k and T = sum |f_k| B_k:
+
+        1. float(c_k) is int / int, faithfully rounded: |c_k - f_k| <= 2u|c_k|
+           + eta, hence <= 2.01u|f_k| + 1.01 eta.
+        2. |c_k beta^k - f_k b_k| <= |c_k - f_k| B_k + |f_k| e_k.
+        3. p_k = fl(f_k b_k): |p_k - f_k b_k| <= u|f_k| B_k + eta.
+        4. mid = fl(sum p_k), d additions: |mid - sum p_k| <= gamma_d sum |p_k|
+           with gamma_d = du / (1 - du) <= 1.01du, and |p_k| <= (1+u)|f_k| B_k
+           + eta.  Additions are exact in the subnormal range.
+
+        So |x - mid| <= E + 2(d + 2)uT + eta(2 sum B_k + 2d).  E_f and T_f, the
+        float evaluations of E and T, fall short of them by at most a factor
+        (1 - u)^(d+1) and d eta; the three roundings in forming err by a
+        factor (1 - u)^3.  Hence err = E_f (1 + 2(d+5)u) + 4(d+2)u T_f +
+        (sum B_k + 4d + 4) 2^-1000 covers every term, the last one being the
+        underflow floor.
+        """
+        mid = tot = err = 0.0
+        try:
+            for c, (b, e, bound) in zip(coeffs, self._float_table):
+                if c:
+                    f = float(c)
+                    mid += f * b
+                    a = abs(f)
+                    err += a * e
+                    tot += a * bound
+        except OverflowError:
+            return 0.0, math.inf
+        err = err * self._err_pad + self._ulp_pad * tot + self._err_floor
+        if not (math.isfinite(mid) and err < math.inf):
+            return 0.0, math.inf
+        return mid, err
 
     def refine(self) -> None:
         """Halve the isolating interval by one bisection step."""
@@ -276,7 +350,7 @@ class AlgebraicReal:
         if self.is_zero():
             return 0
         mid, err = self._approx()
-        if abs(mid) > 4 * err + 1e-300:
+        if abs(mid) > err:
             return 1 if mid > 0 else -1
         width = self.field._hi - self.field._lo
         while True:
@@ -310,28 +384,21 @@ class AlgebraicReal:
         return (self - other).sign() >= 0
 
     def _approx(self) -> tuple[float, float]:
-        """(midpoint, error bound) from a rigorous rational enclosure.
+        """(midpoint, error bound) from the field's float table, cached.
 
-        Used only as a fast path inside sign(); near-zero cases fall back to
-        exact interval refinement.  The float conversions are padded so the
-        bound stays valid despite rounding.
+        Used as the fast path of sign() and fast_cmp(); an infinite bound
+        means the floats abstained and the exact refinement decides.
         """
         if self._float is None:
-            lo, hi = _interval_poly_eval(
-                self.coeffs, *self.field.enclosure(Fraction(1, 2**80))
-            )
-            mid = float((lo + hi) / 2)
-            err = float((hi - lo) / 2) * 1.01 + abs(mid) * 1e-12
-            self._float = (mid, err)
+            self._float = self.field._float_enclosure(self.coeffs)
         return self._float
 
     def __float__(self):
-        return self._approx()[0]
-
-    def to_rational(self) -> Fraction:
-        if any(self.coeffs[1:]):
-            raise ValueError("element is irrational")
-        return self.coeffs[0]
+        mid, err = self._approx()
+        if err < math.inf:
+            return mid
+        lo, hi = _interval_poly_eval(self.coeffs, self.field._lo, self.field._hi)
+        return float((lo + hi) / 2)
 
     def __repr__(self):
         parts = []
@@ -388,25 +455,6 @@ def _poly_divmod(a, b):
         while a and a[-1] == 0:
             a.pop()
     return q, a
-
-
-# -- operation-style wrappers ------------------------------------------------
-
-
-def nf_add(a: AlgebraicReal, b: AlgebraicReal) -> AlgebraicReal:
-    return a + b
-
-
-def nf_sub(a: AlgebraicReal, b: AlgebraicReal) -> AlgebraicReal:
-    return a - b
-
-
-def nf_mul(a: AlgebraicReal, b: AlgebraicReal) -> AlgebraicReal:
-    return a * b
-
-
-def nf_sign(a: AlgebraicReal) -> int:
-    return a.sign()
 
 
 def fast_cmp(a: AlgebraicReal, b: AlgebraicReal) -> int:

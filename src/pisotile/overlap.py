@@ -74,9 +74,11 @@ def seed_overlaps(system: TilingSystem, patch: Patch, ys) -> list[OverlapClass]:
     """All overlap classes realized by tile pairs of the patch shifted by the
     given return vectors.
 
-    Candidate pairs are pre-filtered by a float window (with slack exceeding
-    the rigorous approximation error) and confirmed exactly, so the result is
-    identical to the all-pairs exact scan.
+    Candidate pairs are pre-filtered by a float window whose slack is the
+    summed proven error bound of the elements involved, padded for rounding.
+    A candidate is accepted from floats only when its margin exceeds that
+    slack and is decided exactly otherwise, so the result is identical to
+    the all-pairs exact scan.
     """
     from bisect import bisect_left
     from math import lcm
@@ -99,31 +101,31 @@ def seed_overlaps(system: TilingSystem, patch: Patch, ys) -> list[OverlapClass]:
     def from_int(v):
         return field.element([Fraction(c, den) for c in v])
 
-    # Distinct values of pos(V) - pos(U) per ordered color pair.
     by_color: dict[int, list[tuple]] = {}
     for t in patch.tiles:
         by_color.setdefault(t.color, []).append(to_int(t.pos))
-    diff_sets: dict[tuple[int, int], set[tuple]] = {}
-    for cu, pus in by_color.items():
-        for cv, pvs in by_color.items():
-            ds = diff_sets.setdefault((cu, cv), set())
-            for pu in pus:
-                for pv in pvs:
-                    ds.add(tuple(a - b for a, b in zip(pv, pu)))
 
-    pairs = sorted({to_int(y) for y in ys})
-    ys_objs = [from_int(v) for v in pairs]
-    ys_decorated = sorted(zip([float(o) for o in ys_objs], pairs), key=lambda z: z[0])
-    ys_float = [z[0] for z in ys_decorated]
-    ys_int = [z[1] for z in ys_decorated]
-    slack = 1e-6
+    ys_sorted = sorted((from_int(v)._approx(), v) for v in {to_int(y) for y in ys})
+    ys_float = [m for (m, _), _ in ys_sorted]
+    ys_int = [v for _, v in ys_sorted]
+    ey_max = max((e for (_, e), _ in ys_sorted), default=0.0)
+    ay_max = max((abs(m) for m in ys_float), default=0.0)
+    del ys_sorted  # the loop below needs only the two lists
     classes: dict[tuple, OverlapClass] = {}
     decided: set[tuple] = set()
-    for (cu, cv), ds in sorted(diff_sets.items()):
+    for cu, cv in sorted((cu, cv) for cu in by_color for cv in by_color):
+        # Distinct values of pos(V) - pos(U), one color pair at a time: the
+        # sets of all pairs together are the largest structure here.
+        ds = {tuple(a - b for a, b in zip(pv, pu))
+              for pu in by_color[cu] for pv in by_color[cv]}
         len_u, len_v = system.length(cu), system.length(cv)
-        flu, flv = float(len_u), float(len_v)
-        for dv in sorted(ds):
-            fd = float(from_int(dv))
+        (flu, eu), (flv, ev) = len_u._approx(), len_v._approx()
+        for dv in ds:
+            fd, ed = from_int(dv)._approx()
+            # |(d - y) - (fd - fy)| <= ed + ey; twice the error sum plus the
+            # relative term covers the roundings of the float tests below.
+            slack = (2 * (ed + ey_max + eu + ev)
+                     + 1e-12 * (abs(fd) + ay_max + flu + flv) + 1e-300)
             # overlap iff -len_v < d - y < len_u
             i = bisect_left(ys_float, fd - flu - slack)
             while i < len(ys_int) and ys_float[i] <= fd + flv + slack:
@@ -132,15 +134,13 @@ def seed_overlaps(system: TilingSystem, patch: Patch, ys) -> list[OverlapClass]:
                 if key not in decided:
                     decided.add(key)
                     fs = fd - ys_float[i]
+                    shift = from_int(shift_int)
                     if -flv + slack < fs < flu - slack:
                         ok = True
-                    elif fs < -flv - slack or fs > flu + slack:
-                        ok = False
                     else:
-                        shift = from_int(shift_int)
                         ok = (shift + len_v).sign() > 0 and (len_u - shift).sign() > 0
                     if ok:
-                        c = OverlapClass(cu, cv, from_int(shift_int))
+                        c = OverlapClass(cu, cv, shift)
                         classes[c.key()] = c
                 i += 1
     return [classes[k] for k in sorted(classes)]

@@ -98,10 +98,13 @@ class TilingSystem:
 
         Seeded by the pair a|b from fixed_point_seed and repeatedly inflated
         by sigma^k, which fixes the pair at the origin; tiles are trimmed to
-        the ones meeting the window.
+        the ones meeting the window.  The last (radius, patch) is kept, so a
+        repeat call with an equal radius returns the same patch.
         """
         if isinstance(radius, (int, Fraction)):
             radius = self.field.from_rational(radius)
+        if self._central_cache is not None and self._central_cache[0] == radius:
+            return self._central_cache[1]
         a, b = self.seed_left, self.seed_right
         left = Tile(a, -self.length(a))
         right = Tile(b, self.field.zero())
@@ -117,7 +120,8 @@ class TilingSystem:
             for t in patch.tiles
             if (t.pos - radius).sign() <= 0 and (self.end(t) + radius).sign() >= 0
         )
-        return Patch(keep)
+        self._central_cache = (radius, Patch(keep))
+        return self._central_cache[1]
 
     # -- return vectors --------------------------------------------------------
 

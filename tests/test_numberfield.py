@@ -6,7 +6,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from pisotile import NumberField, fast_cmp, is_pisot, nf_add, nf_mul, nf_sign, nf_sub
+from pisotile import NumberField, fast_cmp, is_pisot
 
 GOLDEN = ((-1, -1, 1), (Fraction(1), Fraction(2)))
 CUBIC = ((-1, -1, -1, 1), (Fraction(1), Fraction(2)))
@@ -48,15 +48,6 @@ def test_field_axioms_sample(golden, cubic):
             assert a - a == field.zero()
             if not a.is_zero():
                 assert a * (field.one() / a) == field.one()
-
-
-def test_wrappers(golden):
-    a = golden.beta()
-    b = golden.one()
-    assert nf_add(a, b) == a + b
-    assert nf_sub(a, b) == a - b
-    assert nf_mul(a, b) == a * b
-    assert nf_sign(a - b) == 1
 
 
 def test_exact_zero_sign(golden):
@@ -101,6 +92,68 @@ def test_fast_cmp_agrees(golden, cubic):
             assert fast_cmp(a, b) == (a - b).sign()
         a = rand_elem(field, rng)
         assert fast_cmp(a, a) == 0
+
+
+def _reference(field, x):
+    """(sign, value) of x by mpmath at 200 digits beyond its coordinates' size."""
+    if x.is_zero():
+        return 0, mpmath.mpf(0)
+    digits = max(len(str(abs(c.numerator))) + len(str(c.denominator)) for c in x.coeffs)
+    with mpmath.workdps(200 + digits):
+        poly = [mpmath.mpf(c) for c in reversed(field.min_poly)]
+        lo, _ = field.enclosure(Fraction(1, 2**80))
+        start = mpmath.mpf(lo.numerator) / lo.denominator
+        root = mpmath.findroot(lambda t: mpmath.polyval(poly, t), start)
+        v = sum(mpmath.mpf(c.numerator) / c.denominator * root**k for k, c in enumerate(x.coeffs))
+    return (1 if v > 0 else -1), v
+
+
+def _adversarial_pairs(field, rng):
+    """Pairs (a, b) that the float fast path cannot or must not separate."""
+    zero = field.zero()
+    pairs = []
+    for scale in (2**20, 2**30, 2**50):
+        for _ in range(20):
+            # x within 2^-64 of 0, with an irrational part of size about scale.
+            ys = [0] + [rng.choice((-1, 1)) * rng.randint(scale // 2, scale)
+                        for _ in range(field.degree - 1)]
+            v = _reference(field, field.element(ys))[1]
+            x = field.element([-Fraction(int(mpmath.nint(v * 2**64)), 2**64)] + ys[1:])
+            a = rand_elem(field, rng)
+            pairs += [(x, zero), (a, a + x)]
+    huge = 10**400
+    for _ in range(20):
+        # Coordinates whose float conversion overflows.
+        big = field.element([rng.randint(-huge, huge) for _ in range(field.degree)])
+        pairs.append((big, rand_elem(field, rng)))
+        if field.degree > 1:
+            n = rng.randint(huge, 2 * huge)
+            m = int(mpmath.nint(_reference(field, field.element([0, n]))[1]))
+            pairs.append((field.element([-m + rng.randint(-1, 1), n]), field.one()))
+        # Subnormal-sized coordinates.
+        tiny = rand_elem(field, rng) * Fraction(1, 2**1070)
+        pairs += [(tiny, zero), (tiny, tiny + tiny * Fraction(1, 2**60))]
+    return pairs
+
+
+@pytest.mark.parametrize("poly, interval", [
+    GOLDEN, CUBIC, ((2, -4, 1), (Fraction(3), Fraction(4))),  # 2 + sqrt 2, not a unit
+])
+def test_fast_path_adversarial(poly, interval):
+    field = NumberField(poly, interval)
+    abstained = 0
+    for a, b in _adversarial_pairs(field, random.Random(17)):
+        for x in (a, b, a - b):
+            expected, value = _reference(field, x)
+            mid, err = field._float_enclosure(x.coeffs)
+            if err == float("inf"):
+                abstained += 1
+            else:
+                with mpmath.workdps(60):
+                    assert abs(value - mid) <= err
+            assert field.element(x.coeffs).sign() == expected
+        assert fast_cmp(a, b) == _reference(field, a - b)[0]
+    assert abstained
 
 
 def test_comparison_operators(golden):

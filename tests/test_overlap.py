@@ -1,5 +1,8 @@
 """Overlap classes, graph closure, coincidence verdicts, and DOT export."""
 
+from fractions import Fraction
+
+import mpmath
 import pytest
 
 from pisotile import (
@@ -70,6 +73,53 @@ def test_seed_symmetry(fib):
     # (i, j, t) realized -> (j, i, -t) realized (with y replaced by -y).
     for c in seeds:
         assert (c.color_v, c.color_u, (-c.shift).coeffs) in keys
+
+
+def _scan_all_pairs(system, patch, ys):
+    """Overlap-class keys of every (tile U, tile V, y) of the patch, each
+    decided by an exact zero test and a 60-digit mpmath sign."""
+    with mpmath.workdps(60):
+        poly = [mpmath.mpf(c) for c in reversed(system.field.min_poly)]
+        root = mpmath.findroot(lambda x: mpmath.polyval(poly, x), float(system.beta))
+
+        def value(x):
+            return sum(mpmath.mpf(c.numerator) / c.denominator * root**k
+                       for k, c in enumerate(x.coeffs))
+
+        def positive(x):
+            return not x.is_zero() and value(x) > 0
+
+        keys = set()
+        for u in patch.tiles:
+            for v in patch.tiles:
+                for y in ys:
+                    shift = v.pos - u.pos - y
+                    if positive(shift + system.length(v.color)) and positive(
+                        system.length(u.color) - shift
+                    ):
+                        keys.add((u.color, v.color, shift.coeffs))
+    return keys
+
+
+@pytest.mark.parametrize("m, rules", [
+    (2, ((1, 2), (1,))),
+    (3, ((1, 2), (1, 3), (1,))),
+    (3, ((2, 3, 1), (3, 2, 3), (1, 3))),
+])
+def test_seed_overlaps_equals_all_pairs_scan(m, rules):
+    system = TilingSystem(Substitution(m, rules))
+    radius = system.field.from_rational(8) * max(system.lengths, key=float)
+    patch = system.central_patch(radius)
+    ys = system.return_vectors(patch)
+    # Shifts within 2^-70 of either end of the overlap window, which floats
+    # cannot separate from it.
+    eps = Fraction(1, 2**70)
+    for u, v in zip(patch.tiles, patch.tiles[3:11]):
+        gap = v.pos - u.pos
+        for edge in (-system.length(u.color), system.length(v.color)):
+            ys += [gap + edge - eps, gap + edge + eps]
+    seeds = seed_overlaps(system, patch, ys)
+    assert {c.key() for c in seeds} == _scan_all_pairs(system, patch, ys)
 
 
 def test_fibonacci_graph(fib):

@@ -108,6 +108,16 @@ def test_central_patch_is_fixed(fib):
     assert set(p.tiles) <= set(q.tiles)
 
 
+def test_central_patch_repeat_is_cached(fib):
+    p = fib.central_patch(7)
+    assert fib.central_patch(fib.field.from_rational(7)) is p
+    other = fib.central_patch(3)
+    assert other is not p
+    # Only the last radius is kept; a rebuilt patch has the same tiles.
+    again = fib.central_patch(7)
+    assert again is not p and again == p
+
+
 def test_return_vectors_single_tiles(fib):
     p = Patch((Tile(1, fib.field.zero()), Tile(2, fib.beta)))
     ys = fib.return_vectors(p)
