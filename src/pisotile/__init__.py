@@ -40,7 +40,6 @@ from .overlap import (
     to_dot,
 )
 from .strongcoin import (
-    ClassCapError,
     EnumerationCapError,
     GroupG,
     MSCResult,

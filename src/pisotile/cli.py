@@ -23,9 +23,9 @@ from .overlap import (
     to_dot,
 )
 from .strongcoin import (
-    ClassCapError,
     EnumerationCapError,
     RodHypothesisError,
+    StrongCoincidenceReport,
     compute_level_n,
     extract_witness,
     group_G,
@@ -108,7 +108,6 @@ def _graph_json(system, g) -> dict:
     order = sorted(range(len(g.vertices)), key=lambda i: g.vertices[i].key())
     rank = {v: r for r, v in enumerate(order)}
     return {
-        "inflation_level": g.inflation_level,
         "vertices": [
             {
                 "color_u": g.vertices[i].color_u,
@@ -149,9 +148,7 @@ def analyze(s: Substitution, opts) -> dict:
     gates = _gates(s)
     system = _system(s)
     gates["pisot"] = True
-    g, radius = stable_overlap_graph(
-        system, radius=opts.radius, level=opts.level, cap=opts.cap_classes
-    )
+    g, radius = stable_overlap_graph(system, radius=opts.radius, cap=opts.cap_classes)
     oc, cert = overlap_coincidence(g)
     t_overlap = time.monotonic() - t0
     n = compute_level_n(g)
@@ -173,13 +170,7 @@ def analyze(s: Substitution, opts) -> dict:
                 sorted(cert.values()) if oc else [g.vertices[i].label() for i in cert]
             ),
         },
-        "msc": {
-            "level": n,
-            "verdict": msc.verdict,
-            "families_considered": msc.considered,
-            "vacuous": msc.vacuous,
-            "reports": [r.to_json() for r in msc.reports],
-        },
+        "msc": msc.to_json(),
         "agreement": oc == msc.verdict,
         "timings": {"overlap_s": round(t_overlap, 3), "total_s": None},
     }
@@ -220,8 +211,6 @@ def _add_common(p):
     p.add_argument("--cap-classes", type=int, default=10**4)
     p.add_argument("--cap-maps", type=int, default=10**5)
     p.add_argument("--kmax", type=int, default=20)
-    p.add_argument("--level", type=int, default=1,
-                   help="inflation level for overlap-graph edges")
 
 
 def cmd_analyze(args) -> int:
@@ -235,9 +224,7 @@ def cmd_overlaps(args) -> int:
     s, _, _ = parse(args.file)
     system = _system(s)
     _gates(s)
-    g, radius = stable_overlap_graph(
-        system, radius=args.radius, level=args.level, cap=args.cap_classes
-    )
+    g, radius = stable_overlap_graph(system, radius=args.radius, cap=args.cap_classes)
     oc, cert = overlap_coincidence(g)
     dot = to_dot(g, None if oc else cert)
     if args.dot:
@@ -264,14 +251,10 @@ def cmd_strong(args) -> int:
     tm = TileMap(n, choice)
     cp = solve_control_points(system, tm)
     group = group_G(system, k_max=args.kmax)
-    if not cp.admissible:
-        print(json.dumps({
-            "choice": list(choice), "level": n,
-            "control_points": [_vec(c) for c in cp.c],
-            "admissible": False, "in_group": None, "pairs": [],
-        }, indent=2, sort_keys=True))
-        return 0
-    rep = strong_coincidence(system, cp, group, args.cap_classes)
+    if cp.admissible:
+        rep = strong_coincidence(system, cp, group, args.cap_classes)
+    else:
+        rep = StrongCoincidenceReport(tm, cp, False, None, [])
     print(json.dumps(rep.to_json(), indent=2, sort_keys=True))
     return 0
 
@@ -283,22 +266,14 @@ def cmd_msc(args) -> int:
     if args.map_level is not None:
         n = args.map_level
     else:
-        g, _ = stable_overlap_graph(
-            system, radius=args.radius, level=args.level, cap=args.cap_classes
-        )
+        g, _ = stable_overlap_graph(system, radius=args.radius, cap=args.cap_classes)
         n = compute_level_n(g)
     group = group_G(system, k_max=args.kmax)
     msc = multiple_strong_coincidence(
         system, n, cap_maps=args.cap_maps, cap_classes=args.cap_classes,
         group=group, k_max=args.kmax,
     )
-    print(json.dumps({
-        "level": n,
-        "verdict": msc.verdict,
-        "families_considered": msc.considered,
-        "vacuous": msc.vacuous,
-        "reports": [r.to_json() for r in msc.reports],
-    }, indent=2, sort_keys=True))
+    print(json.dumps(msc.to_json(), indent=2, sort_keys=True))
     return 0
 
 
@@ -409,7 +384,7 @@ def main(argv=None) -> int:
     except (ParseError, SubstitutionError, NotPisotError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (CapExceededError, EnumerationCapError, ClassCapError) as e:
+    except (CapExceededError, EnumerationCapError) as e:
         print(f"cap exhausted: {e}", file=sys.stderr)
         return 3
 

@@ -9,11 +9,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import sympy
-from sympy import Poly, Symbol
+from sympy import Poly
 
 from .numberfield import AlgebraicReal
-
-_X = Symbol("x")
+from .substitution import char_poly
 
 
 @dataclass(frozen=True)
@@ -222,10 +221,6 @@ def cycle_extension(g: Digraph, cycles) -> Digraph:
 # -- exact Perron comparison ---------------------------------------------------
 
 
-def _char_poly(matrix_rows) -> Poly:
-    return sympy.Matrix([[int(e) for e in row] for row in matrix_rows]).charpoly(_X)
-
-
 def _eval_poly_at(poly: Poly, x: AlgebraicReal) -> AlgebraicReal:
     acc = x.field.zero()
     for c in poly.all_coeffs():
@@ -255,14 +250,7 @@ def _root_equals(root, target: AlgebraicReal, factor: Poly) -> bool:
 
 
 def _enclose(x: AlgebraicReal, width: Fraction):
-    from .numberfield import _interval_poly_eval
-
-    w = width
-    while True:
-        lo, hi = _interval_poly_eval(x.coeffs, *x.field.enclosure(w))
-        if hi - lo <= width:
-            return lo, hi
-        w /= 4
+    return next((lo, hi) for lo, hi in x.enclosures() if hi - lo <= width)
 
 
 def _compare_root_target(root, target: AlgebraicReal) -> int:
@@ -291,7 +279,7 @@ def perron_equals(matrix_rows, target: AlgebraicReal) -> bool:
     True iff target is a root of the characteristic polynomial (exact zero
     test in Q(beta)) and no real root exceeds it.
     """
-    chi = _char_poly(matrix_rows)
+    chi = char_poly(matrix_rows)
     if not _eval_poly_at(chi, target).is_zero():
         return False
     for factor, _ in chi.factor_list()[1]:

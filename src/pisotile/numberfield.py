@@ -352,13 +352,14 @@ class AlgebraicReal:
         mid, err = self._approx()
         if abs(mid) > err:
             return 1 if mid > 0 else -1
+        return next(1 if lo > 0 else -1 for lo, hi in self.enclosures() if lo > 0 or hi < 0)
+
+    def enclosures(self):
+        """Rational enclosures of the value, endlessly, each evaluated on an
+        enclosure of beta half as wide as the one before."""
         width = self.field._hi - self.field._lo
         while True:
-            lo, hi = _interval_poly_eval(self.coeffs, self.field._lo, self.field._hi)
-            if lo > 0:
-                return 1
-            if hi < 0:
-                return -1
+            yield _interval_poly_eval(self.coeffs, self.field._lo, self.field._hi)
             width /= 2
             self.field.enclosure(width)
 
@@ -394,11 +395,18 @@ class AlgebraicReal:
         return self._float
 
     def __float__(self):
+        """The value to within 2^-40 relative: the float table's midpoint if
+        its proven bound is below 2^-41 of it, else the midpoint of an exact
+        enclosure that excludes 0 and is narrower than 2^-53 of its ends."""
+        if self.is_zero():
+            return 0.0
         mid, err = self._approx()
-        if err < math.inf:
+        if err <= abs(mid) * 2.0**-41:
             return mid
-        lo, hi = _interval_poly_eval(self.coeffs, self.field._lo, self.field._hi)
-        return float((lo + hi) / 2)
+        return next(
+            float((lo + hi) / 2) for lo, hi in self.enclosures()
+            if (lo > 0 or hi < 0) and hi - lo <= min(abs(lo), abs(hi)) / 2**53
+        )
 
     def __repr__(self):
         parts = []

@@ -7,6 +7,12 @@ t = 0.  Inflating both tiles and pairing intersecting subtiles generates the
 edges of a finite directed multigraph (finiteness comes from the Meyer
 property of the return vectors, enforced here by a vertex cap).  Overlap
 coincidence holds iff every vertex reaches a coincidence vertex.
+
+Each TilingSystem keeps one grow-only OverlapClosure: every class met so far,
+inflated at most once, with each class's shortest distance to a coincidence.
+The overlap graph is the part of it reachable from the seeds, and a strong
+coincidence pair test is a distance lookup in it, so the graph and the pair
+tests share their inflations.
 """
 
 from __future__ import annotations
@@ -45,7 +51,6 @@ class OverlapClass:
 class OverlapGraph:
     vertices: list[OverlapClass]
     edges: dict[tuple[int, int], int]  # (src index, dst index) -> multiplicity
-    inflation_level: int
 
     def digraph(self) -> Digraph:
         return Digraph(
@@ -63,11 +68,88 @@ def make_class(system: TilingSystem, cu: int, cv: int, shift: AlgebraicReal) -> 
     return OverlapClass(cu, cv, shift)
 
 
-def inflate_class(system: TilingSystem, c: OverlapClass, level: int = 1) -> Counter:
-    """Multiset of overlap classes produced by inflating both tiles of c."""
-    return Counter(dict(
-        (child, mult) for child, mult in _inflate_children(system, c, level)
-    ))
+class OverlapClosure:
+    """Every overlap class met so far for one system, each inflated at most
+    once, with shortest distances to a coincidence.
+
+    Ids index ``classes``; ``children[i]`` holds (child id, multiplicity)
+    pairs once class i is inflated.  A class is closed once every class
+    reachable from it is inflated; distances are read only for closed classes
+    and are recomputed only after an inflation added edges.
+    """
+
+    def __init__(self, system: TilingSystem):
+        self.system = system
+        self.classes: list[OverlapClass] = []
+        self.children: list[tuple[tuple[int, int], ...] | None] = []
+        self._index: dict[tuple, int] = {}
+        self._closed: set[int] = set()
+        self._dist: dict[int, int] | None = None
+
+    def intern(self, c: OverlapClass) -> int:
+        k = c.key()
+        i = self._index.get(k)
+        if i is None:
+            i = self._index[k] = len(self.classes)
+            self.classes.append(c)
+            self.children.append(None)
+        return i
+
+    def successors(self, i: int) -> tuple[tuple[int, int], ...]:
+        """(child id, multiplicity) pairs of class i, inflating it on first use."""
+        out = self.children[i]
+        if out is None:
+            out = tuple(
+                (self.intern(child), mult)
+                for child, mult in _inflate_children(self.system, self.classes[i])
+            )
+            self.children[i] = out
+            self._dist = None
+        return out
+
+    def reach(self, ids, cap: int) -> list[int]:
+        """Ids reachable from ids, in breadth-first discovery order; raises
+        CapExceededError when there are more than cap of them."""
+        order = list(dict.fromkeys(ids))
+        seen = set(order)
+        for i in order:  # grows while it is read: a breadth-first queue
+            for j, _ in self.successors(i):
+                if j not in seen:
+                    seen.add(j)
+                    order.append(j)
+            if len(order) > cap:
+                raise CapExceededError(
+                    f"overlap closure exceeded vertex cap {cap}; "
+                    "either the input is not Meyer or the cap is too small"
+                )
+        self._closed.update(order)
+        return order
+
+    def distance(self, i: int, cap: int) -> int | None:
+        """Shortest path length from class i into a coincidence, None when
+        no coincidence is reachable."""
+        if i not in self._closed:
+            self.reach([i], cap)
+        if self._dist is None:
+            edges = tuple(
+                (u, v, w) for u, succ in enumerate(self.children) if succ for v, w in succ
+            )
+            coincidences = [k for k, c in enumerate(self.classes) if c.is_coincidence]
+            self._dist = distances_to(Digraph(len(self.classes), edges), coincidences)
+        return self._dist.get(i)
+
+
+def overlap_closure(system: TilingSystem) -> OverlapClosure:
+    """The system's shared closure, made on first use."""
+    if system._overlap_closure is None:
+        system._overlap_closure = OverlapClosure(system)
+    return system._overlap_closure
+
+
+def inflate_class(system: TilingSystem, c: OverlapClass) -> Counter:
+    """Multiset of overlap classes produced by inflating both tiles of c (uncached)."""
+    closure = OverlapClosure(system)
+    return Counter({closure.classes[j]: m for j, m in closure.successors(closure.intern(c))})
 
 
 def seed_overlaps(system: TilingSystem, patch: Patch, ys) -> list[OverlapClass]:
@@ -146,53 +228,27 @@ def seed_overlaps(system: TilingSystem, patch: Patch, ys) -> list[OverlapClass]:
     return [classes[k] for k in sorted(classes)]
 
 
-def build_graph(
-    system: TilingSystem,
-    seeds,
-    level: int = 1,
-    cap: int = 10**4,
-) -> OverlapGraph:
-    """Breadth-first closure of the seeds under inflate_class."""
+def build_graph(system: TilingSystem, seeds, cap: int = 10**4) -> OverlapGraph:
+    """Breadth-first closure of the seeds under inflation: the part of the
+    system's overlap closure reachable from them, indexed in discovery order."""
     if not seeds:
         raise ValueError("need at least one seed overlap class")
-    order: dict[tuple, int] = {}
-    vertices: list[OverlapClass] = []
-
-    def intern(c: OverlapClass) -> int:
-        k = c.key()
-        if k not in order:
-            if len(vertices) >= cap:
-                raise CapExceededError(
-                    f"overlap closure exceeded vertex cap {cap}; "
-                    "either the input is not Meyer or the cap is too small"
-                )
-            order[k] = len(vertices)
-            vertices.append(c)
-        return order[k]
-
-    edges: dict[tuple[int, int], int] = {}
-    frontier = [intern(c) for c in seeds]
-    done: set[int] = set()
-    while frontier:
-        nxt = []
-        for ui in frontier:
-            if ui in done:
-                continue
-            done.add(ui)
-            for child, mult in _inflate_children(system, vertices[ui], level):
-                vi = intern(child)
-                edges[(ui, vi)] = edges.get((ui, vi), 0) + mult
-                if vi not in done:
-                    nxt.append(vi)
-        frontier = nxt
-    return OverlapGraph(vertices, edges, level)
+    closure = overlap_closure(system)
+    order = closure.reach([closure.intern(c) for c in seeds], cap)
+    index = {i: k for k, i in enumerate(order)}
+    edges = {
+        (k, index[j]): mult
+        for k, i in enumerate(order)
+        for j, mult in closure.children[i]
+    }
+    return OverlapGraph([closure.classes[i] for i in order], edges)
 
 
-def _inflate_children(system: TilingSystem, c: OverlapClass, level: int):
+def _inflate_children(system: TilingSystem, c: OverlapClass):
     from .tiling import Tile
 
-    upatch = system.inflate(Tile(c.color_u, system.field.zero()), level)
-    vpatch = system.inflate(Tile(c.color_v, c.shift), level)
+    upatch = system.inflate(Tile(c.color_u, system.field.zero()))
+    vpatch = system.inflate(Tile(c.color_v, c.shift))
     counts: dict[tuple, int] = {}
     objs: dict[tuple, OverlapClass] = {}
     for a in upatch.tiles:
@@ -241,25 +297,26 @@ def stuck_scc_indices(g: OverlapGraph) -> list[list[int]]:
     return out
 
 
-def expansive_sccs(system: TilingSystem, g: OverlapGraph):
-    """For each coincidence-avoiding SCC, whether the Perron root of its
-    multiplicity matrix equals beta^inflation_level (decided exactly)."""
-    target = system.beta ** g.inflation_level
-    descriptors = []
+def stuck_scc_matrices(g: OverlapGraph) -> list[tuple[list[int], list[list[int]]]]:
+    """(component, multiplicity matrix) for each stuck SCC."""
+    out = []
     for comp in stuck_scc_indices(g):
         idx = {v: i for i, v in enumerate(comp)}
         mat = [[0] * len(comp) for _ in comp]
         for (u, v), w in g.edges.items():
             if u in idx and v in idx:
                 mat[idx[u]][idx[v]] += w
-        descriptors.append(
-            {
-                "vertices": comp,
-                "matrix": mat,
-                "perron_is_expansion": perron_equals(mat, target),
-            }
-        )
-    return descriptors
+        out.append((comp, mat))
+    return out
+
+
+def expansive_sccs(system: TilingSystem, g: OverlapGraph):
+    """For each coincidence-avoiding SCC, whether the Perron root of its
+    multiplicity matrix equals beta (decided exactly)."""
+    return [
+        {"vertices": comp, "matrix": mat, "perron_is_expansion": perron_equals(mat, system.beta)}
+        for comp, mat in stuck_scc_matrices(g)
+    ]
 
 
 # -- seeding with radius stability ---------------------------------------------
@@ -268,7 +325,6 @@ def expansive_sccs(system: TilingSystem, g: OverlapGraph):
 def stable_overlap_graph(
     system: TilingSystem,
     radius=None,
-    level: int = 1,
     cap: int = 10**4,
     max_doublings: int = 10,
 ):
@@ -287,7 +343,7 @@ def stable_overlap_graph(
         patch = system.central_patch(radius)
         ys = system.return_vectors(patch)
         seeds = seed_overlaps(system, patch, ys)
-        graph = build_graph(system, seeds, level, cap)
+        graph = build_graph(system, seeds, cap)
         keys = frozenset(c.key() for c in graph.vertices)
         if keys == prev_keys:
             return graph, radius

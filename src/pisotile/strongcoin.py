@@ -11,15 +11,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 
-from sympy import Matrix, Rational
+from sympy import Matrix
 from sympy.matrices.normalforms import hermite_normal_form
 
 from .graphkit import cycle_extension, Digraph
 from .numberfield import AlgebraicReal
-from .overlap import OverlapGraph, _inflate_children, stuck_scc_indices
+from .overlap import CapExceededError, OverlapClass, OverlapGraph, overlap_closure, stuck_scc_matrices
 from .substitution import power
 from .tiling import (
     ControlPoints,
@@ -32,10 +31,6 @@ from .tiling import (
 
 class EnumerationCapError(RuntimeError):
     """Tile-map enumeration would exceed the configured cap."""
-
-
-class ClassCapError(RuntimeError):
-    """Pair-class closure grew past the configured cap."""
 
 
 class RodHypothesisError(RuntimeError):
@@ -81,13 +76,10 @@ class GroupG:
                 break
             H = ext
         self.basis = H
-
-    def _contains_int(self, v: Matrix) -> bool:
-        H = self.basis
-        if H.shape[0] == H.shape[1]:
-            sol = H.LUsolve(v)
-            return all(x == int(x) for x in sol)
-        return hermite_normal_form(H.row_join(v)) == H
+        # Closed under beta, the module has rank d, so H is square and holds
+        # v iff H^-1 v = adj(H) v / det(H) is integral.
+        self._det = abs(int(H.det()))
+        self._adj = [[int(x) for x in row] for row in H.adjugate().tolist()]
 
     def membership(self, x: AlgebraicReal):
         """(bool, K): whether beta^K * x lies in the module for some K <= k_max."""
@@ -95,8 +87,8 @@ class GroupG:
         for k in range(self.k_max + 1):
             coords = [c * self.den for c in y.coeffs]
             if all(c.denominator == 1 for c in coords):
-                v = Matrix([int(c) for c in coords])
-                if self._contains_int(v):
+                v = [int(c) for c in coords]
+                if all(sum(a * x for a, x in zip(row, v)) % self._det == 0 for row in self._adj):
                     return True, k
             y = y * self.system.beta
         return False, None
@@ -161,36 +153,20 @@ class StrongCoincidenceReport:
         }
 
 
-def _pair_coincidence(system, ci, cj, i, j, cap_classes):
-    """Breadth-first closure of the single pair class (i, j, ci - cj) under
-    inflation; success iff a coincidence class appears, at its depth L."""
-    from .overlap import OverlapClass
-
-    shift = ci - cj
-    start = OverlapClass(i, j, shift)
-    if start.is_coincidence:
-        return PairResult(i, j, "shared", 0)
-    seen = {start.key(): start}
-    frontier = [start]
-    depth = 0
-    while frontier:
-        depth += 1
-        nxt = []
-        for c in frontier:
-            for child, _ in _inflate_children(system, c, 1):
-                if child.is_coincidence:
-                    return PairResult(i, j, "shared", depth)
-                k = child.key()
-                if k not in seen:
-                    if len(seen) >= cap_classes:
-                        raise ClassCapError(
-                            f"pair-class closure exceeded cap {cap_classes}"
-                        )
-                    seen[k] = child
-                    nxt.append(child)
-        frontier = nxt
-    labels = tuple(seen[k].label() for k in sorted(seen))
-    return PairResult(i, j, "exhausted", None, labels)
+def _pair_test(system: TilingSystem, i: int, j: int, shift, cap_classes: int) -> PairResult:
+    """Strong coincidence of the pair class (i, j, shift): shared at L, its
+    distance to a coincidence in the system's overlap closure, or exhausted
+    with the classes reachable from it as the certificate."""
+    closure = overlap_closure(system)
+    start = closure.intern(OverlapClass(i, j, shift))
+    L = closure.distance(start, cap_classes)
+    if L is not None:
+        return PairResult(i, j, "shared", L)
+    reached = sorted(
+        (closure.classes[k] for k in closure.reach([start], cap_classes)),
+        key=OverlapClass.key,
+    )
+    return PairResult(i, j, "exhausted", None, tuple(c.label() for c in reached))
 
 
 def strong_coincidence(
@@ -205,15 +181,11 @@ def strong_coincidence(
     if not cp.admissible:
         raise ValueError("control points are not admissible")
     m = system.substitution.m
-    pairs = []
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            if i == j:
-                pairs.append(PairResult(i, j, "shared", 0))
-            else:
-                pairs.append(
-                    _pair_coincidence(system, cp.c[i - 1], cp.c[j - 1], i, j, cap_classes)
-                )
+    pairs = [
+        _pair_test(system, i, j, cp.c[i - 1] - cp.c[j - 1], cap_classes)
+        for i in range(1, m + 1)
+        for j in range(1, m + 1)
+    ]
     in_group = _family_in_group(system, cp, group) if group is not None else None
     return StrongCoincidenceReport(cp.tile_map, cp, cp.admissible, in_group, pairs)
 
@@ -265,6 +237,15 @@ class MSCResult:
     considered: int
     vacuous: bool
 
+    def to_json(self) -> dict:
+        return {
+            "level": self.level,
+            "verdict": self.verdict,
+            "families_considered": self.considered,
+            "vacuous": self.vacuous,
+            "reports": [r.to_json() for r in self.reports],
+        }
+
 
 def multiple_strong_coincidence(
     system: TilingSystem,
@@ -290,7 +271,8 @@ def multiple_strong_coincidence(
         if not _family_in_group(system, cp, group):
             continue
         considered += 1
-        rep = strong_coincidence(system, cp, group, cap_classes)
+        rep = strong_coincidence(system, cp, None, cap_classes)
+        rep.in_group = True  # the filter above decided it
         reports.append(rep)
         if not rep.ok:
             verdict = False
@@ -303,23 +285,13 @@ def multiple_strong_coincidence(
 def compute_level_n(g: OverlapGraph, cap: int = 10**4) -> int:
     """Smallest n0 >= 1 such that every vertex of every coincidence-free SCC
     lies on a closed walk of length n0; 1 when no such component exists."""
-    sccs = stuck_scc_indices(g)
-    if not sccs:
-        return 1
-    mats = []
-    for comp in sccs:
-        idx = {v: i for i, v in enumerate(comp)}
-        a = [[False] * len(comp) for _ in comp]
-        for (u, v) in g.edges:
-            if u in idx and v in idx:
-                a[idx[u]][idx[v]] = True
-        mats.append(a)
-    powers = [m for m in mats]
+    mats = [[[w > 0 for w in row] for row in mat] for _, mat in stuck_scc_matrices(g)]
+    powers = mats
     for n0 in range(1, cap + 1):
         if all(all(p[i][i] for i in range(len(p))) for p in powers):
             return n0
         powers = [_bool_mul(p, m) for p, m in zip(powers, mats)]
-    raise RuntimeError(f"no common closed-walk length found up to {cap}")
+    raise CapExceededError(f"no common closed-walk length found up to {cap}")
 
 
 def _bool_mul(a, b):
@@ -420,8 +392,8 @@ def extract_witness(
         raise RuntimeError("extracted control points do not match the class shift")
     if group is not None and not _family_in_group(system, cp, group):
         raise RuntimeError("extracted witness is not in the translation module")
-    rep = _pair_coincidence(
-        system, cp.c[p_col - 1], cp.c[q_col - 1], p_col, q_col, cap_classes
+    rep = _pair_test(
+        system, p_col, q_col, cp.c[p_col - 1] - cp.c[q_col - 1], cap_classes
     )
     if rep.ok:
         raise RuntimeError("extracted witness unexpectedly passes the pair test")

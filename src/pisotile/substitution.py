@@ -13,11 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import sympy
-from sympy import Poly, Rational, Symbol, minimal_polynomial, real_roots
+from sympy import Poly, Rational, minimal_polynomial, real_roots
 
-from .numberfield import AlgebraicReal, NumberField, is_pisot
-
-_X = Symbol("x")
+from .numberfield import _X, AlgebraicReal, NumberField, is_pisot
 
 
 class SubstitutionError(ValueError):

@@ -43,6 +43,7 @@ class TilingSystem:
         self.field, self.beta, self.lengths = perron_data(s)
         self.seed_power, self.seed_left, self.seed_right = fixed_point_seed(s)
         self._central_cache: tuple[AlgebraicReal, Patch] | None = None
+        self._overlap_closure = None  # overlap.OverlapClosure, made on first use
 
     def length(self, color: int) -> AlgebraicReal:
         return self.lengths[color - 1]

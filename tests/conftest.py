@@ -1,5 +1,6 @@
 import pathlib
 import sys
+from collections import Counter
 
 import pytest
 
@@ -11,6 +12,7 @@ from pisotile import (
     compute_level_n,
     group_G,
     multiple_strong_coincidence,
+    overlap,
     overlap_coincidence,
     stable_overlap_graph,
 )
@@ -27,14 +29,27 @@ _cache: dict[str, dict] = {}
 
 
 def _run_pipeline(name: str) -> dict:
+    """The pipeline of ``analyze``; "inflations" counts the inflations of
+    each overlap class key during the run."""
     if name not in _cache:
         m, rules = CORPUS_RULES[name]
         system = TilingSystem(Substitution(m, rules))
-        graph, radius = stable_overlap_graph(system)
-        oc, cert = overlap_coincidence(graph)
-        n = compute_level_n(graph)
-        group = group_G(system)
-        msc = multiple_strong_coincidence(system, n, group=group)
+        inflations = Counter()
+        inflate = overlap._inflate_children
+
+        def counting(system, c):
+            inflations[c.key()] += 1
+            return inflate(system, c)
+
+        overlap._inflate_children = counting
+        try:
+            graph, radius = stable_overlap_graph(system)
+            oc, cert = overlap_coincidence(graph)
+            n = compute_level_n(graph)
+            group = group_G(system)
+            msc = multiple_strong_coincidence(system, n, group=group)
+        finally:
+            overlap._inflate_children = inflate
         _cache[name] = {
             "system": system,
             "graph": graph,
@@ -44,6 +59,7 @@ def _run_pipeline(name: str) -> dict:
             "n": n,
             "group": group,
             "msc": msc,
+            "inflations": inflations,
         }
     return _cache[name]
 

@@ -2,12 +2,12 @@
 
 These deliberately avoid the library's geometric machinery: they operate on
 words and abelianization vectors alone, so they can cross-check the
-geometric verdicts.
+geometric verdicts.  The one exception, pair_closure, is handed the
+library's class inflation and re-derives a pair test from it by a plain
+search.
 """
 
 from __future__ import annotations
-
-from collections import Counter
 
 
 def apply_rules(rules, word):
@@ -128,19 +128,28 @@ def balanced_pair_coincidence(m, rules, cap_pairs=4000, cap_len=10**5) -> bool:
     return seen <= reach
 
 
-def abelianization_matrix(m, rules):
-    M = [[0] * m for _ in range(m)]
-    for j in range(m):
-        for a in rules[j]:
-            M[a - 1][j] += 1
-    return M
+def pair_closure(inflate, start):
+    """Early-exit breadth-first closure of one pair class: the reference for
+    the strong-coincidence pair test, as (status, L, exhausted class labels).
 
-
-def letter_frequencies(m, rules, n=20):
-    """Empirical letter counts of a long word, for Perron cross-checks."""
-    w = (1,)
-    for _ in range(n):
-        w = apply_rules(rules, w)
-        if len(w) > 10**5:
-            break
-    return Counter(w)
+    inflate(c) gives the classes that one inflation of both tiles of c
+    produces.  L is the first depth at which a coincidence appears; without
+    one, every class reachable from start is listed, sorted by key.
+    """
+    if start.is_coincidence:
+        return "shared", 0, ()
+    seen = {start.key(): start}
+    frontier = [start]
+    depth = 0
+    while frontier:
+        depth += 1
+        nxt = []
+        for c in frontier:
+            for child in inflate(c):
+                if child.is_coincidence:
+                    return "shared", depth, ()
+                if child.key() not in seen:
+                    seen[child.key()] = child
+                    nxt.append(child)
+        frontier = nxt
+    return "exhausted", None, tuple(seen[k].label() for k in sorted(seen))

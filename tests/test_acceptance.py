@@ -221,7 +221,6 @@ def test_criterion_8_radius_stability(pipeline):
             patch = system.central_patch(half)
             g_half = build_graph(
                 system, seed_overlaps(system, patch, system.return_vectors(patch)),
-                level=1,
             )
             assert overlap_coincidence(g_half)[0] == data["oc"], name
             assert {c.key() for c in g_half.vertices} == {

@@ -1,10 +1,12 @@
 """Command-line interface: parsing, exit codes, determinism, round-trips."""
 
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from pisotile import cli, overlap
 from pisotile.cli import ParseError, main, parse
 
 CORPUS = Path(__file__).resolve().parents[1] / "src" / "pisotile" / "corpus"
@@ -92,6 +94,29 @@ def test_parse_failure_exit_two(tmp_path, capsys):
 def test_cap_failure_exit_three(capsys):
     assert main(["analyze", str(FIB), "--cap-classes", "2"]) == 3
     assert "cap" in capsys.readouterr().err
+
+
+def test_level_cap_exit_three(monkeypatch, capsys):
+    level_n = cli.compute_level_n
+    monkeypatch.setattr(cli, "compute_level_n", lambda g: level_n(g, cap=0))
+    assert main(["analyze", str(TM)]) == 3
+    assert "closed-walk" in capsys.readouterr().err
+
+
+def test_analyze_inflates_each_class_once(monkeypatch, capsys):
+    counts = Counter()
+    inflate = overlap._inflate_children
+
+    def counting(system, c):
+        counts[c.key()] += 1
+        return inflate(system, c)
+
+    monkeypatch.setattr(overlap, "_inflate_children", counting)
+    for f in (FIB, TM):  # the witness path runs on Thue-Morse
+        counts.clear()
+        assert main(["analyze", str(f)]) == 0
+        assert counts and max(counts.values()) == 1
+    capsys.readouterr()
 
 
 def test_overlaps_dot_deterministic(tmp_path, capsys):

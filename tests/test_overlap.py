@@ -149,8 +149,16 @@ def test_thue_morse_graph(tm):
 def test_closure_idempotence(fib, tm):
     for system in (fib, tm):
         g, _ = stable_overlap_graph(system)
-        g2 = build_graph(system, list(g.vertices), level=g.inflation_level)
+        g2 = build_graph(system, list(g.vertices))
         assert {c.key() for c in g2.vertices} == {c.key() for c in g.vertices}
+
+
+def test_pipeline_inflates_each_class_once(pipeline):
+    # The graph closures at every seeding radius and the MSC pair tests share
+    # one closure per system, so no class is inflated twice.
+    for name in ("tribonacci", "thue_morse"):
+        inflations = pipeline(name)["inflations"]
+        assert inflations and max(inflations.values()) == 1
 
 
 def test_multiplicity_conservation(fib, tm):
@@ -158,7 +166,7 @@ def test_multiplicity_conservation(fib, tm):
         g, _ = stable_overlap_graph(system)
         for ui, c in enumerate(g.vertices):
             out = sum(w for (u, _), w in g.edges.items() if u == ui)
-            children = inflate_class(system, c, g.inflation_level)
+            children = inflate_class(system, c)
             assert out == sum(children.values())
 
 
@@ -181,7 +189,6 @@ def test_verdict_radius_stability(fib, tm):
                 system.central_patch(2 * radius),
                 system.return_vectors(system.central_patch(2 * radius)),
             ),
-            level=1,
         )
         assert overlap_coincidence(g2)[0] == expected
         assert {c.key() for c in g2.vertices} == {c.key() for c in g.vertices}
@@ -192,14 +199,6 @@ def test_vertex_cap(fib):
     seeds = seed_overlaps(fib, p, fib.return_vectors(p))
     with pytest.raises(CapExceededError):
         build_graph(fib, seeds, cap=3)
-
-
-def test_level_two_edges(fib):
-    g1, _ = stable_overlap_graph(fib, level=1)
-    g2, _ = stable_overlap_graph(fib, level=2)
-    # The verdict is invariant under inflation powers.
-    assert overlap_coincidence(g1)[0] == overlap_coincidence(g2)[0]
-    assert g2.inflation_level == 2
 
 
 def test_build_graph_requires_seeds(fib):

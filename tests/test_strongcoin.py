@@ -5,7 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import CORPUS_RULES
+from oracles import pair_closure
 from pisotile import (
+    CapExceededError,
     EnumerationCapError,
     OverlapClass,
     OverlapGraph,
@@ -17,6 +20,7 @@ from pisotile import (
     enumerate_tile_maps,
     extract_witness,
     group_G,
+    inflate_class,
     multiple_strong_coincidence,
     solve_control_points,
     stable_overlap_graph,
@@ -130,7 +134,7 @@ def test_msc_success_monotone_in_level(fib, fib_group):
 
 def _synthetic_graph(fib, edges, shifts):
     verts = [OverlapClass(1, 2, s) for s in shifts]
-    return OverlapGraph(verts, {e: 1 for e in edges}, 1)
+    return OverlapGraph(verts, {e: 1 for e in edges})
 
 
 def test_compute_level_n(fib, tm):
@@ -148,9 +152,31 @@ def test_compute_level_n(fib, tm):
     g3 = OverlapGraph(
         [OverlapClass(1, 2, s) for s in shifts3],
         {(0, 1): 1, (1, 2): 1, (2, 0): 1},
-        1,
     )
     assert compute_level_n(g3) == 3
+
+
+def test_compute_level_n_cap(fib):
+    g2 = _synthetic_graph(fib, [(0, 1), (1, 0)], [fib.field.one(), -fib.field.one()])
+    with pytest.raises(CapExceededError):
+        compute_level_n(g2, cap=1)
+
+
+@pytest.mark.parametrize("name, n", [
+    ("tribonacci", 3), ("thue_morse", 3), ("fibonacci", 4), ("s112", 2),
+])
+def test_pair_lookup_matches_pair_closure(name, n):
+    # Every pair of every MSC family: the closure lookup against the
+    # early-exit breadth-first search over uncached inflations.
+    system = TilingSystem(Substitution(*CORPUS_RULES[name]))
+    reports = multiple_strong_coincidence(system, n).reports
+    assert reports
+    for rep in reports:
+        c = rep.control_points.c
+        for p in rep.pairs:
+            start = OverlapClass(p.i, p.j, c[p.i - 1] - c[p.j - 1])
+            expected = pair_closure(lambda x: inflate_class(system, x), start)
+            assert (p.status, p.L, p.classes) == expected
 
 
 def test_extract_witness_thue_morse(tm):
@@ -171,6 +197,6 @@ def test_extract_witness_thue_morse(tm):
 def test_extract_witness_rod_hypothesis(fib):
     # A component whose classes all have equal colors triggers the error.
     c = OverlapClass(1, 1, fib.field.one())
-    g = OverlapGraph([c], {(0, 0): 1}, 1)
+    g = OverlapGraph([c], {(0, 0): 1})
     with pytest.raises(RodHypothesisError):
         extract_witness(fib, g, [0])
