@@ -17,6 +17,7 @@ from .substitution import (
 )
 from .tiling import (
     ControlPoints,
+    ModuleVectors,
     Patch,
     Tile,
     TileMap,

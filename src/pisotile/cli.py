@@ -41,7 +41,7 @@ from .substitution import (
     is_primitive,
     matrix,
 )
-from .tiling import TileMap, TilingSystem, solve_control_points
+from .tiling import TileMap, TileMapError, TilingSystem, solve_control_points
 
 
 class ParseError(ValueError):
@@ -205,8 +205,30 @@ def analyze(s: Substitution, opts) -> dict:
 # -- commands ---------------------------------------------------------------------
 
 
+def _radius(text: str) -> Fraction:
+    r = Fraction(text)
+    if r < 0:
+        raise argparse.ArgumentTypeError(f"radius must be >= 0, got {text}")
+    return r
+
+
+def _level(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"level must be >= 1, got {text}")
+    return n
+
+
+def _choice(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"choice must be comma-separated integers, got {text!r}") from None
+
+
 def _add_common(p):
-    p.add_argument("--radius", type=Fraction, default=None,
+    p.add_argument("--radius", type=_radius, default=None,
                    help="seeding patch radius (rational; default 8*max length, doubled to stability)")
     p.add_argument("--cap-classes", type=int, default=10**4)
     p.add_argument("--cap-maps", type=int, default=10**5)
@@ -247,8 +269,7 @@ def cmd_strong(args) -> int:
     _gates(s)
     system = _system(s)
     n = args.map_level
-    choice = tuple(int(x) for x in args.choice.split(",")) if args.choice else (0,) * s.m
-    tm = TileMap(n, choice)
+    tm = TileMap(n, args.choice or (0,) * s.m)
     cp = solve_control_points(system, tm)
     group = group_G(system, k_max=args.kmax)
     if cp.admissible:
@@ -348,14 +369,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("strong", help="strong coincidence for one tile map")
     ps.add_argument("file")
-    ps.add_argument("--map-level", type=int, default=1, help="tile-map inflation level n")
-    ps.add_argument("--choice", default=None, help="comma-separated 0-based subtile choices")
+    ps.add_argument("--map-level", type=_level, default=1, help="tile-map inflation level n")
+    ps.add_argument("--choice", type=_choice, default=None,
+                    help="comma-separated 0-based subtile choices")
     _add_common(ps)
     ps.set_defaults(func=cmd_strong)
 
     pm = sub.add_parser("msc", help="multiple strong coincidence of level n")
     pm.add_argument("file")
-    pm.add_argument("--map-level", type=int, default=None,
+    pm.add_argument("--map-level", type=_level, default=None,
                     help="level n (default: computed from the overlap graph)")
     _add_common(pm)
     pm.set_defaults(func=cmd_msc)
@@ -381,7 +403,7 @@ def main(argv=None) -> int:
     except VerdictMismatch as e:
         print(f"verdict mismatch: {e}", file=sys.stderr)
         return 1
-    except (ParseError, SubstitutionError, NotPisotError) as e:
+    except (ParseError, SubstitutionError, NotPisotError, TileMapError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (CapExceededError, EnumerationCapError) as e:

@@ -8,6 +8,10 @@ refining a rational enclosure of beta until the evaluated enclosure of the
 element excludes 0.  Floats decide a sign only when a proven bound on their
 error separates the value from 0 (see ``NumberField._float_enclosure``);
 otherwise the exact refinement decides.
+
+``IntEnclosure`` gives the same kind of proven float enclosure for integer
+vectors over a fixed denominator, the coordinates in which the tiling
+layer keeps the points of its translation module.
 """
 
 from __future__ import annotations
@@ -110,25 +114,29 @@ class NumberField:
             table.append(tuple(cur))
         return table
 
-    def _build_float_table(self) -> None:
-        """fl(beta^k) for k < d with proven error bounds, and the constants of
-        the bound in _float_enclosure.
+    def _power_floats(self, den: int = 1) -> tuple[tuple[float, float, float], ...]:
+        """(b_k, e_k, B_k) for k < d: floats with |beta^k/den - b_k| <= e_k and
+        B_k >= |b_k| + e_k >= beta^k/den.
 
-        beta lies in [lo, hi] with 1 <= lo, so beta^k lies in [lo^k, hi^k];
-        b_k is the float nearest the midpoint m_k and e_k, the least float
-        >= (hi^k - lo^k)/2 + |m_k - b_k|, bounds |beta^k - b_k| exactly.
-        B_k is a float >= |b_k| + e_k >= |beta^k|.
+        beta lies in [lo, hi] with 1 <= lo, so beta^k/den lies in
+        [lo^k/den, hi^k/den]; b_k is the float nearest its midpoint m_k and
+        e_k the least float >= the half-width + |m_k - b_k|.
         """
-        d = self.degree
         lo, hi = self.enclosure(_TABLE_WIDTH)
         table = []
-        for k in range(d):
-            plo, phi = lo**k, hi**k
+        for k in range(self.degree):
+            plo, phi = lo**k / den, hi**k / den
             m = (plo + phi) / 2
             b = float(m)
             e = _float_up((phi - plo) / 2 + abs(m - Fraction(b)))
             table.append((b, e, _float_up(abs(Fraction(b)) + Fraction(e))))
-        self._float_table = tuple(table)
+        return tuple(table)
+
+    def _build_float_table(self) -> None:
+        """fl(beta^k) for k < d with proven error bounds (_power_floats), and
+        the constants of the bound in _float_enclosure."""
+        d = self.degree
+        table = self._float_table = self._power_floats()
         self._err_pad = 1 + 2 * (d + 5) * _U
         self._ulp_pad = 4 * (d + 2) * _U
         self._err_floor = (sum(t[2] for t in table) + 4 * d + 4) * 2.0**-1000
@@ -226,6 +234,62 @@ class NumberField:
     def __repr__(self):
         terms = " + ".join(f"{c}*x^{i}" for i, c in enumerate(self.min_poly) if c)
         return f"NumberField({terms}, beta in [{self._lo}, {self._hi}])"
+
+
+class IntEnclosure:
+    """Proven float enclosures of x = sum_k v_k beta^k / den for integer
+    vectors v, in O(d) float operations.
+
+    With u = 2^-53, eta = 2^-1074, n = max |v_k| and (b_k, e_k, B_k) from
+    NumberField._power_floats(den):
+
+    1. f_k = float(v_k) is correctly rounded, and integers do not underflow:
+       |v_k - f_k| <= u n and |f_k| <= (1 + u) n.
+    2. |v_k beta^k/den - f_k b_k| <= |v_k - f_k| B_k + |f_k| e_k
+       <= u n B_k + (1 + u) n e_k.
+    3. p_k = fl(f_k b_k): |p_k - f_k b_k| <= u |f_k b_k| + eta
+       <= u (1 + u) n B_k + eta.
+    4. mid = fl(sum p_k), d - 1 additions: |mid - sum p_k| <= gamma sum |p_k|
+       with gamma = (d-1)u / (1 - (d-1)u) <= 1.01 (d-1) u, and
+       sum |p_k| <= (1 + u)^2 n sum B_k + d eta.
+
+    The u-terms on sum B_k add up to at most (1.01 d + 2) u, and the eta
+    terms to at most 2 d eta.  For v != 0, n >= 1, so |x - mid| <= n K with
+    K = (1 + u) sum e_k + (1.01 d + 2) u sum B_k + 2 d eta.  The error is
+    err = fl(fl(n) k) with k >= K (1 + 3u), which the two roundings cannot
+    pull below n K.  For v = 0 both mid and err are 0.  If a coordinate or
+    the sum overflows a float, the enclosure abstains: err is inf.
+    """
+
+    def __init__(self, field: NumberField, den: int):
+        table = field._power_floats(den)
+        d = field.degree
+        u, eta = Fraction(_U), Fraction(2) ** -1074
+        k = ((1 + u) * sum(Fraction(e) for _, e, _ in table)
+             + (Fraction(101, 100) * d + 2) * u * sum(Fraction(b) for _, _, b in table)
+             + 2 * d * eta)
+        self._b = tuple(b for b, _, _ in table)
+        self._k = _float_up(k * (1 + 3 * u))
+
+    def bound(self, n: int) -> float:
+        """An error bound valid for every vector with max |v_k| <= n."""
+        try:
+            return n * self._k
+        except OverflowError:
+            return math.inf
+
+    def __call__(self, v) -> tuple[float, float]:
+        """(mid, err) with |sum v_k beta^k / den - mid| <= err."""
+        mid = 0.0
+        try:
+            for c, b in zip(v, self._b):
+                mid += c * b
+            err = max(map(abs, v)) * self._k
+        except OverflowError:
+            return 0.0, math.inf
+        if not (math.isfinite(mid) and err < math.inf):
+            return 0.0, math.inf
+        return mid, err
 
 
 class AlgebraicReal:

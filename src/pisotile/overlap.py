@@ -17,13 +17,13 @@ tests share their inflations.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .graphkit import Digraph, distances_to, reachable_to, scc, perron_equals
-from .numberfield import AlgebraicReal, fast_cmp
-from .tiling import Patch, TilingSystem
+from .numberfield import _U, AlgebraicReal, fast_cmp
+from .tiling import ModuleVectors, Patch, TilingSystem
 
 
 class CapExceededError(RuntimeError):
@@ -152,79 +152,59 @@ def inflate_class(system: TilingSystem, c: OverlapClass) -> Counter:
     return Counter({closure.classes[j]: m for j, m in closure.successors(closure.intern(c))})
 
 
-def seed_overlaps(system: TilingSystem, patch: Patch, ys) -> list[OverlapClass]:
+def seed_overlaps(system: TilingSystem, patch: Patch, ys: ModuleVectors) -> list[OverlapClass]:
     """All overlap classes realized by tile pairs of the patch shifted by the
-    given return vectors.
+    given return vectors: every (color(U), color(V), s) with
+    s = (pos(V) - pos(U)) - y and -l_v < s < l_u.
 
-    Candidate pairs are pre-filtered by a float window whose slack is the
-    summed proven error bound of the elements involved, padded for rounding.
-    A candidate is accepted from floats only when its margin exceeds that
-    slack and is decided exactly otherwise, so the result is identical to
-    the all-pairs exact scan.
+    Works on integer coordinates (TilingSystem.coords).  For each color pair
+    and each distinct position difference, a float window picks the ys that
+    can give an overlap; the window's slack covers the proven errors of the
+    floats and the roundings that form its ends, so it never drops one.
+    Each distinct candidate shift is then decided by TilingSystem.compare,
+    exactly whenever the floats do not separate it from the window's ends,
+    so the result is identical to the all-pairs exact scan.
     """
-    from bisect import bisect_left
-    from math import lcm
-
-    field = system.field
-    d = field.degree
-    # Common denominator turns position coordinates into int tuples, so the
-    # quadratic dedup loop below runs on ints instead of Fractions.
-    den = 1
-    for t in patch.tiles:
-        for c in t.pos.coeffs:
-            den = lcm(den, c.denominator)
-    for y in ys:
-        for c in y.coeffs:
-            den = lcm(den, c.denominator)
-
-    def to_int(x: AlgebraicReal):
-        return tuple(int(c * den) for c in x.coeffs)
-
-    def from_int(v):
-        return field.element([Fraction(c, den) for c in v])
-
-    by_color: dict[int, list[tuple]] = {}
-    for t in patch.tiles:
-        by_color.setdefault(t.color, []).append(to_int(t.pos))
-
-    ys_sorted = sorted((from_int(v)._approx(), v) for v in {to_int(y) for y in ys})
-    ys_float = [m for (m, _), _ in ys_sorted]
-    ys_int = [v for _, v in ys_sorted]
-    ey_max = max((e for (_, e), _ in ys_sorted), default=0.0)
-    ay_max = max((abs(m) for m in ys_float), default=0.0)
-    del ys_sorted  # the loop below needs only the two lists
+    by_color, norm = system.patch_coords(patch)
+    if ys.packing.bound < 2 * norm + ys.coord_bound:  # room for every shift
+        ys = ModuleVectors.of(system, ys, 2 * norm + ys.coord_bound)
+    pack, unpack = ys.packing.pack, ys.packing.unpack
+    packed = {c: [pack(v) for v in vs] for c, vs in by_color.items()}
+    enclose = system.floats
+    yf, yp = ys.floats, ys.packed
+    colors = sorted(packed)
     classes: dict[tuple, OverlapClass] = {}
-    decided: set[tuple] = set()
-    for cu, cv in sorted((cu, cv) for cu in by_color for cv in by_color):
-        # Distinct values of pos(V) - pos(U), one color pair at a time: the
-        # sets of all pairs together are the largest structure here.
-        ds = {tuple(a - b for a, b in zip(pv, pu))
-              for pu in by_color[cu] for pv in by_color[cv]}
-        len_u, len_v = system.length(cu), system.length(cv)
-        (flu, eu), (flv, ev) = len_u._approx(), len_v._approx()
-        for dv in ds:
-            fd, ed = from_int(dv)._approx()
-            # |(d - y) - (fd - fy)| <= ed + ey; twice the error sum plus the
-            # relative term covers the roundings of the float tests below.
-            slack = (2 * (ed + ey_max + eu + ev)
-                     + 1e-12 * (abs(fd) + ay_max + flu + flv) + 1e-300)
-            # overlap iff -len_v < d - y < len_u
-            i = bisect_left(ys_float, fd - flu - slack)
-            while i < len(ys_int) and ys_float[i] <= fd + flv + slack:
-                shift_int = tuple(a - b for a, b in zip(dv, ys_int[i]))
-                key = (cu, cv, shift_int)
-                if key not in decided:
-                    decided.add(key)
-                    fs = fd - ys_float[i]
-                    shift = from_int(shift_int)
-                    if -flv + slack < fs < flu - slack:
-                        ok = True
-                    else:
-                        ok = (shift + len_v).sign() > 0 and (len_u - shift).sign() > 0
-                    if ok:
-                        c = OverlapClass(cu, cv, shift)
-                        classes[c.key()] = c
-                i += 1
+    for n, cu in enumerate(colors):
+        for cv in colors[n:]:
+            (flu, elu), (flv, elv) = (enclose(system.length_coords[c - 1]) for c in (cu, cv))
+            # Distinct values d of pos(V) - pos(U) for one pair of colors, the
+            # largest structure here.  The pair (cv, cu) sees each d as -d,
+            # so for one color each pair of tiles is taken once.
+            pus = packed[cu]
+            ds: set[int] = set()
+            for k, pv in enumerate(packed[cv]):
+                ds.update(map(pv.__sub__, pus[:k + 1] if cu == cv else pus))
+            fwd: set[int] = set()
+            back = fwd if cu == cv else set()
+            errs, lens = ys.err + elu + elv, flu + flv
+            for dv in ds:
+                fd, ed = enclose(unpack(dv))
+                # An overlap needs fd - l_u - (ed + e_y + e_lu) < fy < fd + l_v
+                # + (ed + e_y + e_lv) (for -d: -fd - l_v ... -fd + l_u);
+                # doubling the errors and the 4u term cover the roundings in
+                # forming the slack and the window's ends.
+                slack = 2 * (ed + errs) + 4 * _U * (abs(fd) + lens)
+                i = bisect_left(yf, fd - flu - slack)
+                fwd.update(map(dv.__sub__, yp[i:bisect_right(yf, fd + flv + slack, i)]))
+                i = bisect_left(yf, -fd - flv - slack)
+                back.update(map((-dv).__sub__, yp[i:bisect_right(yf, -fd + flu + slack, i)]))
+            del ds
+            for a, b, shifts in ((cu, cv, fwd),) if cu == cv else ((cu, cv, fwd), (cv, cu, back)):
+                lo, hi = -system.length(b), system.length(a)
+                for sv in shifts:
+                    v = unpack(sv)
+                    if system.compare(v, lo) > 0 and system.compare(v, hi) < 0:
+                        classes[(a, b, v)] = OverlapClass(a, b, system.point(v))
     return [classes[k] for k in sorted(classes)]
 
 
@@ -343,7 +323,11 @@ def stable_overlap_graph(
         patch = system.central_patch(radius)
         ys = system.return_vectors(patch)
         seeds = seed_overlaps(system, patch, ys)
+        # Each round's patch and vectors are about twice the last's: let
+        # these go before the next round builds its own.
+        del patch, ys
         graph = build_graph(system, seeds, cap)
+        del seeds
         keys = frozenset(c.key() for c in graph.vertices)
         if keys == prev_keys:
             return graph, radius

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import lcm
 
 from sympy import Matrix
 from sympy.matrices.normalforms import hermite_normal_form
@@ -45,30 +44,19 @@ class GroupG:
     under multiplication by beta, with a bounded-denominator membership test.
 
     Coordinates live in the power basis of the field; the module is stored as
-    a column-style Hermite normal form over a common denominator.
+    a column-style Hermite normal form of integer coordinates over
+    TilingSystem.den.
     """
 
     def __init__(self, system: TilingSystem, generators, k_max: int = 20):
+        """generators: integer vectors over system.den (TilingSystem.coords)."""
         self.system = system
         self.k_max = k_max
-        d = system.field.degree
-        den = 1
-        for g in generators:
-            for c in g.coeffs:
-                den = lcm(den, c.denominator)
-        self.den = den
-        cols = [[int(c * den) for c in g.coeffs] for g in generators]
-        cols = [v for v in cols if any(v)]
+        self.den = system.den
+        cols = [list(v) for v in generators if any(v)]
         if not cols:
             raise ValueError("no nonzero generators for the translation module")
-        # Multiplication by beta in integer coordinates (companion matrix).
-        mp = system.field.min_poly
-        comp = [[0] * d for _ in range(d)]
-        for i in range(d - 1):
-            comp[i + 1][i] = 1
-        for i in range(d):
-            comp[i][d - 1] = -mp[i]
-        B = Matrix(comp)
+        B = Matrix(system.beta_matrix)
         H = hermite_normal_form(Matrix(cols).T)
         while True:
             ext = hermite_normal_form(H.row_join(B * H))
@@ -105,8 +93,7 @@ def group_G(system: TilingSystem, patch_radius=None, k_max: int = 20) -> GroupG:
             system.lengths, key=float
         )
     patch = system.central_patch(patch_radius)
-    gens = [y for y in system.return_vectors(patch) if not y.is_zero()]
-    return GroupG(system, gens, k_max)
+    return GroupG(system, system.return_vectors(patch), k_max)
 
 
 # -- strong coincidence ----------------------------------------------------------

@@ -4,15 +4,26 @@ Tiles are intervals with a color; the interval of color i has the exact
 length given by the Perron left eigenvector.  Inflation multiplies positions
 by beta and subdivides each tile along its substitution word.  The module
 also solves tile-map control points, tests admissibility, and collects
-return vectors -- all in exact Q(beta) arithmetic.
+return vectors -- all exact.
+
+Tile positions of the fixed tiling lie in the module L spanned by the
+beta^k l_i.  Central patches and return vectors are computed on integer
+coordinates over one denominator (TilingSystem.den), where multiplication
+by beta is an integer matrix; signs are decided by a proven float
+enclosure, else exactly in Q(beta).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from array import array
+from bisect import bisect_left
+from collections.abc import Sequence
+from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import add, mul
 
-from .numberfield import AlgebraicReal, NumberField
+from .numberfield import AlgebraicReal, IntEnclosure
 from .substitution import (
     Substitution,
     SubstitutionError,
@@ -44,6 +55,70 @@ class TilingSystem:
         self.seed_power, self.seed_left, self.seed_right = fixed_point_seed(s)
         self._central_cache: tuple[AlgebraicReal, Patch] | None = None
         self._overlap_closure = None  # overlap.OverlapClosure, made on first use
+        self._build_module_coords()
+
+    def _build_module_coords(self) -> None:
+        """Integer coordinates for points of L: v stands for
+        sum_k v_k beta^k / den, with den the lcm of the denominators of the
+        length coordinates.  L is closed under beta (beta^d is an integer
+        combination of lower powers), so positions, differences and shifts
+        of the fixed tiling all have integer coordinates.
+
+        - beta_matrix: multiplication by beta, the integer companion matrix
+          (column convention: beta * v = beta_matrix v).
+        - length_coords[i]: the coordinates of l_(i+1).
+        - prefix_offsets[i]: (letter, offset) for each letter of sigma(i+1),
+          the offset being the summed length of the letters before it.
+        - floats: the proven float enclosure of an integer vector.
+        """
+        d, mp = self.field.degree, self.field.min_poly
+        self.den = lcm(*(c.denominator for l in self.lengths for c in l.coeffs))
+        self.beta_matrix = tuple(
+            tuple((1 if j == i - 1 else 0) - (mp[i] if j == d - 1 else 0) for j in range(d))
+            for i in range(d)
+        )
+        self.length_coords = tuple(self.coords(l) for l in self.lengths)
+        offsets = []
+        for word in self.substitution.rules:
+            pos, row = (0,) * d, []
+            for a in word:
+                row.append((a, pos))
+                pos = tuple(map(add, pos, self.length_coords[a - 1]))
+            offsets.append(tuple(row))
+        self.prefix_offsets = tuple(offsets)
+        self.floats = IntEnclosure(self.field, self.den)
+
+    def coords(self, x: AlgebraicReal) -> tuple[int, ...]:
+        """Integer coordinates of x over den; ValueError if x has none."""
+        out = []
+        for c in x.coeffs:
+            q, r = divmod(c.numerator * self.den, c.denominator)
+            if r:
+                raise ValueError(f"{x} has no integer coordinates over {self.den}")
+            out.append(q)
+        return tuple(out)
+
+    def point(self, v) -> AlgebraicReal:
+        """The field element with integer coordinates v over den."""
+        return AlgebraicReal(self.field, tuple(Fraction(c, self.den) for c in v))
+
+    def times_beta(self, v) -> tuple[int, ...]:
+        return tuple(sum(map(mul, row, v)) for row in self.beta_matrix)
+
+    def compare(self, v, x: AlgebraicReal) -> int:
+        """sign(point(v) - x), from the proven float enclosures when they
+        separate the two, else exactly.
+
+        With |point(v) - mv| <= ev and |x - mx| <= ex, the float difference
+        diff = fl(mv - mx) is within ev + ex + u|diff| of point(v) - x, so
+        |diff| > 2(ev + ex) (computed with two roundings) fixes the sign.
+        """
+        mv, ev = self.floats(v)
+        mx, ex = x._approx()
+        diff = mv - mx
+        if abs(diff) > 2 * (ev + ex):
+            return 1 if diff > 0 else -1
+        return (self.point(v) - x).sign()
 
     def length(self, color: int) -> AlgebraicReal:
         return self.lengths[color - 1]
@@ -106,51 +181,127 @@ class TilingSystem:
             radius = self.field.from_rational(radius)
         if self._central_cache is not None and self._central_cache[0] == radius:
             return self._central_cache[1]
+        self._central_cache = None  # let the last patch go before a larger one is built
+        lc = self.length_coords
         a, b = self.seed_left, self.seed_right
-        left = Tile(a, -self.length(a))
-        right = Tile(b, self.field.zero())
-        patch = Patch((left, right))
-        while True:
-            first = min(patch.tiles, key=lambda t: float(t.pos))
-            last = max(patch.tiles, key=lambda t: float(t.pos))
-            if (first.pos + radius).sign() <= 0 and (self.end(last) - radius).sign() >= 0:
-                break
-            patch = self.inflate_patch(patch, self.seed_power, tile_cap)
-        keep = tuple(
-            t
-            for t in patch.tiles
-            if (t.pos - radius).sign() <= 0 and (self.end(t) + radius).sign() >= 0
-        )
-        self._central_cache = (radius, Patch(keep))
-        return self._central_cache[1]
+        tiles = [(a, tuple(-c for c in lc[a - 1])), (b, (0,) * self.field.degree)]
+        left = -radius
+
+        def end(i):
+            color, v = tiles[i]
+            return tuple(map(add, v, lc[color - 1]))
+
+        while self.compare(tiles[0][1], left) > 0 or self.compare(end(-1), radius) < 0:
+            for _ in range(self.seed_power):
+                tiles = [
+                    (c, tuple(map(add, bv, off)))
+                    for color, v in tiles
+                    for bv in (self.times_beta(v),)
+                    for c, off in self.prefix_offsets[color - 1]
+                ]
+                if len(tiles) > tile_cap:
+                    raise SubstitutionError(f"patch exceeds tile cap {tile_cap}")
+        # The tiles run left to right without gaps, so the ones meeting the
+        # window are one run: from the first ending at or right of -radius
+        # to the last starting at or left of radius.
+        idx = range(len(tiles))
+        first = bisect_left(idx, True, key=lambda i: self.compare(end(i), left) >= 0)
+        stop = bisect_left(idx, True, key=lambda i: self.compare(tiles[i][1], radius) > 0)
+        patch = Patch(tuple(Tile(c, self.point(v)) for c, v in tiles[first:stop]))
+        self._central_cache = (radius, patch)
+        return patch
 
     # -- return vectors --------------------------------------------------------
 
-    def return_vectors(self, p: Patch) -> list[AlgebraicReal]:
-        """All differences pos(V) - pos(U) over same-colored tile pairs of p.
+    def return_vectors(self, p: Patch) -> ModuleVectors:
+        """All differences pos(V) - pos(U) over same-colored tile pairs of p,
+        as integer vectors, deduplicated exactly as packed ints.
 
-        Deduplicates exactly by normalizing coordinates to integer tuples
-        over a common denominator.
+        The packing leaves room for the seeding shifts of the same patch,
+        (pos(V) - pos(U)) - y, whose coordinates are at most twice as large.
         """
-        from math import lcm
+        by_color, norm = self.patch_coords(p)
+        packing = Packing(self.field.degree, 4 * norm)
+        seen: set[int] = set()
+        for vs in by_color.values():
+            packed = [packing.pack(v) for v in vs]
+            for k, pv in enumerate(packed):  # each pair once, and 0
+                seen.update(map(pv.__sub__, packed[:k + 1]))
+        seen.update([-y for y in seen])
+        distinct = list(seen)
+        del seen  # the set's table is as large again as the list
+        return ModuleVectors(self, packing, distinct, 2 * norm)
 
-        den = 1
+    def patch_coords(self, p: Patch) -> tuple[dict[int, list[tuple[int, ...]]], int]:
+        """Integer coordinates of the tile positions of p, by color, and the
+        largest absolute coordinate."""
+        by_color: dict[int, list[tuple[int, ...]]] = {}
         for t in p.tiles:
-            for c in t.pos.coeffs:
-                den = lcm(den, c.denominator)
-        by_color: dict[int, list[tuple]] = {}
-        for t in p.tiles:
-            by_color.setdefault(t.color, []).append(
-                tuple(int(c * den) for c in t.pos.coeffs)
-            )
-        seen: set[tuple] = set()
-        for positions in by_color.values():
-            for pu in positions:
-                for pv in positions:
-                    seen.add(tuple(a - b for a, b in zip(pv, pu)))
-        return [
-            self.field.element([Fraction(c, den) for c in v]) for v in sorted(seen)
-        ]
+            by_color.setdefault(t.color, []).append(self.coords(t.pos))
+        norm = max((abs(c) for vs in by_color.values() for v in vs for c in v), default=0)
+        return by_color, norm
+
+
+class Packing:
+    """v -> sum_k v_k 2^(k w) for integer d-vectors: additive, and one to one
+    (with an inverse, unpack) on the vectors with every |v_k| <= bound,
+    where 2^(w-1) > bound."""
+
+    def __init__(self, d: int, bound: int):
+        self.bound = bound
+        w = bound.bit_length() + 1
+        self._shifts = tuple(k * w for k in range(d))
+        self._half = 1 << (w - 1)
+        self._mask = (1 << w) - 1
+        # Adding half to every coordinate makes every digit nonnegative.
+        self._bias = sum(self._half << s for s in self._shifts)
+
+    def pack(self, v) -> int:
+        return sum(c << s for c, s in zip(v, self._shifts))
+
+    def unpack(self, p: int) -> tuple[int, ...]:
+        q, mask, half = p + self._bias, self._mask, self._half
+        return tuple([((q >> s) & mask) - half for s in self._shifts])
+
+
+class ModuleVectors(Sequence):
+    """A set of points of L as integer vectors over den, held compactly:
+    packed ints in increasing order of value (an array('q') when they fit
+    in 64 bits), their float midpoints in an array('d'), one error bound
+    ``err`` valid for every midpoint, and ``coord_bound`` >= every
+    |coordinate|.  Items are the vectors."""
+
+    def __init__(self, system: TilingSystem, packing: Packing, packed: list[int],
+                 coord_bound: int):
+        """packed: distinct packed vectors, a list that is sorted in place."""
+        enclose, unpack = system.floats, packing.unpack
+
+        def value(p):
+            return enclose(unpack(p))[0]
+
+        # Computing the midpoints twice keeps no (midpoint, int) pairs alive.
+        packed.sort(key=value)
+        self.floats = array("d", map(value, packed))
+        try:
+            self.packed = array("q", packed)
+        except OverflowError:
+            self.packed = packed
+        self.packing, self.coord_bound = packing, coord_bound
+        self.err = system.floats.bound(coord_bound)
+
+    @classmethod
+    def of(cls, system: TilingSystem, vectors, bound: int = 0) -> ModuleVectors:
+        """From integer vectors, packed with room for coordinates up to bound."""
+        vectors = [tuple(v) for v in vectors]
+        norm = max((abs(c) for v in vectors for c in v), default=0)
+        packing = Packing(system.field.degree, max(bound, norm))
+        return cls(system, packing, list({packing.pack(v) for v in vectors}), norm)
+
+    def __len__(self) -> int:
+        return len(self.packed)
+
+    def __getitem__(self, i: int) -> tuple[int, ...]:
+        return self.packing.unpack(self.packed[i])
 
 
 # -- tile maps and control points ---------------------------------------------
@@ -174,14 +325,20 @@ class ControlPoints:
     admissible: bool
 
 
+class TileMapError(ValueError):
+    """A tile map whose choices do not fit the substitution."""
+
+
 def tile_map_targets(system: TilingSystem, tm: TileMap):
     """Per color i: (j_i, u_i) = color and exact offset of the chosen subtile."""
     s_n = power(system.substitution, tm.n)
+    if len(tm.choice) != s_n.m:
+        raise TileMapError(f"{len(tm.choice)} choices given for {s_n.m} colors")
     targets = []
     for i, k in enumerate(tm.choice):
         word = s_n.rules[i]
         if not 0 <= k < len(word):
-            raise ValueError(f"choice {k} out of range for color {i + 1}")
+            raise TileMapError(f"choice {k} out of range for color {i + 1}")
         u = system.field.zero()
         for a in word[:k]:
             u = u + system.length(a)

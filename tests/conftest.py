@@ -25,6 +25,13 @@ CORPUS_RULES = {
     "s112": (2, ((1, 1, 2), (1, 2))),
 }
 
+# The cubic-closure inputs of the benchmark.
+CUBIC_RULES = {
+    "1->2,2->3,3->12": (3, ((2,), (3,), (1, 2))),
+    "1->13,2->1,3->2": (3, ((1, 3), (1,), (2,))),
+    "1->231,2->323,3->13": (3, ((2, 3, 1), (3, 2, 3), (1, 3))),
+}
+
 _cache: dict[str, dict] = {}
 
 

@@ -2,9 +2,10 @@
 
 These deliberately avoid the library's geometric machinery: they operate on
 words and abelianization vectors alone, so they can cross-check the
-geometric verdicts.  The one exception, pair_closure, is handed the
+geometric verdicts.  The exceptions: pair_closure is handed the
 library's class inflation and re-derives a pair test from it by a plain
-search.
+search, and central_patch_reference builds a central patch from the
+library's exact field-element inflation.
 """
 
 from __future__ import annotations
@@ -153,3 +154,22 @@ def pair_closure(inflate, start):
                     nxt.append(child)
         frontier = nxt
     return "exhausted", None, tuple(seen[k].label() for k in sorted(seen))
+
+
+def central_patch_reference(system, radius):
+    """The central patch of the given radius by inflation of field-element
+    tiles (TilingSystem.inflate_patch) and a sign test per tile."""
+    from pisotile import Patch, Tile
+
+    a, b = system.seed_left, system.seed_right
+    patch = Patch((Tile(a, -system.length(a)), Tile(b, system.field.zero())))
+    while True:
+        first = min(patch.tiles, key=lambda t: float(t.pos))
+        last = max(patch.tiles, key=lambda t: float(t.pos))
+        if (first.pos + radius).sign() <= 0 and (system.end(last) - radius).sign() >= 0:
+            break
+        patch = system.inflate_patch(patch, system.seed_power)
+    return Patch(tuple(
+        t for t in patch.tiles
+        if (t.pos - radius).sign() <= 0 and (system.end(t) + radius).sign() >= 0
+    ))

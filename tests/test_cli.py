@@ -91,6 +91,22 @@ def test_parse_failure_exit_two(tmp_path, capsys):
     assert main(["analyze", str(f)]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["strong", str(FIB), "--map-level", "2", "--choice", "3,1"],  # out of range
+    ["strong", str(FIB), "--choice", "0"],  # one entry for two colors
+    ["strong", str(FIB), "--choice", "a,b"],
+    ["msc", str(FIB), "--map-level", "0"],
+    ["analyze", str(FIB), "--radius", "-1"],
+])
+def test_input_errors_exit_two(argv, capsys):
+    try:
+        rc = main(argv)
+    except SystemExit as e:  # argparse rejects the value itself
+        rc = e.code
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_cap_failure_exit_three(capsys):
     assert main(["analyze", str(FIB), "--cap-classes", "2"]) == 3
     assert "cap" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 """Exact arithmetic in the field of the expansion factor."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import mpmath
 import pytest
 
 from pisotile import NumberField, fast_cmp, is_pisot
+from pisotile.numberfield import IntEnclosure
 
 GOLDEN = ((-1, -1, 1), (Fraction(1), Fraction(2)))
 CUBIC = ((-1, -1, -1, 1), (Fraction(1), Fraction(2)))
@@ -152,7 +154,7 @@ def test_fast_path_adversarial(poly, interval):
         fresh = float(x)
         assert x.sign() == 1
         assert fresh == float(x) == 1.0
-    abstained = 0
+    abstained = int_abstained = 0
     for a, b in _adversarial_pairs(field, random.Random(17)):
         for x in (a, b, a - b):
             expected, value = _reference(field, x)
@@ -163,8 +165,18 @@ def test_fast_path_adversarial(poly, interval):
                 with mpmath.workdps(60):
                     assert abs(value - mid) <= err
             assert field.element(x.coeffs).sign() == expected
+            # The same element as an integer vector over its denominators' lcm.
+            den = math.lcm(*(c.denominator for c in x.coeffs))
+            v = [int(c * den) for c in x.coeffs]
+            mid, err = IntEnclosure(field, den)(v)
+            if err == float("inf"):
+                int_abstained += 1
+            else:
+                assert max(map(abs, v)) < 2**1024
+                with mpmath.workdps(60):
+                    assert abs(value - mid) <= err
         assert fast_cmp(a, b) == _reference(field, a - b)[0]
-    assert abstained
+    assert abstained and int_abstained
 
 
 def test_comparison_operators(golden):

@@ -5,8 +5,10 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from conftest import CUBIC_RULES
 from pisotile import (
     CapExceededError,
+    ModuleVectors,
     OverlapClass,
     Substitution,
     TilingSystem,
@@ -50,7 +52,7 @@ def test_inflate_class_coincidence(fib):
 
 def test_seed_overlaps_self(fib):
     p = fib.central_patch(4)
-    ys = [fib.field.zero()]
+    ys = ModuleVectors.of(fib, [fib.coords(fib.field.zero())])
     seeds = seed_overlaps(fib, p, ys)
     # y = 0 produces exactly the self-coincidence classes present.
     assert {(c.color_u, c.color_v) for c in seeds} == {(1, 1), (2, 2)}
@@ -59,7 +61,7 @@ def test_seed_overlaps_self(fib):
 
 def test_seed_overlaps_shift(tm):
     p = tm.central_patch(4)
-    seeds = seed_overlaps(tm, p, [tm.field.one()])
+    seeds = seed_overlaps(tm, p, ModuleVectors.of(tm, [tm.coords(tm.field.one())]))
     keys = {(c.color_u, c.color_v, c.shift.coeffs) for c in seeds}
     zero = tm.field.zero().coeffs
     assert (1, 2, zero) in keys or (2, 1, zero) in keys
@@ -77,8 +79,11 @@ def test_seed_symmetry(fib):
 
 def _scan_all_pairs(system, patch, ys):
     """Overlap-class keys of every (tile U, tile V, y) of the patch, each
-    decided by an exact zero test and a 60-digit mpmath sign."""
-    with mpmath.workdps(60):
+    decided by an exact zero test and an mpmath sign with 60 digits beyond
+    the size of the coordinates of y."""
+    ys = [system.point(y) for y in ys]
+    digits = max(len(str(abs(c.numerator))) for y in ys for c in y.coeffs)
+    with mpmath.workdps(60 + digits):
         poly = [mpmath.mpf(c) for c in reversed(system.field.min_poly)]
         root = mpmath.findroot(lambda x: mpmath.polyval(poly, x), float(system.beta))
 
@@ -101,6 +106,31 @@ def _scan_all_pairs(system, patch, ys):
     return keys
 
 
+def _tiny_module_point(system, bits=70):
+    """Coordinates of eps_k * l_1 with eps_k = beta^k - tr(beta^k), for the
+    least k with |eps_k * l_1| < 2^-bits.  eps_k is minus the sum of the
+    k-th powers of the other conjugates, so it tends to 0 (beta is Pisot),
+    while its coordinates grow like beta^k."""
+    d = system.field.degree
+    conj = max(abs(r) for r in mpmath.polyroots(list(reversed(system.field.min_poly)))
+               if abs(r) < 1)
+    k = int(mpmath.ceil((bits * mpmath.log(2) + mpmath.log((d - 1) * float(system.length(1))))
+                        / -mpmath.log(conj))) + 1
+    power, v = [[int(i == j) for j in range(d)] for i in range(d)], system.length_coords[0]
+    for _ in range(k):
+        power = [[sum(a * b for a, b in zip(row, col)) for col in zip(*power)]
+                 for row in system.beta_matrix]
+        v = system.times_beta(v)
+    trace = sum(power[i][i] for i in range(d))
+    eps = tuple(a - trace * b for a, b in zip(v, system.length_coords[0]))
+    with mpmath.workdps(60 + len(str(max(map(abs, eps))))):
+        root = mpmath.findroot(
+            lambda x: mpmath.polyval([mpmath.mpf(c) for c in reversed(system.field.min_poly)], x),
+            float(system.beta))
+        assert 0 < abs(sum(c * root**i for i, c in enumerate(eps)) / system.den) < mpmath.mpf(2) ** -bits
+    return eps
+
+
 @pytest.mark.parametrize("m, rules", [
     (2, ((1, 2), (1,))),
     (3, ((1, 2), (1, 3), (1,))),
@@ -110,16 +140,22 @@ def test_seed_overlaps_equals_all_pairs_scan(m, rules):
     system = TilingSystem(Substitution(m, rules))
     radius = system.field.from_rational(8) * max(system.lengths, key=float)
     patch = system.central_patch(radius)
-    ys = system.return_vectors(patch)
-    # Shifts within 2^-70 of either end of the overlap window, which floats
-    # cannot separate from it.
-    eps = Fraction(1, 2**70)
+    ys = list(system.return_vectors(patch))
+    # Points of L within 2^-70 of either end of the overlap window, which
+    # floats cannot separate from it: gap + edge -+ eps.
+    eps = _tiny_module_point(system)
+    near = []
     for u, v in zip(patch.tiles, patch.tiles[3:11]):
         gap = v.pos - u.pos
         for edge in (-system.length(u.color), system.length(v.color)):
-            ys += [gap + edge - eps, gap + edge + eps]
-    seeds = seed_overlaps(system, patch, ys)
-    assert {c.key() for c in seeds} == _scan_all_pairs(system, patch, ys)
+            w = system.coords(gap + edge)
+            near += [tuple(a - b for a, b in zip(w, eps)), tuple(a + b for a, b in zip(w, eps))]
+    # Apart, so that the return vectors keep their own tight float window.
+    expected = [_scan_all_pairs(system, patch, vs) for vs in (ys, near)]
+    for vs, keys in zip((ys, near), expected):
+        assert {c.key() for c in seed_overlaps(system, patch, ModuleVectors.of(system, vs))} == keys
+    seeds = seed_overlaps(system, patch, ModuleVectors.of(system, ys + near))
+    assert {c.key() for c in seeds} == expected[0] | expected[1]
 
 
 def test_fibonacci_graph(fib):
@@ -130,6 +166,18 @@ def test_fibonacci_graph(fib):
     assert set(cert) == set(range(10))
     assert max(cert.values()) <= 3
     assert stuck_scc_indices(g) == []
+
+
+@pytest.mark.parametrize("name, vertices, radius", [
+    ("1->2,2->3,3->12", 427, (0, 0, 256)),
+    ("1->13,2->1,3->2", 149, (0, 0, 128)),
+    ("1->231,2->323,3->13", 595, (-16, 16, 0)),
+])
+def test_cubic_overlap_graphs(name, vertices, radius):
+    system = TilingSystem(Substitution(*CUBIC_RULES[name]))
+    g, r = stable_overlap_graph(system)
+    assert len(g.vertices) == vertices
+    assert r == system.field.element(radius)
 
 
 def test_thue_morse_graph(tm):

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import CORPUS_RULES, CUBIC_RULES
+from oracles import central_patch_reference
 from pisotile import (
     Patch,
     Substitution,
@@ -118,20 +120,32 @@ def test_central_patch_repeat_is_cached(fib):
     assert again is not p and again == p
 
 
+@pytest.mark.parametrize("rules", [*CORPUS_RULES.values(), *CUBIC_RULES.values()])
+def test_central_patch_matches_exact_inflation(rules):
+    # The patch inflated on integer coordinates equals, tile by tile, the
+    # one inflated in field elements.
+    system = TilingSystem(Substitution(*rules))
+    l_max = max(system.lengths, key=float)
+    for k in (8, 32):
+        radius = system.field.from_rational(k) * l_max
+        assert system.central_patch(radius) == central_patch_reference(system, radius)
+
+
 def test_return_vectors_single_tiles(fib):
     p = Patch((Tile(1, fib.field.zero()), Tile(2, fib.beta)))
     ys = fib.return_vectors(p)
-    assert ys == [fib.field.zero()]
+    assert list(ys) == [fib.coords(fib.field.zero())]
 
 
 def test_return_vectors_negation_closure(fib):
     p = fib.central_patch(5)
     ys = fib.return_vectors(p)
-    keys = {y.coeffs for y in ys}
+    keys = set(ys)
+    assert len(keys) == len(ys)
     for y in ys:
-        assert (-y).coeffs in keys
+        assert tuple(-c for c in y) in keys
     # The squared expansion beta^2 = beta + 1 appears as a same-color gap.
-    assert (fib.beta + fib.field.one()).coeffs in keys
+    assert fib.coords(fib.beta + fib.field.one()) in keys
 
 
 def test_tile_map_targets(fib):
