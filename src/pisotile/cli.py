@@ -219,6 +219,13 @@ def _level(text: str) -> int:
     return n
 
 
+def _count(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return n
+
+
 def _choice(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(x) for x in text.split(","))
@@ -230,9 +237,9 @@ def _choice(text: str) -> tuple[int, ...]:
 def _add_common(p):
     p.add_argument("--radius", type=_radius, default=None,
                    help="seeding patch radius (rational; default 8*max length, doubled to stability)")
-    p.add_argument("--cap-classes", type=int, default=10**4)
-    p.add_argument("--cap-maps", type=int, default=10**5)
-    p.add_argument("--kmax", type=int, default=20)
+    p.add_argument("--cap-classes", type=_count, default=10**4)
+    p.add_argument("--cap-maps", type=_count, default=10**5)
+    p.add_argument("--kmax", type=_count, default=20)
 
 
 def cmd_analyze(args) -> int:

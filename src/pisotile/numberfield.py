@@ -546,6 +546,12 @@ def fast_cmp(a: AlgebraicReal, b: AlgebraicReal) -> int:
 # -- the Pisot test -----------------------------------------------------------
 
 
+def _cubic_discriminant(coeffs: tuple[int, ...]) -> int:
+    """Discriminant of x^3 + b x^2 + c x + e, given as (e, c, b, 1)."""
+    e, c, b, _ = coeffs
+    return 18 * b * c * e - 4 * b**3 * e + b**2 * c**2 - 4 * c**3 - 27 * e**2
+
+
 def _is_reciprocal(coeffs: tuple[int, ...]) -> bool:
     rev = tuple(reversed(coeffs))
     return coeffs == rev or coeffs == tuple(-c for c in rev)
@@ -555,10 +561,12 @@ def is_pisot(min_poly: Sequence[int], beta_interval: tuple[RationalLike, Rationa
     """True iff the root of min_poly in the interval is a Pisot number.
 
     Every conjugate other than beta must have modulus strictly below 1.
-    Real conjugates are compared to +-1 exactly; complex conjugates are
-    bounded via rigorous isolating-rectangle refinement.  Roots of modulus
-    exactly 1 occur only for self-reciprocal polynomials, which are handled
-    separately, so the refinement loop terminates.
+    When they all have one modulus (degree 2, or degree 3 with a complex
+    pair), the norm decides.  Otherwise real conjugates are compared to +-1
+    exactly; complex conjugates are bounded via rigorous isolating-rectangle
+    refinement.  Roots of modulus exactly 1 occur only for self-reciprocal
+    polynomials, which are handled separately, so the refinement loop
+    terminates.
     """
     coeffs = tuple(int(c) for c in min_poly)
     if coeffs[-1] != 1:
@@ -572,6 +580,16 @@ def is_pisot(min_poly: Sequence[int], beta_interval: tuple[RationalLike, Rationa
         raise ValueError("interval does not isolate a root")
     if d == 1:
         return True  # beta = -a_0 > 1, no conjugates
+    if d == 2 or (d == 3 and _cubic_discriminant(coeffs) < 0):
+        # The conjugates share one modulus r: there is one (d = 2), or a
+        # complex pair (d = 3 with a negative discriminant).  With beta they
+        # multiply to +-a_0, so r^(d-1) = |a_0| / beta, and beta is Pisot iff
+        # |a_0| < beta.  beta is irrational, so the two differ, and the
+        # polynomial has the same sign at |a_0| as at lo iff beta lies above.
+        n = abs(coeffs[0])
+        if n <= lo or n >= hi:
+            return n <= lo
+        return (_poly_eval(coeffs, n) > 0) == (_poly_eval(coeffs, lo) > 0)
     if _is_reciprocal(coeffs):
         # Roots pair up as r, 1/r.  Degree 2 gives the single conjugate
         # +-1/beta; higher degree forces a second root of modulus >= 1.

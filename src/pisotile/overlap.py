@@ -13,6 +13,16 @@ inflated at most once, with each class's shortest distance to a coincidence.
 The overlap graph is the part of it reachable from the seeds, and a strong
 coincidence pair test is a distance lookup in it, so the graph and the pair
 tests share their inflations.
+
+The closure holds a class (i, j, t) as integers: t = sum_k v_k beta^k / D
+with v an integer vector and D > 0 in lowest terms.  beta is an integer
+matrix on such vectors (TilingSystem.beta_matrix), so a child is
+beta v + offset difference over lcm(D, den), and it is kept when both
+overlap signs are positive: a proven float enclosure (IntEnclosure)
+decides each sign it separates from 0, an exact zero test the tiles that
+touch, and the exact sign in Q(beta) the rest.  Shifts become field
+elements only for the classes that leave the closure: graph vertices,
+labels, certificates and JSON.
 """
 
 from __future__ import annotations
@@ -20,9 +30,12 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
+from math import gcd, inf, lcm
+from operator import add, sub
 
 from .graphkit import Digraph, distances_to, reachable_to, scc, perron_equals
-from .numberfield import _U, AlgebraicReal, fast_cmp
+from .numberfield import _U, AlgebraicReal, IntEnclosure
 from .tiling import ModuleVectors, Patch, TilingSystem
 
 
@@ -72,40 +85,118 @@ class OverlapClosure:
     """Every overlap class met so far for one system, each inflated at most
     once, with shortest distances to a coincidence.
 
-    Ids index ``classes``; ``children[i]`` holds (child id, multiplicity)
-    pairs once class i is inflated.  A class is closed once every class
-    reachable from it is inflated; distances are read only for closed classes
-    and are recomputed only after an inflation added edges.
+    A class is held as its key (i, j, D, v): a color-i tile at 0 and a
+    color-j tile at sum_k v_k beta^k / D, with v an integer vector and D > 0
+    in lowest terms, so equal shifts meet whichever start they came from.
+    Ids index ``keys``; ``children[i]`` holds (child id, multiplicity) pairs
+    once class i is inflated.  A class is closed once every class reachable
+    from it is inflated; distances are read only for closed classes.  Field
+    elements are made only for the classes that leave the closure
+    (overlap_class).
     """
 
     def __init__(self, system: TilingSystem):
         self.system = system
-        self.classes: list[OverlapClass] = []
+        self.keys: list[tuple] = []
         self.children: list[tuple[tuple[int, int], ...] | None] = []
         self._index: dict[tuple, int] = {}
-        self._closed: set[int] = set()
-        self._dist: dict[int, int] | None = None
+        self._dist: dict[int, int | None] = {}  # of the classes distance() closed
+        self._frames: dict[int, tuple] = {}
+        self._classes: dict[int, OverlapClass] = {}
 
     def intern(self, c: OverlapClass) -> int:
-        k = c.key()
-        i = self._index.get(k)
+        return self._id(class_key(c))
+
+    def _id(self, key: tuple) -> int:
+        i = self._index.get(key)
         if i is None:
-            i = self._index[k] = len(self.classes)
-            self.classes.append(c)
+            i = self._index[key] = len(self.keys)
+            self.keys.append(key)
             self.children.append(None)
         return i
+
+    def overlap_class(self, i: int) -> OverlapClass:
+        """Class i with its shift as a field element, made once."""
+        c = self._classes.get(i)
+        if c is None:
+            a, b, den, v = self.keys[i]
+            c = self._classes[i] = OverlapClass(a, b, self.system.point(v, den))
+        return c
 
     def successors(self, i: int) -> tuple[tuple[int, int], ...]:
         """(child id, multiplicity) pairs of class i, inflating it on first use."""
         out = self.children[i]
         if out is None:
-            out = tuple(
-                (self.intern(child), mult)
-                for child, mult in _inflate_children(self.system, self.classes[i])
-            )
+            out = tuple((self._id(child), mult) for child, mult in self._inflate(self.keys[i]))
             self.children[i] = out
-            self._dist = None
         return out
+
+    def _frame(self, den: int) -> tuple:
+        """For classes over den: the enclosure of integer vectors over den,
+        and per color c the tile bounds of sigma(c) (the inflated tile at 0:
+        where each subtile starts, then where the last one ends) as vectors
+        over den, with their enclosures."""
+        frame = self._frames.get(den)
+        if frame is None:
+            system = self.system
+            enclose = IntEnclosure(system.field, den)
+            k = den // system.den
+            bounds = []
+            for row in system.prefix_offsets:
+                last, off = row[-1]
+                end = tuple(map(add, off, system.length_coords[last - 1]))
+                vs = [tuple(k * c for c in v) for v in [off for _, off in row] + [end]]
+                bounds.append((vs, [enclose(v) for v in vs]))
+            frame = self._frames[den] = (enclose, bounds)
+        return frame
+
+    def _inflate(self, key: tuple) -> list[tuple[tuple, int]]:
+        """(child key, multiplicity) pairs of the class with this key, in
+        increasing key order of their shifts.
+
+        The subtiles of sigma(i) at 0 and of sigma(j) at beta * shift are
+        laid out over den' = lcm(D, den), where beta is the integer matrix
+        beta_matrix; each pair whose interiors meet gives the child
+        (a, b, pos(b) - pos(a)).
+        """
+        i, j, dv, v = key
+        system = self.system
+        den = lcm(dv, system.den)
+        enclose, bounds = self._frame(den)
+        bv = system.times_beta(v)
+        if den != dv:
+            bv = tuple((den // dv) * c for c in bv)
+        us, ufl = bounds[i - 1]
+        vs = [tuple(map(add, bv, off)) for off in bounds[j - 1][0]]
+        vfl = [enclose(x) for x in vs]
+        less = self._less
+        counts: dict[tuple, int] = {}
+        rules = system.substitution.rules
+        for s, a in enumerate(rules[i - 1]):
+            for t, b in enumerate(rules[j - 1]):
+                if (less(us[s], ufl[s], vs[t + 1], vfl[t + 1], den)
+                        and less(vs[t], vfl[t], us[s + 1], ufl[s + 1], den)):
+                    child = (a, b, tuple(map(sub, vs[t], us[s])))
+                    counts[child] = counts.get(child, 0) + 1
+        out = []
+        for (a, b, w), mult in sorted(counts.items()):  # one den': the order of the shifts
+            g = gcd(den, *w)
+            out.append(((a, b, den // g, tuple(c // g for c in w)), mult))
+        return out
+
+    def _less(self, x, fx, y, fy, den: int) -> bool:
+        """point(x) < point(y) for integer vectors over den with enclosures
+        fx, fy: from the floats when they separate the two, else exactly.
+
+        With |x - mx| <= ex and |y - my| <= ey, diff = fl(my - mx) is within
+        ex + ey + u|diff| of y - x, so |diff| > 2(ex + ey) fixes the sign
+        (as in TilingSystem.compare).  Tiles that touch give y - x = 0
+        exactly, which the zero test decides before the exact sign."""
+        diff = fy[0] - fx[0]
+        if abs(diff) > 2 * (fx[1] + fy[1]):
+            return diff > 0
+        w = tuple(map(sub, y, x))
+        return any(w) and self.system.point(w, den).sign() > 0
 
     def reach(self, ids, cap: int) -> list[int]:
         """Ids reachable from ids, in breadth-first discovery order; raises
@@ -122,21 +213,54 @@ class OverlapClosure:
                     f"overlap closure exceeded vertex cap {cap}; "
                     "either the input is not Meyer or the cap is too small"
                 )
-        self._closed.update(order)
         return order
 
     def distance(self, i: int, cap: int) -> int | None:
         """Shortest path length from class i into a coincidence, None when
-        no coincidence is reachable."""
-        if i not in self._closed:
-            self.reach([i], cap)
-        if self._dist is None:
-            edges = tuple(
-                (u, v, w) for u, succ in enumerate(self.children) if succ for v, w in succ
-            )
-            coincidences = [k for k, c in enumerate(self.classes) if c.is_coincidence]
-            self._dist = distances_to(Digraph(len(self.classes), edges), coincidences)
-        return self._dist.get(i)
+        no coincidence is reachable.
+
+        A closed class keeps its distance, since a class inflated later is
+        not reachable from it.  So only the classes this call closes are
+        computed: by Dijkstra over their edges, from their coincidences and
+        from their children of known distance."""
+        if i in self._dist:
+            return self._dist[i]
+        new = [k for k in self.reach([i], cap) if k not in self._dist]
+        preds: dict[int, list[int]] = {k: [] for k in new}
+        best: dict[int, int] = {}
+        for k in new:
+            a, b, _, v = self.keys[k]
+            if a == b and not any(v):
+                best[k] = 0
+                continue
+            for child, _ in self.children[k]:
+                d = self._dist.get(child)
+                if child in preds:
+                    preds[child].append(k)
+                elif d is not None and d + 1 < best.get(k, inf):
+                    best[k] = d + 1
+        heap = [(d, k) for k, d in best.items()]
+        heapify(heap)
+        while heap:
+            d, k = heappop(heap)
+            if k in self._dist:
+                continue
+            self._dist[k] = d
+            for p in preds[k]:
+                if p not in self._dist and d + 1 < best.get(p, inf):
+                    best[p] = d + 1
+                    heappush(heap, (d + 1, p))
+        for k in new:
+            self._dist.setdefault(k, None)
+        return self._dist[i]
+
+
+def class_key(c: OverlapClass) -> tuple:
+    """(i, j, D, v) with shift = sum_k v_k beta^k / D in lowest terms: D is
+    the lcm of the coordinates' denominators."""
+    coeffs = c.shift.coeffs
+    den = lcm(*(q.denominator for q in coeffs))
+    return (c.color_u, c.color_v, den, tuple(q.numerator * (den // q.denominator) for q in coeffs))
 
 
 def overlap_closure(system: TilingSystem) -> OverlapClosure:
@@ -147,9 +271,13 @@ def overlap_closure(system: TilingSystem) -> OverlapClosure:
 
 
 def inflate_class(system: TilingSystem, c: OverlapClass) -> Counter:
-    """Multiset of overlap classes produced by inflating both tiles of c (uncached)."""
-    closure = OverlapClosure(system)
-    return Counter({closure.classes[j]: m for j, m in closure.successors(closure.intern(c))})
+    """Multiset of overlap classes produced by inflating both tiles of c
+    (uncached: the children are not kept in the system's closure)."""
+    closure = overlap_closure(system)
+    return Counter({
+        OverlapClass(a, b, system.point(v, den)): mult
+        for (a, b, den, v), mult in closure._inflate(class_key(c))
+    })
 
 
 def seed_overlaps(system: TilingSystem, patch: Patch, ys: ModuleVectors) -> list[OverlapClass]:
@@ -221,25 +349,7 @@ def build_graph(system: TilingSystem, seeds, cap: int = 10**4) -> OverlapGraph:
         for k, i in enumerate(order)
         for j, mult in closure.children[i]
     }
-    return OverlapGraph([closure.classes[i] for i in order], edges)
-
-
-def _inflate_children(system: TilingSystem, c: OverlapClass):
-    from .tiling import Tile
-
-    upatch = system.inflate(Tile(c.color_u, system.field.zero()))
-    vpatch = system.inflate(Tile(c.color_v, c.shift))
-    counts: dict[tuple, int] = {}
-    objs: dict[tuple, OverlapClass] = {}
-    for a in upatch.tiles:
-        a_end = system.end(a)
-        for b in vpatch.tiles:
-            if fast_cmp(system.end(b), a.pos) > 0 and fast_cmp(a_end, b.pos) > 0:
-                child = OverlapClass(a.color, b.color, b.pos - a.pos)
-                k = child.key()
-                counts[k] = counts.get(k, 0) + 1
-                objs.setdefault(k, child)
-    return [(objs[k], counts[k]) for k in sorted(counts)]
+    return OverlapGraph([closure.overlap_class(i) for i in order], edges)
 
 
 def overlap_coincidence(g: OverlapGraph):

@@ -68,11 +68,17 @@ class GroupG:
         # v iff H^-1 v = adj(H) v / det(H) is integral.
         self._det = abs(int(H.det()))
         self._adj = [[int(x) for x in row] for row in H.adjugate().tolist()]
+        self.cross_offsets = None  # for _family_in_group, made on first use
 
     def membership(self, x: AlgebraicReal):
-        """(bool, K): whether beta^K * x lies in the module for some K <= k_max."""
+        """(bool, K): whether beta^K * x lies in the module for some K <= k_max.
+
+        For a unit beta (|N(beta)| = 1), beta^-1 is an integer polynomial in
+        beta, so it maps the module into itself: beta^K x lies in the module
+        iff x does, and K = 0 decides."""
         y = x
-        for k in range(self.k_max + 1):
+        unit = abs(self.system.field.min_poly[0]) == 1
+        for k in range(min(self.k_max, 0) + 1 if unit else self.k_max + 1):
             coords = [c * self.den for c in y.coeffs]
             if all(c.denominator == 1 for c in coords):
                 v = [int(c) for c in coords]
@@ -150,7 +156,7 @@ def _pair_test(system: TilingSystem, i: int, j: int, shift, cap_classes: int) ->
     if L is not None:
         return PairResult(i, j, "shared", L)
     reached = sorted(
-        (closure.classes[k] for k in closure.reach([start], cap_classes)),
+        (closure.overlap_class(k) for k in closure.reach([start], cap_classes)),
         key=OverlapClass.key,
     )
     return PairResult(i, j, "exhausted", None, tuple(c.label() for c in reached))
@@ -182,18 +188,19 @@ def _family_in_group(system: TilingSystem, cp: ControlPoints, group: GroupG) -> 
 
     Same-color differences are module generators (k = 0), so only one
     representative cross-color difference per color pair needs testing."""
-    m = system.substitution.m
-    radius = system.field.from_rational(8) * max(system.lengths, key=float)
-    patch = system.central_patch(radius)
-    rep = {}
-    for t in patch.tiles:
-        rep.setdefault(t.color, t.pos)
-    for i in range(1, m + 1):
-        for j in range(i + 1, m + 1):
-            x = cp.c[i - 1] - cp.c[j - 1] + rep[i] - rep[j]
-            if not group.membership(x)[0]:
-                return False
-    return True
+    if group.cross_offsets is None:  # one offset per color pair, kept on the group
+        radius = system.field.from_rational(8) * max(system.lengths, key=float)
+        rep = {}
+        for t in system.central_patch(radius).tiles:
+            rep.setdefault(t.color, t.pos)
+        m = system.substitution.m
+        group.cross_offsets = {
+            (i, j): rep[i] - rep[j] for i in range(1, m + 1) for j in range(i + 1, m + 1)
+        }
+    return all(
+        group.membership(cp.c[i - 1] - cp.c[j - 1] + d)[0]
+        for (i, j), d in group.cross_offsets.items()
+    )
 
 
 # -- enumeration and multiple strong coincidence ---------------------------------

@@ -20,10 +20,11 @@ from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from math import lcm
 from operator import add, mul
 
-from .numberfield import AlgebraicReal, IntEnclosure
+from .numberfield import AlgebraicReal, IntEnclosure, fast_cmp
 from .substitution import (
     Substitution,
     SubstitutionError,
@@ -55,6 +56,10 @@ class TilingSystem:
         self.seed_power, self.seed_left, self.seed_right = fixed_point_seed(s)
         self._central_cache: tuple[AlgebraicReal, Patch] | None = None
         self._overlap_closure = None  # overlap.OverlapClosure, made on first use
+        self._inverses: dict[tuple, AlgebraicReal] = {}
+        self._powers: dict[int, AlgebraicReal] = {}
+        self._subtiles: dict[int, tuple] = {}
+        self._control_points: dict[tuple, tuple] = {}  # see solve_control_points
         self._build_module_coords()
 
     def _build_module_coords(self) -> None:
@@ -98,9 +103,11 @@ class TilingSystem:
             out.append(q)
         return tuple(out)
 
-    def point(self, v) -> AlgebraicReal:
-        """The field element with integer coordinates v over den."""
-        return AlgebraicReal(self.field, tuple(Fraction(c, self.den) for c in v))
+    def point(self, v, den: int | None = None) -> AlgebraicReal:
+        """The field element with integer coordinates v over den (by
+        default self.den)."""
+        den = den or self.den
+        return AlgebraicReal(self.field, tuple(Fraction(c, den) for c in v))
 
     def times_beta(self, v) -> tuple[int, ...]:
         return tuple(sum(map(mul, row, v)) for row in self.beta_matrix)
@@ -119,6 +126,36 @@ class TilingSystem:
         if abs(diff) > 2 * (ev + ex):
             return 1 if diff > 0 else -1
         return (self.point(v) - x).sign()
+
+    def inverse(self, x: AlgebraicReal) -> AlgebraicReal:
+        """1 / x, kept per x: control points divide by the same few
+        elements (beta^n and beta^(n len) - 1) for every tile map."""
+        inv = self._inverses.get(x.coeffs)
+        if inv is None:
+            inv = self._inverses[x.coeffs] = x.inverse()
+        return inv
+
+    def beta_power(self, e: int) -> AlgebraicReal:
+        """beta^e for e >= 0, kept per e."""
+        p = self._powers.get(e)
+        if p is None:
+            p = self._powers[e] = self.beta ** e
+        return p
+
+    def subtiles(self, n: int) -> tuple[tuple[tuple[int, AlgebraicReal], ...], ...]:
+        """Per color i, (letter, offset) for each tile of sigma^n(i), the
+        offset being the summed length of the letters before it; kept per n."""
+        out = self._subtiles.get(n)
+        if out is None:
+            rows = []
+            for word in power(self.substitution, n).rules:
+                u, row = self.field.zero(), []
+                for a in word:
+                    row.append((a, u))
+                    u = u + self.length(a)
+                rows.append(tuple(row))
+            out = self._subtiles[n] = tuple(rows)
+        return out
 
     def length(self, color: int) -> AlgebraicReal:
         return self.lengths[color - 1]
@@ -331,18 +368,14 @@ class TileMapError(ValueError):
 
 def tile_map_targets(system: TilingSystem, tm: TileMap):
     """Per color i: (j_i, u_i) = color and exact offset of the chosen subtile."""
-    s_n = power(system.substitution, tm.n)
-    if len(tm.choice) != s_n.m:
-        raise TileMapError(f"{len(tm.choice)} choices given for {s_n.m} colors")
+    subtiles = system.subtiles(tm.n)
+    if len(tm.choice) != len(subtiles):
+        raise TileMapError(f"{len(tm.choice)} choices given for {len(subtiles)} colors")
     targets = []
     for i, k in enumerate(tm.choice):
-        word = s_n.rules[i]
-        if not 0 <= k < len(word):
+        if not 0 <= k < len(subtiles[i]):
             raise TileMapError(f"choice {k} out of range for color {i + 1}")
-        u = system.field.zero()
-        for a in word[:k]:
-            u = u + system.length(a)
-        targets.append((word[k], u))
+        targets.append(subtiles[i][k])
     return targets
 
 
@@ -351,55 +384,40 @@ def solve_control_points(system: TilingSystem, tm: TileMap) -> ControlPoints:
 
     The functional graph i -> j_i is eventually periodic; points on each
     cycle are solved by composing the affine maps around the cycle, the rest
-    by back-substitution toward the cycle.
+    by back-substitution toward the cycle.  c_i depends only on the choices
+    along the path from i into and around its cycle, so the system keeps
+    each c_i under that path: tile maps of one level share most of them.
     """
     targets = tile_map_targets(system, tm)
-    m = system.substitution.m
-    lam = system.beta ** tm.n
-    c: list[AlgebraicReal | None] = [None] * m
+    lam = system.beta_power(tm.n)
 
-    def solve(i: int, trail: list[int]):
-        if c[i] is not None:
-            return
-        if i in trail:
-            cycle = trail[trail.index(i):]
-            # beta^(n*len) c_i = c_i + sum_k lam^(len-1-k) u_{cycle[k]}
-            acc = system.field.zero()
-            for j in cycle:
-                acc = lam * acc + targets[j][1]
-            lam_pow = lam ** len(cycle)
-            c[i] = acc / (lam_pow - 1)
-            # Propagate forward around the cycle.
-            cur = c[i]
-            for j in cycle:
-                nxt_idx = targets[j][0] - 1
-                cur = lam * cur - targets[j][1]
-                if nxt_idx != i:
-                    c[nxt_idx] = cur
-            return
-        j = targets[i][0] - 1
-        solve(j, trail + [i])
-        if c[i] is None:
-            c[i] = (c[j] + targets[i][1]) / lam
+    def point(i: int) -> tuple[AlgebraicReal, AlgebraicReal, AlgebraicReal]:
+        """(c_i, -c_i, l_i - c_i): the point and the ends of the support of
+        color i shifted by -c_i."""
+        path = [i]  # the colors from i until one repeats
+        while (j := targets[path[-1]][0] - 1) not in path:
+            path.append(j)
+        key = (tm.n, tuple((k, tm.choice[k]) for k in path))
+        out = system._control_points.get(key)
+        if out is None:
+            if j == i:  # i lies on its cycle, which is the whole path
+                # beta^(n*len) c_i = c_i + sum_k lam^(len-1-k) u_{path[k]}
+                acc = system.field.zero()
+                for k in path:
+                    acc = lam * acc + targets[k][1]
+                c = acc * system.inverse(system.beta_power(tm.n * len(path)) - 1)
+            else:
+                c = (point(path[1])[0] + targets[i][1]) * system.inverse(lam)
+            out = system._control_points[key] = (c, -c, system.length(i + 1) - c)
+        return out
 
-    for i in range(m):
-        solve(i, [])
-    cs = tuple(c)  # type: ignore[arg-type]
-    return ControlPoints(cs, tm, _admissible(system, cs))
-
-
-def _admissible(system: TilingSystem, cs) -> bool:
-    """Interior of the intersection of the shifted supports [-c_i, l_i - c_i]."""
-    lo = -cs[0]
-    hi = system.length(1) - cs[0]
-    for i, ci in enumerate(cs[1:], start=2):
-        cand_lo = -ci
-        if cand_lo > lo:
-            lo = cand_lo
-        cand_hi = system.length(i) - ci
-        if cand_hi < hi:
-            hi = cand_hi
-    return (hi - lo).sign() > 0
+    points = [point(i) for i in range(system.substitution.m)]
+    # Admissible: the shifted supports [-c_i, l_i - c_i] share an interior
+    # point.  The ends are kept with their points, so their float
+    # enclosures are reused across tile maps.
+    lo = max((p[1] for p in points), key=cmp_to_key(fast_cmp))
+    hi = min((p[2] for p in points), key=cmp_to_key(fast_cmp))
+    return ControlPoints(tuple(p[0] for p in points), tm, fast_cmp(hi, lo) > 0)
 
 
 def admissible(cp: ControlPoints) -> bool:

@@ -42,13 +42,13 @@ def _run_pipeline(name: str) -> dict:
         m, rules = CORPUS_RULES[name]
         system = TilingSystem(Substitution(m, rules))
         inflations = Counter()
-        inflate = overlap._inflate_children
+        inflate = overlap.OverlapClosure._inflate
 
-        def counting(system, c):
-            inflations[c.key()] += 1
-            return inflate(system, c)
+        def counting(closure, key):
+            inflations[key] += 1
+            return inflate(closure, key)
 
-        overlap._inflate_children = counting
+        overlap.OverlapClosure._inflate = counting
         try:
             graph, radius = stable_overlap_graph(system)
             oc, cert = overlap_coincidence(graph)
@@ -56,7 +56,7 @@ def _run_pipeline(name: str) -> dict:
             group = group_G(system)
             msc = multiple_strong_coincidence(system, n, group=group)
         finally:
-            overlap._inflate_children = inflate
+            overlap.OverlapClosure._inflate = inflate
         _cache[name] = {
             "system": system,
             "graph": graph,

@@ -4,8 +4,9 @@ These deliberately avoid the library's geometric machinery: they operate on
 words and abelianization vectors alone, so they can cross-check the
 geometric verdicts.  The exceptions: pair_closure is handed the
 library's class inflation and re-derives a pair test from it by a plain
-search, and central_patch_reference builds a central patch from the
-library's exact field-element inflation.
+search; inflate_children and central_patch_reference build overlap-class
+children and central patches from the library's exact field-element
+inflation of tiles.
 """
 
 from __future__ import annotations
@@ -173,3 +174,21 @@ def central_patch_reference(system, radius):
         t for t in patch.tiles
         if (t.pos - radius).sign() <= 0 and (system.end(t) + radius).sign() >= 0
     ))
+
+
+def inflate_children(system, c):
+    """(child, multiplicity) pairs of the overlap class c, sorted by key: the
+    subtiles of both inflated tiles as field-element tiles
+    (TilingSystem.inflate), one pair for each two whose interiors meet."""
+    from pisotile import OverlapClass, Tile
+
+    upatch = system.inflate(Tile(c.color_u, system.field.zero()))
+    vpatch = system.inflate(Tile(c.color_v, c.shift))
+    counts, objs = {}, {}
+    for a in upatch.tiles:
+        for b in vpatch.tiles:
+            if (system.end(b) - a.pos).sign() > 0 and (system.end(a) - b.pos).sign() > 0:
+                child = OverlapClass(a.color, b.color, b.pos - a.pos)
+                counts[child.key()] = counts.get(child.key(), 0) + 1
+                objs.setdefault(child.key(), child)
+    return [(objs[k], counts[k]) for k in sorted(counts)]

@@ -97,6 +97,10 @@ def test_parse_failure_exit_two(tmp_path, capsys):
     ["strong", str(FIB), "--choice", "a,b"],
     ["msc", str(FIB), "--map-level", "0"],
     ["analyze", str(FIB), "--radius", "-1"],
+    ["msc", str(FIB), "--map-level", "2", "--kmax", "-1"],
+    ["analyze", str(TM), "--kmax", "-1"],
+    ["analyze", str(FIB), "--cap-classes", "-1"],
+    ["overlaps", str(FIB), "--cap-maps", "-1"],
 ])
 def test_input_errors_exit_two(argv, capsys):
     try:
@@ -121,13 +125,13 @@ def test_level_cap_exit_three(monkeypatch, capsys):
 
 def test_analyze_inflates_each_class_once(monkeypatch, capsys):
     counts = Counter()
-    inflate = overlap._inflate_children
+    inflate = overlap.OverlapClosure._inflate
 
-    def counting(system, c):
-        counts[c.key()] += 1
-        return inflate(system, c)
+    def counting(closure, key):
+        counts[key] += 1
+        return inflate(closure, key)
 
-    monkeypatch.setattr(overlap, "_inflate_children", counting)
+    monkeypatch.setattr(overlap.OverlapClosure, "_inflate", counting)
     for f in (FIB, TM):  # the witness path runs on Thue-Morse
         counts.clear()
         assert main(["analyze", str(f)]) == 0

@@ -7,8 +7,10 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from sympy import Poly
+
 from pisotile import NumberField, fast_cmp, is_pisot
-from pisotile.numberfield import IntEnclosure
+from pisotile.numberfield import _X, IntEnclosure, _cubic_discriminant
 
 GOLDEN = ((-1, -1, 1), (Fraction(1), Fraction(2)))
 CUBIC = ((-1, -1, -1, 1), (Fraction(1), Fraction(2)))
@@ -201,6 +203,43 @@ def test_is_pisot_cases():
     assert not is_pisot((-3, -1, 1), (Fraction(2), Fraction(3)))  # conj < -1
     # Self-reciprocal of degree >= 3: roots pair (r, 1/r), never Pisot.
     assert not is_pisot((1, -1, -1, -1, 1), (Fraction(1), Fraction(2)))
+
+
+def test_is_pisot_matches_roots():
+    # Quadratics, and cubics with a complex pair, are decided from the norm
+    # alone, other cubics from their roots: every real root >= 1 of every
+    # irreducible monic quadratic and cubic with small coefficients against
+    # the moduli of its numerical roots.
+    polys = [(a0, a1, 1) for a0 in range(-4, 5) for a1 in range(-4, 5)]
+    polys += [(a0, a1, a2, 1) for a0 in range(-3, 4) for a1 in range(-3, 4)
+              for a2 in range(-3, 4)]
+    checked = set()
+    for coeffs in polys:
+        poly = Poly(list(reversed(coeffs)), _X)
+        if not poly.is_irreducible:
+            continue
+        roots = mpmath.polyroots(list(reversed(coeffs)), extraprec=100)
+        for (a, b), _ in poly.intervals():
+            lo, hi = Fraction(int(a.p), int(a.q)), Fraction(int(b.p), int(b.q))
+            if lo < 1:
+                continue
+            beta = min(roots, key=lambda r: abs(r - (mpmath.mpf(lo.numerator) / lo.denominator + mpmath.mpf(hi.numerator) / hi.denominator) / 2))
+            others = [abs(r) for r in roots if r is not beta]
+            assert all(abs(m - 1) > 1e-20 for m in others)
+            pisot = all(m < 1 for m in others)
+            assert is_pisot(coeffs, (lo, hi)) == pisot, coeffs
+            kind = len(coeffs) == 3 or _cubic_discriminant(coeffs) < 0
+            checked.add((len(coeffs), kind, pisot))
+            # An isolating interval with |a_0| inside, where the norm test
+            # reads the sign of the polynomial at |a_0|.
+            n = abs(coeffs[0])
+            wide = (min(lo, n - Fraction(1, 2)), max(hi, n + Fraction(1, 2)))
+            if kind and wide[0] >= 1 and poly.count_roots(*wide) == 1:
+                assert is_pisot(coeffs, wide) == pisot, coeffs
+                checked.add(("wide", pisot))
+    assert checked == {(3, True, True), (3, True, False), (4, True, True),
+                       (4, True, False), (4, False, True), (4, False, False),
+                       ("wide", True), ("wide", False)}
 
 
 def test_field_validation():

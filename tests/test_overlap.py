@@ -2,10 +2,13 @@
 
 from fractions import Fraction
 
+import math
+
 import mpmath
 import pytest
 
-from conftest import CUBIC_RULES
+from conftest import CORPUS_RULES, CUBIC_RULES
+from oracles import inflate_children
 from pisotile import (
     CapExceededError,
     ModuleVectors,
@@ -15,13 +18,18 @@ from pisotile import (
     build_graph,
     expansive_sccs,
     inflate_class,
+    compute_level_n,
     make_class,
+    multiple_strong_coincidence,
+    overlap,
     overlap_coincidence,
     seed_overlaps,
     stable_overlap_graph,
     stuck_scc_indices,
     to_dot,
+    Tile,
 )
+from pisotile.overlap import OverlapClosure, class_key, overlap_closure
 
 
 @pytest.fixture(scope="module")
@@ -264,3 +272,92 @@ def test_dot_deterministic(tm):
     assert "doublecircle" in d1  # coincidences marked
     assert "fillcolor=lightgray" in d1  # stuck vertices shaded
     assert d1.count("->") == len(g.edges)
+
+
+def _field_children(system, c):
+    return [(class_key(child), mult) for child, mult in inflate_children(system, c)]
+
+
+def _touching_pairs(system, c):
+    """Subtile pairs of the inflated class c whose tiles meet in one point."""
+    upatch = system.inflate(Tile(c.color_u, system.field.zero()))
+    vpatch = system.inflate(Tile(c.color_v, c.shift))
+    return sum((system.end(b) - a.pos).is_zero() or (system.end(a) - b.pos).is_zero()
+               for a in upatch.tiles for b in vpatch.tiles)
+
+
+# 1->112, 2->11: lengths over den = 2 (beta = 1 + sqrt 3), so classes over a
+# smaller denominator are rescaled when inflated.
+HALVES = {"1->112,2->11": (2, ((1, 1, 2), (1, 1)))}
+
+
+def _closure_of_analyze(name, pipeline):
+    """The system's closure after the overlap graph and MSC of analyze."""
+    if name in CORPUS_RULES:
+        system = pipeline(name)["system"]
+    else:
+        system = TilingSystem(Substitution(*{**CUBIC_RULES, **HALVES}[name]))
+        g, _ = stable_overlap_graph(system)
+        multiple_strong_coincidence(system, compute_level_n(g))
+    return system, overlap_closure(system)
+
+
+@pytest.mark.parametrize("name", list(CORPUS_RULES) + list(CUBIC_RULES) + list(HALVES))
+def test_int_inflation_equals_field_inflation(name, pipeline):
+    # Every class of the closure, graph vertices and pair starts alike: the
+    # children and multiplicities of the integer inflation against the
+    # field-element inflation of tests/oracles.py.
+    system, closure = _closure_of_analyze(name, pipeline)
+    touching = 0
+    for i, key in enumerate(closure.keys):
+        c = closure.overlap_class(i)
+        assert class_key(c) == key
+        assert closure._inflate(key) == _field_children(system, c), c.label()
+        touching += _touching_pairs(system, c)
+    assert touching  # exact zeros: tiles that meet in one point
+    if name == "1->231,2->323,3->13":
+        # Pair starts whose shift has a denominator that den does not absorb.
+        assert any(system.den % d for _, _, d, _ in closure.keys)
+    if name in HALVES:
+        # Classes over a proper divisor of den, whose shift is rescaled.
+        assert any(system.den % d == 0 < system.den - d and any(v) for _, _, d, v in closure.keys)
+
+
+def test_int_inflation_exact_fallback(monkeypatch, pipeline):
+    # With every float enclosure abstaining, the zero test and the exact
+    # sign decide each pair alone, and give the same children.
+    class Abstain:
+        def __init__(self, field, den):
+            pass
+
+        def __call__(self, v):
+            return 0.0, math.inf
+
+    for name in ("tribonacci", "1->231,2->323,3->13"):
+        system, closure = _closure_of_analyze(name, pipeline)
+        classes = [closure.overlap_class(i) for i in range(0, len(closure.keys), 7)]
+        monkeypatch.setattr(overlap, "IntEnclosure", Abstain)
+        closure = OverlapClosure(system)
+        for c in classes:
+            assert closure._inflate(class_key(c)) == _field_children(system, c), c.label()
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("m, rules", [
+    (2, ((1, 2), (1,))),
+    (3, ((1, 2), (1, 3), (1,))),
+    (3, ((2, 3, 1), (3, 2, 3), (1, 3))),
+])
+def test_int_inflation_near_touching(m, rules):
+    # A color-j tile within 2^-70 of touching the color-i tile at 0 from
+    # either side: after one inflation, subtile ends lie within about
+    # beta 2^-70 of each other, which floats cannot separate.
+    system = TilingSystem(Substitution(m, rules))
+    eps = _tiny_module_point(system)
+    closure = OverlapClosure(system)
+    for i in range(1, m + 1):
+        for j in range(1, m + 1):
+            for edge in (system.length_coords[i - 1], tuple(-c for c in system.length_coords[j - 1])):
+                for sign in (1, -1):
+                    c = OverlapClass(i, j, system.point(tuple(a + sign * b for a, b in zip(edge, eps))))
+                    assert closure._inflate(class_key(c)) == _field_children(system, c), c.label()

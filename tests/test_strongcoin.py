@@ -200,3 +200,39 @@ def test_extract_witness_rod_hypothesis(fib):
     g = OverlapGraph([c], {(0, 0): 1})
     with pytest.raises(RodHypothesisError):
         extract_witness(fib, g, [0])
+
+
+def _membership_loop(group, x):
+    """The bounded search of GroupG.membership for every field: the least
+    K <= k_max with beta^K x in the module, by H^-1 in rationals."""
+    inv = [[Fraction(int(a.p), int(a.q)) for a in row] for row in group.basis.inv().tolist()]
+    y = x
+    for k in range(group.k_max + 1):
+        v = [c * group.den for c in y.coeffs]
+        if all(sum(a * b for a, b in zip(row, v)).denominator == 1 for row in inv):
+            return True, k
+        y = y * group.system.beta
+    return False, None
+
+
+@pytest.mark.parametrize("name, n", [
+    ("tribonacci", 3), ("thue_morse", 3), ("fibonacci", 4), ("s112", 2),
+])
+def test_membership_equals_kmax_loop(name, n):
+    # Unit fields decide at K = 0 alone; the answers must be those of the
+    # k_max loop on every family of every tile map, and on its shifted
+    # cross-color differences (the points _family_in_group tests).
+    system = TilingSystem(Substitution(*CORPUS_RULES[name]))
+    group = group_G(system)
+    rep = {}
+    for t in system.central_patch(system.field.from_rational(8) * max(system.lengths, key=float)).tiles:
+        rep.setdefault(t.color, t.pos)
+    m, answers = system.substitution.m, set()
+    for tm in enumerate_tile_maps(system, n):
+        c = solve_control_points(system, tm).c
+        for i in range(m):
+            for j in range(i + 1, m):
+                for x in (c[i] - c[j], c[i] - c[j] + rep[i + 1] - rep[j + 1]):
+                    answers.add(group.membership(x))
+                    assert group.membership(x) == _membership_loop(group, x)
+    assert {ok for ok, _ in answers} == {True, False}
