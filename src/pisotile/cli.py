@@ -148,7 +148,7 @@ def analyze(s: Substitution, opts) -> dict:
     gates = _gates(s)
     system = _system(s)
     gates["pisot"] = True
-    g, radius = stable_overlap_graph(system, radius=opts.radius, cap=opts.cap_classes)
+    g, radius = stable_overlap_graph(system, cap=opts.cap_classes)
     oc, cert = overlap_coincidence(g)
     t_overlap = time.monotonic() - t0
     n = compute_level_n(g)
@@ -205,13 +205,6 @@ def analyze(s: Substitution, opts) -> dict:
 # -- commands ---------------------------------------------------------------------
 
 
-def _radius(text: str) -> Fraction:
-    r = Fraction(text)
-    if r < 0:
-        raise argparse.ArgumentTypeError(f"radius must be >= 0, got {text}")
-    return r
-
-
 def _level(text: str) -> int:
     n = int(text)
     if n < 1:
@@ -235,8 +228,6 @@ def _choice(text: str) -> tuple[int, ...]:
 
 
 def _add_common(p):
-    p.add_argument("--radius", type=_radius, default=None,
-                   help="seeding patch radius (rational; default 8*max length, doubled to stability)")
     p.add_argument("--cap-classes", type=_count, default=10**4)
     p.add_argument("--cap-maps", type=_count, default=10**5)
     p.add_argument("--kmax", type=_count, default=20)
@@ -253,7 +244,7 @@ def cmd_overlaps(args) -> int:
     s, _, _ = parse(args.file)
     system = _system(s)
     _gates(s)
-    g, radius = stable_overlap_graph(system, radius=args.radius, cap=args.cap_classes)
+    g, radius = stable_overlap_graph(system, cap=args.cap_classes)
     oc, cert = overlap_coincidence(g)
     dot = to_dot(g, None if oc else cert)
     if args.dot:
@@ -294,7 +285,7 @@ def cmd_msc(args) -> int:
     if args.map_level is not None:
         n = args.map_level
     else:
-        g, _ = stable_overlap_graph(system, radius=args.radius, cap=args.cap_classes)
+        g, _ = stable_overlap_graph(system, cap=args.cap_classes)
         n = compute_level_n(g)
     group = group_G(system, k_max=args.kmax)
     msc = multiple_strong_coincidence(

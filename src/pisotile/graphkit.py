@@ -6,13 +6,9 @@ against an algebraic target.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-import sympy
-from sympy import Poly
-
+from .algebra import char_poly, peval, sign_changes, squarefree, sturm
 from .numberfield import AlgebraicReal
-from .substitution import char_poly
 
 
 @dataclass(frozen=True)
@@ -221,72 +217,18 @@ def cycle_extension(g: Digraph, cycles) -> Digraph:
 # -- exact Perron comparison ---------------------------------------------------
 
 
-def _eval_poly_at(poly: Poly, x: AlgebraicReal) -> AlgebraicReal:
-    acc = x.field.zero()
-    for c in poly.all_coeffs():
-        acc = acc * x + x.field.from_rational(Fraction(int(c.p), int(c.q)))
-    return acc
-
-
-def _root_equals(root, target: AlgebraicReal, factor: Poly) -> bool:
-    """Whether a real CRootOf/Rational of an irreducible factor equals target,
-    given that the factor vanishes at target (so target is one of its roots)."""
-    if root.is_rational:
-        return (target - Fraction(int(root.p), int(root.q))).is_zero()
-    tol = sympy.Rational(1, 2**20)
-    while True:
-        approx = root.eval_rational(tol)
-        a = Fraction(int(approx.p), int(approx.q))
-        t = Fraction(tol.p, tol.q)
-        lo, hi = a - t, a + t
-        # target enclosure
-        width = Fraction(hi - lo) / 4 if hi > lo else Fraction(1, 2**20)
-        tlo, thi = _enclose(target, width)
-        if thi < lo or tlo > hi:
-            return False
-        if lo <= tlo and thi <= hi and factor.count_roots(lo, hi) == 1:
-            return True
-        tol /= 2**8
-
-
-def _enclose(x: AlgebraicReal, width: Fraction):
-    return next((lo, hi) for lo, hi in x.enclosures() if hi - lo <= width)
-
-
-def _compare_root_target(root, target: AlgebraicReal) -> int:
-    """sign(root - target) for a sympy real root known to differ from target."""
-    if root.is_rational:
-        s = (target - Fraction(int(root.p), int(root.q))).sign()
-        return -s
-    tol = sympy.Rational(1, 2**16)
-    while True:
-        approx = root.eval_rational(tol)
-        a = Fraction(int(approx.p), int(approx.q))
-        t = Fraction(tol.p, tol.q)
-        lo, hi = a - t, a + t
-        tlo, thi = _enclose(target, t)
-        if thi < lo:
-            return 1
-        if tlo > hi:
-            return -1
-        tol /= 2**8
-
-
 def perron_equals(matrix_rows, target: AlgebraicReal) -> bool:
     """Exactly decide whether the spectral radius of a nonnegative integer
     matrix equals ``target``.
 
-    True iff target is a root of the characteristic polynomial (exact zero
-    test in Q(beta)) and no real root exceeds it.
+    True iff target is a root of the characteristic polynomial chi (exact
+    zero test in Q(beta)) and no real root exceeds it: the Sturm sequence of
+    the squarefree part of chi, evaluated at target with exact signs, has as
+    many sign changes as at +infinity.
     """
     chi = char_poly(matrix_rows)
-    if not _eval_poly_at(chi, target).is_zero():
+    if not peval(chi, target).is_zero():
         return False
-    for factor, _ in chi.factor_list()[1]:
-        vanishes = _eval_poly_at(factor, target).is_zero()
-        for root in factor.real_roots(radicals=False):
-            if vanishes and _root_equals(root, target, factor):
-                continue
-            if _compare_root_target(root, target) > 0:
-                return False
-    return True
+    chain = sturm(squarefree(chi))
+    at_target = sign_changes(peval(p, target).sign() for p in chain)
+    return at_target == sign_changes(p[-1] for p in chain)

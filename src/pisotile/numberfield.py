@@ -20,10 +20,7 @@ import math
 from fractions import Fraction
 from typing import Sequence, Union
 
-import sympy
-from sympy import Poly, Symbol
-
-_X = Symbol("x")
+from .algebra import count_roots, derivative, pdivmod, peval, pisot_certificate, pmul, psub
 
 RationalLike = Union[int, Fraction]
 
@@ -42,12 +39,12 @@ class FieldMismatchError(ValueError):
     """Raised when combining elements of different number fields."""
 
 
-def _poly_eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
-    """Horner evaluation of a polynomial given in ascending order."""
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+def _sympy_poly(coeffs):
+    """coeffs (ascending) as a sympy Poly in x.  sympy is imported here, and
+    only when a certificate of the standard-library path fails."""
+    import sympy
+
+    return sympy.Poly(list(reversed(coeffs)), sympy.Symbol("x"))
 
 
 def _interval_mul(a, b):
@@ -81,22 +78,23 @@ class NumberField:
         lo, hi = Fraction(interval[0]), Fraction(interval[1])
         if lo < 1:
             raise ValueError("isolating interval must have lower bound >= 1")
-        if not Poly(list(reversed(coeffs)), _X).is_irreducible:
+        if not (pisot_certificate(coeffs) or _sympy_poly(coeffs).is_irreducible):
             raise ValueError("min_poly is reducible over Q")
-        if Poly(list(reversed(coeffs)), _X).count_roots(lo, hi) != 1:
+        if count_roots(coeffs, lo, hi) != 1:
             raise ValueError("interval does not isolate exactly one real root")
         self.min_poly = coeffs
         self.degree = len(coeffs) - 1
         # Nudge endpoints off the root so the interval carries a sign change.
         frac_coeffs = [Fraction(c) for c in coeffs]
-        while _poly_eval(frac_coeffs, lo) == 0 or _poly_eval(frac_coeffs, hi) == 0:
+        while peval(frac_coeffs, lo) == 0 or peval(frac_coeffs, hi) == 0:
             width = hi - lo
             lo, hi = lo - width / 3, hi + width / 3
-            if Poly(list(reversed(coeffs)), _X).count_roots(lo, hi) != 1:
+            if count_roots(coeffs, lo, hi) != 1:
                 raise ValueError("cannot normalize isolating interval")
         self._lo, self._hi = lo, hi
         self._frac_coeffs = frac_coeffs
-        self._sign_lo = 1 if _poly_eval(frac_coeffs, lo) > 0 else -1
+        self._sign_lo = 1 if peval(frac_coeffs, lo) > 0 else -1
+        self._newton(_TABLE_WIDTH)
         # beta^k for k = d .. 2d-2, reduced into the power basis.
         self._pow_table = self._build_pow_table()
         self._build_float_table()
@@ -179,10 +177,36 @@ class NumberField:
             return 0.0, math.inf
         return mid, err
 
+    def _newton(self, width: Fraction) -> None:
+        """Narrow the isolating interval to ``width`` in one step, where it
+        can: float Newton iterations from its midpoint, one Newton step in
+        rationals, and the interval of that width centred on the result
+        rounded to a multiple of width/2.  It is kept only if it lies inside
+        the isolating interval and the polynomial changes sign across it;
+        otherwise ``refine`` bisects as before."""
+        p = self._frac_coeffs
+        dp = derivative(p)
+        try:
+            fp, fdp = [float(c) for c in p], [float(c) for c in dp]
+            x = float((self._lo + self._hi) / 2)
+            for _ in range(8):
+                x -= peval(fp, x) / peval(fdp, x)
+            r = Fraction(x)
+            r -= peval(p, r) / peval(dp, r)
+        except (ZeroDivisionError, OverflowError, ValueError):
+            return  # a float overflowed or was not finite, or p'(x) = 0
+        half = width / 2
+        mid = round(r / half) * half
+        lo, hi = mid - half, mid + half
+        if self._lo <= lo and hi <= self._hi:
+            s_lo, s_hi = peval(p, lo), peval(p, hi)
+            if s_lo * s_hi < 0:
+                self._lo, self._hi, self._sign_lo = lo, hi, 1 if s_lo > 0 else -1
+
     def refine(self) -> None:
         """Halve the isolating interval by one bisection step."""
         mid = (self._lo + self._hi) / 2
-        val = _poly_eval(self._frac_coeffs, mid)
+        val = peval(self._frac_coeffs, mid)
         if val == 0:
             # mid is rational, impossible for irreducible degree >= 2;
             # for degree 1 the root is exact and refinement keeps it interior.
@@ -371,9 +395,9 @@ class AlgebraicReal:
 
         a, b = _trim(a), _trim(b)
         while b:
-            q, r = _poly_divmod(a, b)
+            q, r = pdivmod(a, b)
             a, b = b, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
+            s0, s1 = s1, psub(s0, pmul(q, s1))
         # a is a nonzero constant gcd.
         inv = [c / a[0] for c in s0]
         inv = inv[: self.field.degree]
@@ -486,49 +510,6 @@ class AlgebraicReal:
         return " + ".join(parts) if parts else "0"
 
 
-# -- polynomial helpers over Q (ascending coefficient lists) ----------------
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] -= c
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _poly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, c in enumerate(a):
-        if c:
-            for j, e in enumerate(b):
-                out[i + j] += c * e
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _poly_divmod(a, b):
-    a = list(a)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    inv_lead = 1 / b[-1]
-    while len(a) >= len(b):
-        k = len(a) - len(b)
-        f = a[-1] * inv_lead
-        q[k] = f
-        for i, c in enumerate(b):
-            a[k + i] -= f * c
-        while a and a[-1] == 0:
-            a.pop()
-    return q, a
-
-
 def fast_cmp(a: AlgebraicReal, b: AlgebraicReal) -> int:
     """sign(a - b) using cached rigorous approximations when they already
     separate the values, falling back to exact refinement otherwise."""
@@ -560,23 +541,27 @@ def _is_reciprocal(coeffs: tuple[int, ...]) -> bool:
 def is_pisot(min_poly: Sequence[int], beta_interval: tuple[RationalLike, RationalLike]) -> bool:
     """True iff the root of min_poly in the interval is a Pisot number.
 
-    Every conjugate other than beta must have modulus strictly below 1.
-    When they all have one modulus (degree 2, or degree 3 with a complex
-    pair), the norm decides.  Otherwise real conjugates are compared to +-1
-    exactly; complex conjugates are bounded via rigorous isolating-rectangle
-    refinement.  Roots of modulus exactly 1 occur only for self-reciprocal
-    polynomials, which are handled separately, so the refinement loop
-    terminates.
+    Every conjugate other than beta must have modulus strictly below 1.  For
+    an interval above 1, ``pisot_certificate`` proves this, and the
+    irreducibility of min_poly, without sympy.  Otherwise sympy checks
+    irreducibility, and then: when the conjugates all have one modulus
+    (degree 2, or degree 3 with a complex pair), the norm decides; else real
+    conjugates are compared to +-1 exactly, and complex conjugates are
+    bounded via rigorous isolating-rectangle refinement.  Roots of modulus
+    exactly 1 occur only for self-reciprocal polynomials, which are handled
+    separately, so the refinement loop terminates.
     """
     coeffs = tuple(int(c) for c in min_poly)
     if coeffs[-1] != 1:
         raise ValueError("min_poly must be monic")
-    poly = Poly(list(reversed(coeffs)), _X)
+    lo, hi = Fraction(beta_interval[0]), Fraction(beta_interval[1])
+    if lo >= 1 and pisot_certificate(coeffs) and count_roots(coeffs, lo, hi) == 1:
+        return True
+    poly = _sympy_poly(coeffs)
     if not poly.is_irreducible:
         raise ValueError("min_poly must be irreducible")
     d = len(coeffs) - 1
-    lo, hi = Fraction(beta_interval[0]), Fraction(beta_interval[1])
-    if poly.count_roots(lo, hi) != 1:
+    if count_roots(coeffs, lo, hi) != 1:
         raise ValueError("interval does not isolate a root")
     if d == 1:
         return True  # beta = -a_0 > 1, no conjugates
@@ -589,17 +574,16 @@ def is_pisot(min_poly: Sequence[int], beta_interval: tuple[RationalLike, Rationa
         n = abs(coeffs[0])
         if n <= lo or n >= hi:
             return n <= lo
-        return (_poly_eval(coeffs, n) > 0) == (_poly_eval(coeffs, lo) > 0)
+        return (peval(coeffs, n) > 0) == (peval(coeffs, lo) > 0)
     if _is_reciprocal(coeffs):
         # Roots pair up as r, 1/r.  Degree 2 gives the single conjugate
         # +-1/beta; higher degree forces a second root of modulus >= 1.
         return d == 2
-    one = sympy.Integer(1)
     for root in poly.all_roots(radicals=False):
         if root.is_real:
             if lo <= root <= hi:
                 continue  # beta itself
-            if not (-one < root < one):
+            if not (-1 < root < 1):
                 return False
         else:
             itv = root._get_interval()

@@ -414,20 +414,18 @@ def expansive_sccs(system: TilingSystem, g: OverlapGraph):
 
 def stable_overlap_graph(
     system: TilingSystem,
-    radius=None,
     cap: int = 10**4,
     max_doublings: int = 10,
 ):
-    """Builds the overlap graph from a central patch, doubling the seeding
-    radius until two consecutive doublings yield identical closed vertex
-    sets.  Returns (graph, radius_used).
+    """Builds the overlap graph from a central patch of radius 8 times the
+    longest tile length, doubling the radius until two consecutive doublings
+    yield identical closed vertex sets.  Returns (graph, radius_used).
     """
-    if radius is None:
-        max_len = system.lengths[0]
-        for l in system.lengths[1:]:
-            if l > max_len:
-                max_len = l
-        radius = 8 * max_len
+    max_len = system.lengths[0]
+    for l in system.lengths[1:]:
+        if l > max_len:
+            max_len = l
+    radius = 8 * max_len
     prev_keys = None
     for _ in range(max_doublings + 1):
         patch = system.central_patch(radius)

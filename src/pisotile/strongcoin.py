@@ -12,9 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from sympy import Matrix
-from sympy.matrices.normalforms import hermite_normal_form
-
+from .algebra import hnf, lattice_contains
 from .graphkit import cycle_extension, Digraph
 from .numberfield import AlgebraicReal
 from .overlap import CapExceededError, OverlapClass, OverlapGraph, overlap_closure, stuck_scc_matrices
@@ -44,8 +42,8 @@ class GroupG:
     under multiplication by beta, with a bounded-denominator membership test.
 
     Coordinates live in the power basis of the field; the module is stored as
-    a column-style Hermite normal form of integer coordinates over
-    TilingSystem.den.
+    the Hermite normal form basis (``algebra.hnf``) of integer coordinates
+    over TilingSystem.den.
     """
 
     def __init__(self, system: TilingSystem, generators, k_max: int = 20):
@@ -53,21 +51,17 @@ class GroupG:
         self.system = system
         self.k_max = k_max
         self.den = system.den
-        cols = [list(v) for v in generators if any(v)]
-        if not cols:
+        basis = hnf(generators)
+        if not basis:
             raise ValueError("no nonzero generators for the translation module")
-        B = Matrix(system.beta_matrix)
-        H = hermite_normal_form(Matrix(cols).T)
         while True:
-            ext = hermite_normal_form(H.row_join(B * H))
-            if ext == H:
+            ext = hnf(basis + tuple(map(system.times_beta, basis)))
+            if ext == basis:
                 break
-            H = ext
-        self.basis = H
-        # Closed under beta, the module has rank d, so H is square and holds
-        # v iff H^-1 v = adj(H) v / det(H) is integral.
-        self._det = abs(int(H.det()))
-        self._adj = [[int(x) for x in row] for row in H.adjugate().tolist()]
+            basis = ext
+        # Closed under beta, the module has rank d: basis[k] has its pivot at
+        # coordinate k, as lattice_contains needs.
+        self.basis = basis
         self.cross_offsets = None  # for _family_in_group, made on first use
 
     def membership(self, x: AlgebraicReal):
@@ -81,8 +75,7 @@ class GroupG:
         for k in range(min(self.k_max, 0) + 1 if unit else self.k_max + 1):
             coords = [c * self.den for c in y.coeffs]
             if all(c.denominator == 1 for c in coords):
-                v = [int(c) for c in coords]
-                if all(sum(a * x for a, x in zip(row, v)) % self._det == 0 for row in self._adj):
+                if lattice_contains(self.basis, [int(c) for c in coords]):
                     return True, k
             y = y * self.system.beta
         return False, None

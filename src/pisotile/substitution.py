@@ -12,10 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import sympy
-from sympy import Poly, Rational, minimal_polynomial, real_roots
-
-from .numberfield import _X, AlgebraicReal, NumberField, is_pisot
+from .algebra import char_poly, count_roots, perron_minimal_polynomial
+from .numberfield import AlgebraicReal, NumberField, _sympy_poly, is_pisot
 
 
 class SubstitutionError(ValueError):
@@ -84,12 +82,15 @@ def is_primitive(M: list[list[int]]) -> bool:
     return all(all(e > 0 for e in row) for row in P)
 
 
-def char_poly(M: list[list[int]]) -> Poly:
-    return sympy.Matrix(M).charpoly(_X)
-
-
 def is_irreducible(s: Substitution) -> bool:
-    return char_poly(matrix(s)).is_irreducible
+    """Whether the characteristic polynomial of the substitution matrix is
+    irreducible over Q: whether the minimal polynomial of the Perron root
+    has degree m (sympy decides when no certificate is found)."""
+    chi = char_poly(matrix(s))
+    found = perron_minimal_polynomial(chi)
+    if found is not None:
+        return len(found[0]) - 1 == s.m
+    return _sympy_poly(chi).is_irreducible
 
 
 def power(s: Substitution, n: int, word_cap: int = 10**6) -> Substitution:
@@ -106,7 +107,8 @@ def power(s: Substitution, n: int, word_cap: int = 10**6) -> Substitution:
 
 def _isolate_root(min_poly_coeffs, root) -> tuple[Fraction, Fraction]:
     """Rational interval around a sympy real root isolating it in its min poly."""
-    p = Poly(list(reversed(min_poly_coeffs)), _X)
+    from sympy import Rational
+
     if root.is_rational:
         r = Fraction(int(root.p), int(root.q))
         return r - Fraction(1, 4), r + Fraction(1, 4)
@@ -115,9 +117,27 @@ def _isolate_root(min_poly_coeffs, root) -> tuple[Fraction, Fraction]:
         approx = root.eval_rational(tol)
         a = Fraction(int(approx.p), int(approx.q))
         lo, hi = a - Fraction(tol.p, tol.q), a + Fraction(tol.p, tol.q)
-        if lo >= 1 and p.count_roots(lo, hi) == 1:
+        if lo >= 1 and count_roots(min_poly_coeffs, lo, hi) == 1:
             return lo, hi
         tol /= 2**8
+
+
+def _perron_by_sympy(s: Substitution, chi):
+    """(min poly, isolating interval) of the Perron root by sympy's root
+    isolation, for the inputs without a certificate; raises NotPisotError
+    when the root is not Pisot."""
+    from sympy import minimal_polynomial
+
+    poly = _sympy_poly(chi)
+    perron = poly.real_roots(radicals=False)[-1]
+    mp = minimal_polynomial(perron, poly.gen, polys=True)
+    coeffs = [int(c) for c in reversed(mp.all_coeffs())]
+    interval = _isolate_root(coeffs, perron)
+    if not is_pisot(coeffs, interval):
+        raise NotPisotError(
+            f"Perron root of {s} (min poly {mp.as_expr()}) is not Pisot"
+        )
+    return coeffs, interval
 
 
 def perron_data(s: Substitution):
@@ -125,7 +145,9 @@ def perron_data(s: Substitution):
 
     beta is the Perron-Frobenius root of the substitution matrix, expressed
     in the number field of its minimal polynomial; lengths is the exact left
-    eigenvector (l M = beta l) normalized so the minimum entry is 1.
+    eigenvector (l M = beta l) normalized so the minimum entry is 1.  The
+    minimal polynomial and the Pisot property come from
+    ``perron_minimal_polynomial``'s certificate, else from sympy.
 
     Raises NotPisotError when beta is not a Pisot number.
     """
@@ -133,15 +155,11 @@ def perron_data(s: Substitution):
     if not is_primitive(M):
         raise SubstitutionError("substitution matrix is not primitive")
     chi = char_poly(M)
-    roots = chi.real_roots(radicals=False)
-    perron = roots[-1]
-    mp = minimal_polynomial(perron, _X, polys=True)
-    coeffs = [int(c) for c in reversed(mp.all_coeffs())]
-    interval = _isolate_root(coeffs, perron)
-    if not is_pisot(coeffs, interval):
-        raise NotPisotError(
-            f"Perron root of {s} (min poly {mp.as_expr()}) is not Pisot"
-        )
+    found = perron_minimal_polynomial(chi)
+    if found is None:
+        coeffs, interval = _perron_by_sympy(s, chi)
+    else:
+        coeffs, interval = found[0], found[1:]
     field = NumberField(coeffs, interval)
     beta = field.beta()
     lengths = _left_eigenvector(M, field, beta)

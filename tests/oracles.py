@@ -6,10 +6,13 @@ geometric verdicts.  The exceptions: pair_closure is handed the
 library's class inflation and re-derives a pair test from it by a plain
 search; inflate_children and central_patch_reference build overlap-class
 children and central patches from the library's exact field-element
-inflation of tiles.
+inflation of tiles; perron_equals_reference decides the Perron comparison
+with sympy's factorization and root isolation.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 
 def apply_rules(rules, word):
@@ -192,3 +195,64 @@ def inflate_children(system, c):
                 counts[child.key()] = counts.get(child.key(), 0) + 1
                 objs.setdefault(child.key(), child)
     return [(objs[k], counts[k]) for k in sorted(counts)]
+
+
+def perron_equals_reference(matrix_rows, target) -> bool:
+    """Whether the spectral radius of a nonnegative integer matrix equals the
+    field element target, by sympy: target is a root of an irreducible factor
+    of the characteristic polynomial, and every real root of every factor is
+    either target itself (located by sympy's isolating intervals) or below
+    it (compared on refined enclosures)."""
+    import sympy
+
+    x = sympy.Symbol("x")
+    chi = sympy.Matrix(matrix_rows).charpoly(x)
+
+    def at(poly):
+        acc = target.field.zero()
+        for c in poly.all_coeffs():
+            acc = acc * target + Fraction(int(c.p), int(c.q))
+        return acc
+
+    def enclose(width):
+        return next((lo, hi) for lo, hi in target.enclosures() if hi - lo <= width)
+
+    def equals(root, factor):
+        if root.is_rational:
+            return (target - Fraction(int(root.p), int(root.q))).is_zero()
+        tol = sympy.Rational(1, 2**20)
+        while True:
+            approx = root.eval_rational(tol)
+            a, t = Fraction(int(approx.p), int(approx.q)), Fraction(tol.p, tol.q)
+            lo, hi = a - t, a + t
+            tlo, thi = enclose((hi - lo) / 4)
+            if thi < lo or tlo > hi:
+                return False
+            if lo <= tlo and thi <= hi and factor.count_roots(lo, hi) == 1:
+                return True
+            tol /= 2**8
+
+    def above(root):
+        if root.is_rational:
+            return (target - Fraction(int(root.p), int(root.q))).sign() < 0
+        tol = sympy.Rational(1, 2**16)
+        while True:
+            approx = root.eval_rational(tol)
+            a, t = Fraction(int(approx.p), int(approx.q)), Fraction(tol.p, tol.q)
+            tlo, thi = enclose(t)
+            if thi < a - t:
+                return True
+            if tlo > a + t:
+                return False
+            tol /= 2**8
+
+    if not at(chi).is_zero():
+        return False
+    for factor, _ in chi.factor_list()[1]:
+        vanishes = at(factor).is_zero()
+        for root in factor.real_roots(radicals=False):
+            if vanishes and equals(root, factor):
+                continue
+            if above(root):
+                return False
+    return True

@@ -1,11 +1,15 @@
 """Command-line interface: parsing, exit codes, determinism, round-trips."""
 
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from conftest import CUBIC_RULES
 from pisotile import cli, overlap
 from pisotile.cli import ParseError, main, parse
 
@@ -85,6 +89,56 @@ def test_gate_failure_exit_two(tmp_path, capsys):
     assert "Pisot gate failed" in capsys.readouterr().err
 
 
+_NO_SYMPY_SCRIPT = """
+import contextlib, io, json, sys
+from pisotile.cli import main
+
+results = [["import", 0, "", "sympy" in sys.modules]]
+for argv in json.loads(sys.argv[1]):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    results.append([argv, rc, err.getvalue(), "sympy" in sys.modules])
+print(json.dumps(results))
+"""
+
+
+def test_default_path_leaves_sympy_unimported(tmp_path):
+    # sympy is imported only when a certificate fails.  In a fresh
+    # interpreter, importing the CLI, analyze on the corpus and on the
+    # cubic-closure inputs, and msc on the msc-deep inputs leave it out of
+    # sys.modules.  After them, a non-Pisot input (decided through sympy) and
+    # a non-primitive one still exit 2 with their messages.
+    def write(name, rules):
+        letters = [str(i + 1) for i in range(len(rules))]
+        f = tmp_path / f"{name}.json"
+        f.write_text(json.dumps({"alphabet": letters, "rules": {
+            a: [str(b) for b in w] for a, w in zip(letters, rules)}}))
+        return str(f)
+
+    corpus = sorted(str(f) for f in CORPUS.glob("*.json"))
+    cubics = [write(f"cubic{k}", rules) for k, (_, rules) in enumerate(CUBIC_RULES.values())]
+    msc = [(CORPUS / f"{name}.json", n) for name, n in (
+        ("tribonacci", 3), ("thue_morse", 3), ("fibonacci", 4), ("s112", 2))]
+    jobs = [["analyze", f] for f in corpus + cubics]
+    jobs += [["msc", str(f), "--map-level", str(n)] for f, n in msc]
+    jobs += [["analyze", write("np", ((1, 2), (1, 1, 1)))],
+             ["analyze", write("nprim", ((1,), (2, 1)))]]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(CORPUS.parents[1]), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", _NO_SYMPY_SCRIPT, json.dumps(jobs)],
+                          env=env, capture_output=True, text=True, timeout=300, check=True)
+    results = json.loads(proc.stdout)
+    assert len(corpus) == 5 and len(results) == 1 + 8 + 4 + 2
+    for argv, rc, err, sympy_loaded in results[:-2]:
+        assert (rc, err, sympy_loaded) == (0, "", False), argv
+    assert [r[1:3] for r in results[-2:]] == [
+        [2, "error: Pisot gate failed: Perron root of 1->12, 2->111 "
+            "(min poly x**2 - x - 3) is not Pisot\n"],
+        [2, "error: primitivity gate failed\n"],
+    ]
+
+
 def test_parse_failure_exit_two(tmp_path, capsys):
     f = tmp_path / "bad.json"
     f.write_text('{"alphabet": ["a"], "rules": {"a": []}}')
@@ -96,7 +150,7 @@ def test_parse_failure_exit_two(tmp_path, capsys):
     ["strong", str(FIB), "--choice", "0"],  # one entry for two colors
     ["strong", str(FIB), "--choice", "a,b"],
     ["msc", str(FIB), "--map-level", "0"],
-    ["analyze", str(FIB), "--radius", "-1"],
+    ["analyze", str(FIB), "--radius", "5"],  # the option is gone: rejected
     ["msc", str(FIB), "--map-level", "2", "--kmax", "-1"],
     ["analyze", str(TM), "--kmax", "-1"],
     ["analyze", str(FIB), "--cap-classes", "-1"],

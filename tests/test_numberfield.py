@@ -7,10 +7,12 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from sympy import Poly
+from sympy import Poly, Symbol
 
 from pisotile import NumberField, fast_cmp, is_pisot
-from pisotile.numberfield import _X, IntEnclosure, _cubic_discriminant
+from pisotile.numberfield import IntEnclosure, _cubic_discriminant
+
+_X = Symbol("x")
 
 GOLDEN = ((-1, -1, 1), (Fraction(1), Fraction(2)))
 CUBIC = ((-1, -1, -1, 1), (Fraction(1), Fraction(2)))
@@ -203,6 +205,11 @@ def test_is_pisot_cases():
     assert not is_pisot((-3, -1, 1), (Fraction(2), Fraction(3)))  # conj < -1
     # Self-reciprocal of degree >= 3: roots pair (r, 1/r), never Pisot.
     assert not is_pisot((1, -1, -1, -1, 1), (Fraction(1), Fraction(2)))
+    # The golden polynomial has a Pisot certificate, but the root in (-1, 0)
+    # is its conjugate, and (2, 3) holds no root.
+    assert not is_pisot((-1, -1, 1), (Fraction(-1), Fraction(0)))
+    with pytest.raises(ValueError):
+        is_pisot((-1, -1, 1), (Fraction(2), Fraction(3)))
 
 
 def test_is_pisot_matches_roots():

@@ -4,6 +4,7 @@ level computation, and witness extraction."""
 from fractions import Fraction
 
 import pytest
+from sympy import Matrix
 
 from conftest import CORPUS_RULES
 from oracles import pair_closure
@@ -55,8 +56,7 @@ def test_group_membership_basics(fib, fib_group):
 
 def test_group_half_basis_vector(fib, fib_group):
     # Halving a basis vector leaves the module (discriminant excludes it).
-    cols = fib_group.basis
-    g0 = fib.field.element([Fraction(int(cols[i, 0]), fib_group.den) for i in range(cols.shape[0])])
+    g0 = fib.field.element([Fraction(c, fib_group.den) for c in fib_group.basis[0]])
     assert fib_group.membership(g0)[0]
     half = g0 / fib.field.from_rational(2)
     assert not fib_group.membership(half)[0]
@@ -205,7 +205,8 @@ def test_extract_witness_rod_hypothesis(fib):
 def _membership_loop(group, x):
     """The bounded search of GroupG.membership for every field: the least
     K <= k_max with beta^K x in the module, by H^-1 in rationals."""
-    inv = [[Fraction(int(a.p), int(a.q)) for a in row] for row in group.basis.inv().tolist()]
+    H = Matrix(group.basis).T  # the basis vectors as columns
+    inv = [[Fraction(int(a.p), int(a.q)) for a in row] for row in H.inv().tolist()]
     y = x
     for k in range(group.k_max + 1):
         v = [c * group.den for c in y.coeffs]
