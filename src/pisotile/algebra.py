@@ -4,7 +4,8 @@ Polynomials are coefficient lists in ascending order (c_0, c_1, ..., c_n)
 with a nonzero last entry.  The module holds:
 
 - ``char_poly``: the characteristic polynomial of an integer matrix by
-  Berkowitz's division-free algorithm;
+  Berkowitz's division-free algorithm, and ``adjugate``, the adjugate and
+  determinant it gives by Cayley-Hamilton;
 - Sturm sequences over Q (``sturm``, ``count_roots``), which count and
   isolate real roots;
 - ``roots``: float approximations of the complex roots by the Aberth-Ehrlich
@@ -14,8 +15,9 @@ with a nonzero last entry.  The module holds:
 - ``pisot_certificate`` and ``perron_minimal_polynomial``, which build the
   minimal polynomial of a Perron root from float roots and prove it
   irreducible and Pisot with one Schur-Cohn count;
-- ``hnf`` and ``lattice_contains``: the Hermite normal form of an integer
-  lattice and its membership test by back-substitution.
+- ``hnf``: the Hermite normal form of an integer lattice;
+- ``mat_mul``, ``mat_vec`` and ``prime_factors``: integer matrix products
+  and trial division.
 
 The algorithms are the standard ones of Cohen, *A Course in Computational
 Algebraic Number Theory* (GTM 138); the Schur-Cohn recursion is that of
@@ -29,6 +31,7 @@ import cmath
 import math
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
 # -- polynomials over Q ---------------------------------------------------------
 
@@ -117,6 +120,44 @@ def char_poly(M) -> list[int]:
         p = [sum(t[i - j] * p[j] for j in range(max(0, i - k - 1), min(i, k) + 1))
              for i in range(k + 2)]
     return p[::-1]
+
+
+def mat_mul(A, B) -> list[list[int]]:
+    return [[sum(map(mul, row, col)) for col in zip(*B)] for row in A]
+
+
+def mat_vec(M, v) -> tuple[int, ...]:
+    return tuple(sum(map(mul, row, v)) for row in M)
+
+
+def prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n >= 1, by trial division."""
+    out, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def adjugate(M) -> tuple[list[list[int]], int]:
+    """(adj M, det M) of a square integer matrix, division-free: with
+    det(x I - M) = x^d + c_(d-1) x^(d-1) + ... + c_0, Cayley-Hamilton gives
+    M (M^(d-1) + c_(d-1) M^(d-2) + ... + c_1 I) = -c_0 I, so
+    det M = (-1)^d c_0 and adj M = (-1)^(d+1) (M^(d-1) + ... + c_1 I)."""
+    d = len(M)
+    c = char_poly(M)
+    acc = [[int(i == j) for j in range(d)] for i in range(d)]
+    for k in range(d - 1, 0, -1):  # Horner in M
+        acc = mat_mul(acc, M)
+        for i in range(d):
+            acc[i][i] += c[k]
+    sign = -1 if d % 2 == 0 else 1
+    return [[sign * x for x in row] for row in acc], -sign * c[0]
 
 
 # -- Sturm sequences ----------------------------------------------------------------
@@ -226,12 +267,13 @@ def pisot_certificate(q) -> bool:
     float roots.
 
     The remaining root is then real (non-real roots pair up) and of modulus
-    > 1 for degree >= 2 (the product of the moduli is |q(0)| >= 1).  A monic
+    > 1: for degree >= 2 the product of the moduli is |q(0)| >= 1, and for
+    degree 1 the root is -q(0), so |q(0)| > 1 is required.  A monic
     integer factor of q without it would have all its roots in the unit disk
     and a nonzero integer constant term of modulus below 1, so q is
     irreducible, and that root, if positive, is a Pisot number."""
     d = len(q) - 1
-    if q[0] == 0:
+    if q[0] == 0 or (d == 1 and abs(q[0]) == 1):
         return False
     zs = roots(q)
     if zs is None:
@@ -355,17 +397,3 @@ def hnf(vectors):
                 b = [x - f * y for x, y in zip(b, basis[i])]
         basis[j] = b
     return tuple(tuple(basis[c]) for c in pivots)
-
-
-def lattice_contains(basis, v) -> bool:
-    """Whether the integer vector v is an integer combination of a full-rank
-    ``hnf`` basis, by back-substitution from the last coordinate."""
-    v = list(v)
-    for c in reversed(range(len(v))):
-        b = basis[c]
-        k, r = divmod(v[c], b[c])
-        if r:
-            return False
-        if k:
-            v = [x - k * y for x, y in zip(v, b)]
-    return True

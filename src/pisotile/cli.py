@@ -127,35 +127,33 @@ def _graph_json(system, g) -> dict:
 # -- pipeline --------------------------------------------------------------------
 
 
-def _gates(s: Substitution) -> dict:
-    gates = {"primitive": is_primitive(matrix(s)), "irreducible": is_irreducible(s)}
-    if not gates["primitive"]:
+def _checked(s: Substitution) -> tuple[dict, TilingSystem]:
+    """The gates and the tiling system.  The Perron root's minimal
+    polynomial is proved once, by perron_data inside TilingSystem, and the
+    irreducibility gate reads its degree."""
+    if not is_primitive(matrix(s)):
         raise SubstitutionError("primitivity gate failed")
-    return gates
-
-
-def _system(s: Substitution) -> TilingSystem:
     try:
-        return TilingSystem(s)
+        system = TilingSystem(s)
     except NotPisotError as e:
         raise NotPisotError(f"Pisot gate failed: {e}") from e
+    gates = {"primitive": True, "irreducible": is_irreducible(s, system.field.min_poly),
+             "pisot": True}
+    return gates, system
 
 
 def analyze(s: Substitution, opts) -> dict:
     """Full pipeline: gates, overlap graph, OC verdict, level n, MSC(n),
     agreement assertion, and witness extraction on failure."""
     t0 = time.monotonic()
-    gates = _gates(s)
-    system = _system(s)
-    gates["pisot"] = True
+    gates, system = _checked(s)
     g, radius = stable_overlap_graph(system, cap=opts.cap_classes)
     oc, cert = overlap_coincidence(g)
     t_overlap = time.monotonic() - t0
     n = compute_level_n(g)
-    group = group_G(system, k_max=opts.kmax)
+    group = group_G(system)
     msc = multiple_strong_coincidence(
-        system, n, cap_maps=opts.cap_maps, cap_classes=opts.cap_classes,
-        group=group, k_max=opts.kmax,
+        system, n, cap_maps=opts.cap_maps, cap_classes=opts.cap_classes, group=group,
     )
     report = {
         "substitution": {str(i + 1): "".join(map(str, w)) for i, w in enumerate(s.rules)},
@@ -230,7 +228,6 @@ def _choice(text: str) -> tuple[int, ...]:
 def _add_common(p):
     p.add_argument("--cap-classes", type=_count, default=10**4)
     p.add_argument("--cap-maps", type=_count, default=10**5)
-    p.add_argument("--kmax", type=_count, default=20)
 
 
 def cmd_analyze(args) -> int:
@@ -242,8 +239,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_overlaps(args) -> int:
     s, _, _ = parse(args.file)
-    system = _system(s)
-    _gates(s)
+    _, system = _checked(s)
     g, radius = stable_overlap_graph(system, cap=args.cap_classes)
     oc, cert = overlap_coincidence(g)
     dot = to_dot(g, None if oc else cert)
@@ -264,12 +260,11 @@ def cmd_overlaps(args) -> int:
 
 def cmd_strong(args) -> int:
     s, _, _ = parse(args.file)
-    _gates(s)
-    system = _system(s)
+    _, system = _checked(s)
     n = args.map_level
     tm = TileMap(n, args.choice or (0,) * s.m)
     cp = solve_control_points(system, tm)
-    group = group_G(system, k_max=args.kmax)
+    group = group_G(system)
     if cp.admissible:
         rep = strong_coincidence(system, cp, group, args.cap_classes)
     else:
@@ -280,17 +275,15 @@ def cmd_strong(args) -> int:
 
 def cmd_msc(args) -> int:
     s, _, _ = parse(args.file)
-    _gates(s)
-    system = _system(s)
+    _, system = _checked(s)
     if args.map_level is not None:
         n = args.map_level
     else:
         g, _ = stable_overlap_graph(system, cap=args.cap_classes)
         n = compute_level_n(g)
-    group = group_G(system, k_max=args.kmax)
+    group = group_G(system)
     msc = multiple_strong_coincidence(
-        system, n, cap_maps=args.cap_maps, cap_classes=args.cap_classes,
-        group=group, k_max=args.kmax,
+        system, n, cap_maps=args.cap_maps, cap_classes=args.cap_classes, group=group,
     )
     print(json.dumps(msc.to_json(), indent=2, sort_keys=True))
     return 0

@@ -69,16 +69,19 @@ class NumberField:
     leading coefficient 1) irreducible over Q.  The isolating interval must
     contain exactly one real root, with lower endpoint >= 1, and the
     polynomial must change sign across it so bisection refinement works.
+    ``irreducible=True`` states that the caller has proved min_poly
+    irreducible (perron_data does), so that proof is not run again.
     """
 
-    def __init__(self, min_poly: Sequence[int], interval: tuple[RationalLike, RationalLike]):
+    def __init__(self, min_poly: Sequence[int], interval: tuple[RationalLike, RationalLike],
+                 irreducible: bool = False):
         coeffs = tuple(int(c) for c in min_poly)
         if len(coeffs) < 2 or coeffs[-1] != 1:
             raise ValueError("min_poly must be monic of degree >= 1")
         lo, hi = Fraction(interval[0]), Fraction(interval[1])
         if lo < 1:
             raise ValueError("isolating interval must have lower bound >= 1")
-        if not (pisot_certificate(coeffs) or _sympy_poly(coeffs).is_irreducible):
+        if not (irreducible or pisot_certificate(coeffs) or _sympy_poly(coeffs).is_irreducible):
             raise ValueError("min_poly is reducible over Q")
         if count_roots(coeffs, lo, hi) != 1:
             raise ValueError("interval does not isolate exactly one real root")
@@ -564,7 +567,7 @@ def is_pisot(min_poly: Sequence[int], beta_interval: tuple[RationalLike, Rationa
     if count_roots(coeffs, lo, hi) != 1:
         raise ValueError("interval does not isolate a root")
     if d == 1:
-        return True  # beta = -a_0 > 1, no conjugates
+        return -coeffs[0] > 1  # beta = -a_0, no conjugates
     if d == 2 or (d == 3 and _cubic_discriminant(coeffs) < 0):
         # The conjugates share one modulus r: there is one (d = 2), or a
         # complex pair (d = 3 with a negative discriminant).  With beta they

@@ -36,7 +36,7 @@ from operator import add, sub
 
 from .graphkit import Digraph, distances_to, reachable_to, scc, perron_equals
 from .numberfield import _U, AlgebraicReal, IntEnclosure
-from .tiling import ModuleVectors, Patch, TilingSystem
+from .tiling import ModuleVectors, Patch, TilingSystem, int_point
 
 
 class CapExceededError(RuntimeError):
@@ -256,11 +256,8 @@ class OverlapClosure:
 
 
 def class_key(c: OverlapClass) -> tuple:
-    """(i, j, D, v) with shift = sum_k v_k beta^k / D in lowest terms: D is
-    the lcm of the coordinates' denominators."""
-    coeffs = c.shift.coeffs
-    den = lcm(*(q.denominator for q in coeffs))
-    return (c.color_u, c.color_v, den, tuple(q.numerator * (den // q.denominator) for q in coeffs))
+    """(i, j, D, v) with shift = sum_k v_k beta^k / D in lowest terms."""
+    return (c.color_u, c.color_v, *int_point(c.shift))
 
 
 def overlap_closure(system: TilingSystem) -> OverlapClosure:

@@ -5,23 +5,32 @@ Also houses the proof-driven witness extraction: from a coincidence-free
 strongly connected component of the overlap graph, a tile map and control
 points are constructed whose family is admissible, lies in the translation
 module, and fails strong coincidence for an explicit color pair.
+
+Everything here works on points of Q(beta) held as (D, v), integer vectors
+over a denominator (tiling.reduced): control points, the module filter, the
+pair classes handed to the overlap closure, and the witness search.  The
+translation module is built from the return words of the substitution, so
+no patch of the tiling is laid out.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import gcd
+from operator import sub
 
-from .algebra import hnf, lattice_contains
+from .algebra import adjugate, hnf, mat_mul, mat_vec, prime_factors
 from .graphkit import cycle_extension, Digraph
 from .numberfield import AlgebraicReal
-from .overlap import CapExceededError, OverlapClass, OverlapGraph, overlap_closure, stuck_scc_matrices
-from .substitution import power
+from .overlap import CapExceededError, OverlapClass, OverlapGraph, class_key, overlap_closure, stuck_scc_matrices
+from .substitution import matrix, power, primitivity_exponent, return_words
 from .tiling import (
     ControlPoints,
-    Tile,
     TileMap,
     TilingSystem,
+    combine,
+    int_point,
     solve_control_points,
 )
 
@@ -38,18 +47,21 @@ class RodHypothesisError(RuntimeError):
 
 
 class GroupG:
-    """Integer module generated by same-color position differences, saturated
-    under multiplication by beta, with a bounded-denominator membership test.
+    """Integer module M generated by same-color position differences,
+    saturated under multiplication by beta, with an exact test of whether
+    some beta^K x lies in it.
 
     Coordinates live in the power basis of the field; the module is stored as
     the Hermite normal form basis (``algebra.hnf``) of integer coordinates
-    over TilingSystem.den.
+    over TilingSystem.den.  ``cross_offsets[(i, j)]`` is r_i - r_j over den
+    for representative positions r_c of the colors in one legal word, so a
+    family of points lies in the module iff every c_i - c_j + r_i - r_j
+    does.
     """
 
-    def __init__(self, system: TilingSystem, generators, k_max: int = 20):
+    def __init__(self, system: TilingSystem, generators):
         """generators: integer vectors over system.den (TilingSystem.coords)."""
         self.system = system
-        self.k_max = k_max
         self.den = system.den
         basis = hnf(generators)
         if not basis:
@@ -60,39 +72,79 @@ class GroupG:
                 break
             basis = ext
         # Closed under beta, the module has rank d: basis[k] has its pivot at
-        # coordinate k, as lattice_contains needs.
+        # coordinate k, and H (the basis as columns) is upper triangular.
         self.basis = basis
-        self.cross_offsets = None  # for _family_in_group, made on first use
+        H = [list(col) for col in zip(*basis)]
+        self._adj, self._det = adjugate(H)
+        # beta on the coordinates in the basis: H^-1 B H, an integer matrix.
+        self._beta = [[x // self._det for x in row]
+                      for row in mat_mul(self._adj, mat_mul(system.beta_matrix, H))]
+        self._primes = prime_factors(abs(system.field.min_poly[0]))  # |N(beta)| = |det B|
+        # Representatives: the first tile of each color in sigma^k(1), which
+        # holds every letter.
+        s = system.substitution
+        rep = {}
+        for a, off in system.subtile_offsets(primitivity_exponent(matrix(s)))[0]:
+            rep.setdefault(a, off)
+        self.cross_offsets = {
+            (i, j): (self.den, tuple(map(sub, rep[i], rep[j])))
+            for i in range(1, s.m + 1) for j in range(i + 1, s.m + 1)
+        }
 
     def membership(self, x: AlgebraicReal):
-        """(bool, K): whether beta^K * x lies in the module for some K <= k_max.
+        """(bool, K) for the field element x: see contains."""
+        return self.contains(int_point(x))
 
-        For a unit beta (|N(beta)| = 1), beta^-1 is an integer polynomial in
-        beta, so it maps the module into itself: beta^K x lies in the module
-        iff x does, and K = 0 decides."""
-        y = x
-        unit = abs(self.system.field.min_poly[0]) == 1
-        for k in range(min(self.k_max, 0) + 1 if unit else self.k_max + 1):
-            coords = [c * self.den for c in y.coeffs]
-            if all(c.denominator == 1 for c in coords):
-                if lattice_contains(self.basis, [int(c) for c in coords]):
-                    return True, k
-            y = y * self.system.beta
+    def contains(self, x: tuple[int, tuple[int, ...]]):
+        """(True, K) for the least K >= 0 with beta^K x in the module, or
+        (False, None) when there is none; x is a point (D, v).
+
+        With H the basis as columns and B_M = H^-1 B H, x = H z / (q den)
+        with z integer, q > 0 minimal, and beta^K x lies in the module iff
+        B_M^K z = 0 mod q.  The sets S_K = {z mod q : B_M^K z = 0 mod q}
+        grow with K, and once S_K = S_(K+1) they stay equal (B_M z lies in
+        S_(K+1) = S_K whenever z lies in S_(K+2)).  Split over the primes of
+        q: where p does not divide det B_M = +-N(beta), B_M is invertible
+        mod p^e and the p-part of S_K is 0 for every K; where p divides it,
+        each strict step multiplies the p-part's order, at most p^(e d), by
+        at least p, so it is stable from K = d e.  Hence K = d max e over the
+        primes of N(beta), at most d Omega(q), decides; for a unit beta,
+        K = 0 does."""
+        D, v = x
+        z = [self.den * c for c in mat_vec(self._adj, v)]
+        q = D * self._det
+        g = gcd(q, *z)
+        q, z = q // g, [c // g for c in z]
+        bound = 0
+        for p in self._primes:
+            e, r = 0, q
+            while r % p == 0:
+                e, r = e + 1, r // p
+            bound = max(bound, len(z) * e)
+        for k in range(bound + 1):
+            if all(c % q == 0 for c in z):
+                return True, k
+            z = [c % q for c in mat_vec(self._beta, z)]
         return False, None
 
     def __contains__(self, x: AlgebraicReal) -> bool:
         return self.membership(x)[0]
 
 
-def group_G(system: TilingSystem, patch_radius=None, k_max: int = 20) -> GroupG:
-    """Module generated by all same-color position differences of a central
-    patch, for every color, saturated under multiplication by beta."""
-    if patch_radius is None:
-        patch_radius = system.field.from_rational(8) * max(
-            system.lengths, key=float
-        )
-    patch = system.central_patch(patch_radius)
-    return GroupG(system, system.return_vectors(patch), k_max)
+def group_G(system: TilingSystem) -> GroupG:
+    """The module generated by the lengths of the return words to every
+    letter, saturated under multiplication by beta.  Every same-color
+    position difference of the fixed tiling is a sum of such lengths, and
+    each of them is one, so this is the module of all of them."""
+    s, lc = system.substitution, system.length_coords
+    generators = set()
+    for a in range(1, s.m + 1):
+        for w in return_words(s, a):
+            v = [0] * system.field.degree
+            for b in w:
+                v = [x + y for x, y in zip(v, lc[b - 1])]
+            generators.add(tuple(v))
+    return GroupG(system, generators)
 
 
 # -- strong coincidence ----------------------------------------------------------
@@ -139,12 +191,14 @@ class StrongCoincidenceReport:
         }
 
 
-def _pair_test(system: TilingSystem, i: int, j: int, shift, cap_classes: int) -> PairResult:
-    """Strong coincidence of the pair class (i, j, shift): shared at L, its
-    distance to a coincidence in the system's overlap closure, or exhausted
-    with the classes reachable from it as the certificate."""
+def _pair_test(system: TilingSystem, key: tuple, cap_classes: int) -> PairResult:
+    """Strong coincidence of the pair class with key (i, j, D, v) (see
+    OverlapClosure): shared at L, its distance to a coincidence in the
+    system's overlap closure, or exhausted with the classes reachable from
+    it as the certificate."""
     closure = overlap_closure(system)
-    start = closure.intern(OverlapClass(i, j, shift))
+    start = closure._id(key)
+    i, j = key[:2]
     L = closure.distance(start, cap_classes)
     if L is not None:
         return PairResult(i, j, "shared", L)
@@ -153,6 +207,11 @@ def _pair_test(system: TilingSystem, i: int, j: int, shift, cap_classes: int) ->
         key=OverlapClass.key,
     )
     return PairResult(i, j, "exhausted", None, tuple(c.label() for c in reached))
+
+
+def _difference(cp: ControlPoints, i: int, j: int) -> tuple:
+    """The point c_i - c_j of the family, (D, v) in lowest terms."""
+    return combine(cp.points[i - 1], cp.points[j - 1], -1)
 
 
 def strong_coincidence(
@@ -168,30 +227,21 @@ def strong_coincidence(
         raise ValueError("control points are not admissible")
     m = system.substitution.m
     pairs = [
-        _pair_test(system, i, j, cp.c[i - 1] - cp.c[j - 1], cap_classes)
+        _pair_test(system, (i, j, *_difference(cp, i, j)), cap_classes)
         for i in range(1, m + 1)
         for j in range(1, m + 1)
     ]
-    in_group = _family_in_group(system, cp, group) if group is not None else None
+    in_group = _family_in_group(cp, group) if group is not None else None
     return StrongCoincidenceReport(cp.tile_map, cp, cp.admissible, in_group, pairs)
 
 
-def _family_in_group(system: TilingSystem, cp: ControlPoints, group: GroupG) -> bool:
+def _family_in_group(cp: ControlPoints, group: GroupG) -> bool:
     """Whether the multi-color point family lies in the translation module.
 
     Same-color differences are module generators (k = 0), so only one
     representative cross-color difference per color pair needs testing."""
-    if group.cross_offsets is None:  # one offset per color pair, kept on the group
-        radius = system.field.from_rational(8) * max(system.lengths, key=float)
-        rep = {}
-        for t in system.central_patch(radius).tiles:
-            rep.setdefault(t.color, t.pos)
-        m = system.substitution.m
-        group.cross_offsets = {
-            (i, j): rep[i] - rep[j] for i in range(1, m + 1) for j in range(i + 1, m + 1)
-        }
     return all(
-        group.membership(cp.c[i - 1] - cp.c[j - 1] + d)[0]
+        group.contains(combine(_difference(cp, i, j), d))[0]
         for (i, j), d in group.cross_offsets.items()
     )
 
@@ -240,14 +290,13 @@ def multiple_strong_coincidence(
     cap_maps: int = 10**5,
     cap_classes: int = 10**4,
     group: GroupG | None = None,
-    k_max: int = 20,
 ) -> MSCResult:
     """True iff every admissible, in-module control-point family arising from
     a tile map of the n-fold inflation passes strong coincidence for all
     color pairs.  Vacuously true (with a flag) if no family passes the
     filters."""
     if group is None:
-        group = group_G(system, k_max=k_max)
+        group = group_G(system)
     reports = []
     considered = 0
     verdict = True
@@ -255,7 +304,7 @@ def multiple_strong_coincidence(
         cp = solve_control_points(system, tm)
         if not cp.admissible:
             continue
-        if not _family_in_group(system, cp, group):
+        if not _family_in_group(cp, group):
             continue
         considered += 1
         rep = strong_coincidence(system, cp, None, cap_classes)
@@ -299,6 +348,28 @@ def _bool_mul(a, b):
 # -- witness extraction -----------------------------------------------------------
 
 
+def _descendant(system: TilingSystem, p: int, q: int, shift: tuple, n: int):
+    """The self-equivalent descendant of the class (p, q, shift), shift a
+    point (D, v): the lexicographically least (ka, kb) with subtile ka of
+    sigma^n(p) at 0 of color p, subtile kb of sigma^n(q) at beta^n shift of
+    color q, and pos(kb) - pos(ka) = shift; None when there is none.
+
+    The condition reads offset(ka) - offset(kb) = (beta^n - 1) shift =: t on
+    the integer offsets over den.  Offsets within one word differ, so the
+    least ka that has a partner gives the least pair."""
+    dv, v = shift
+    w = [system.den * c for c in map(sub, system.times_beta_power(v, n), v)]
+    if any(c % dv for c in w):
+        return None
+    t = [c // dv for c in w]
+    offsets = system.subtile_offsets(n)
+    partner = {off: kb for kb, (b, off) in enumerate(offsets[q - 1]) if b == q}
+    return next((
+        (ka, partner[key]) for ka, (a, off) in enumerate(offsets[p - 1])
+        if a == p and (key := tuple(map(sub, off, t))) in partner
+    ), None)
+
+
 def extract_witness(
     system: TilingSystem,
     g: OverlapGraph,
@@ -328,24 +399,8 @@ def extract_witness(
         )
     n0 = compute_level_n(g)
     p_col, q_col = cls.color_u, cls.color_v
-    s_n = power(system.substitution, n0)
-
-    # Self-equivalent descendant at level n0: subtiles a of sigma^n0(p) and b
-    # of sigma^n0(q) reproducing the class (p, q, shift).
-    upatch = system.inflate(Tile(p_col, system.field.zero()), n0)
-    vpatch = system.inflate(Tile(q_col, cls.shift), n0)
-    found = None
-    for ka, a in enumerate(upatch.tiles):
-        if a.color != p_col:
-            continue
-        for kb, b in enumerate(vpatch.tiles):
-            if b.color != q_col:
-                continue
-            if (b.pos - a.pos) == cls.shift:
-                found = (ka, kb)
-                break
-        if found:
-            break
+    shift = class_key(cls)[2:]
+    found = _descendant(system, p_col, q_col, shift, n0)
     if found is None:
         raise RuntimeError(
             f"class {cls.label()} has no self-equivalent descendant at level {n0}"
@@ -353,13 +408,14 @@ def extract_witness(
     ka, kb = found
 
     # Color graph of sigma^n0: edge i -> j iff j occurs in sigma^n0(i).
+    offsets = system.subtile_offsets(n0)
     m = system.substitution.m
     edges = sorted(
-        {(i, a - 1) for i in range(m) for a in s_n.rules[i]}
+        {(i, a - 1) for i in range(m) for a, _ in offsets[i]}
     )
     color_graph = Digraph(m, tuple((u, v, 1) for u, v in edges))
-    sub = cycle_extension(color_graph, [(p_col - 1,), (q_col - 1,)])
-    out_edge = {u: v for u, v, _ in sub.edges}
+    ext = cycle_extension(color_graph, [(p_col - 1,), (q_col - 1,)])
+    out_edge = {u: v for u, v, _ in ext.edges}
 
     choice = [0] * m
     choice[p_col - 1] = ka
@@ -368,20 +424,19 @@ def extract_witness(
         if i == p_col - 1 or i == q_col - 1:
             continue
         j = out_edge[i] + 1
-        choice[i] = next(k for k, a in enumerate(s_n.rules[i]) if a == j)
+        choice[i] = next(k for k, (a, _) in enumerate(offsets[i]) if a == j)
     tm = TileMap(n0, tuple(choice))
     cp = solve_control_points(system, tm)
 
     # Postconditions from the proof, asserted directly.
     if not cp.admissible:
         raise RuntimeError("extracted witness is not admissible")
-    if (cp.c[p_col - 1] - cp.c[q_col - 1]) != cls.shift:
+    diff = _difference(cp, p_col, q_col)
+    if diff != shift:
         raise RuntimeError("extracted control points do not match the class shift")
-    if group is not None and not _family_in_group(system, cp, group):
+    if group is not None and not _family_in_group(cp, group):
         raise RuntimeError("extracted witness is not in the translation module")
-    rep = _pair_test(
-        system, p_col, q_col, cp.c[p_col - 1] - cp.c[q_col - 1], cap_classes
-    )
+    rep = _pair_test(system, (p_col, q_col, *diff), cap_classes)
     if rep.ok:
         raise RuntimeError("extracted witness unexpectedly passes the pair test")
     return tm, cp, (p_col, q_col)

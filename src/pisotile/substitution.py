@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import char_poly, count_roots, perron_minimal_polynomial
+from .algebra import char_poly, count_roots, mat_mul, perron_minimal_polynomial
 from .numberfield import AlgebraicReal, NumberField, _sympy_poly, is_pisot
 
 
@@ -62,30 +62,30 @@ def matrix(s: Substitution) -> list[list[int]]:
     return M
 
 
-def _mat_mul(A, B):
-    n = len(A)
-    return [
-        [sum(A[i][k] * B[k][j] for k in range(n)) for j in range(n)]
-        for i in range(n)
-    ]
+def primitivity_exponent(M: list[list[int]]) -> int | None:
+    """The least k >= 1 with M^k entrywise positive (for a substitution
+    matrix: every sigma^k(c) holds every letter), or None when there is none
+    up to the Wielandt bound (m-1)^2 + 1, that is, when M is not primitive."""
+    P = M
+    for k in range(1, (len(M) - 1) ** 2 + 2):
+        if all(e > 0 for row in P for e in row):
+            return k
+        P = mat_mul(P, M)
+    return None
 
 
 def is_primitive(M: list[list[int]]) -> bool:
-    """Some power up to the Wielandt bound (m-1)^2 + 1 is entrywise positive."""
-    n = len(M)
-    bound = (n - 1) ** 2 + 1
-    P = [row[:] for row in M]
-    for _ in range(bound):
-        if all(all(e > 0 for e in row) for row in P):
-            return True
-        P = _mat_mul(P, M)
-    return all(all(e > 0 for e in row) for row in P)
+    return primitivity_exponent(M) is not None
 
 
-def is_irreducible(s: Substitution) -> bool:
+def is_irreducible(s: Substitution, min_poly=None) -> bool:
     """Whether the characteristic polynomial of the substitution matrix is
     irreducible over Q: whether the minimal polynomial of the Perron root
-    has degree m (sympy decides when no certificate is found)."""
+    has degree m.  min_poly, when given, is that polynomial as already
+    proved (perron_data's field); else it is found here, and sympy decides
+    when no certificate is found."""
+    if min_poly is not None:
+        return len(min_poly) - 1 == s.m
     chi = char_poly(matrix(s))
     found = perron_minimal_polynomial(chi)
     if found is not None:
@@ -106,17 +106,20 @@ def power(s: Substitution, n: int, word_cap: int = 10**6) -> Substitution:
 
 
 def _isolate_root(min_poly_coeffs, root) -> tuple[Fraction, Fraction]:
-    """Rational interval around a sympy real root isolating it in its min poly."""
+    """Rational interval around a sympy real root isolating it in its min
+    poly, where it is the largest real root.  sympy may return the root as
+    an expression (2*CRootOf(x**2 - x - 1, 1) for x^2 - 2x - 4), so the
+    interval comes from the polynomial's own root isolation."""
     from sympy import Rational
 
     if root.is_rational:
         r = Fraction(int(root.p), int(root.q))
         return r - Fraction(1, 4), r + Fraction(1, 4)
+    poly = _sympy_poly(min_poly_coeffs)
     tol = Rational(1, 2**24)
     while True:
-        approx = root.eval_rational(tol)
-        a = Fraction(int(approx.p), int(approx.q))
-        lo, hi = a - Fraction(tol.p, tol.q), a + Fraction(tol.p, tol.q)
+        (lo, hi), _ = poly.intervals(eps=tol)[-1]
+        lo, hi = Fraction(int(lo.p), int(lo.q)), Fraction(int(hi.p), int(hi.q))
         if lo >= 1 and count_roots(min_poly_coeffs, lo, hi) == 1:
             return lo, hi
         tol /= 2**8
@@ -147,7 +150,9 @@ def perron_data(s: Substitution):
     in the number field of its minimal polynomial; lengths is the exact left
     eigenvector (l M = beta l) normalized so the minimum entry is 1.  The
     minimal polynomial and the Pisot property come from
-    ``perron_minimal_polynomial``'s certificate, else from sympy.
+    ``perron_minimal_polynomial``'s certificate, else from sympy; either way
+    the polynomial is proved irreducible here, once, and the field takes it
+    as such.
 
     Raises NotPisotError when beta is not a Pisot number.
     """
@@ -160,7 +165,7 @@ def perron_data(s: Substitution):
         coeffs, interval = _perron_by_sympy(s, chi)
     else:
         coeffs, interval = found[0], found[1:]
-    field = NumberField(coeffs, interval)
+    field = NumberField(coeffs, interval, irreducible=True)
     beta = field.beta()
     lengths = _left_eigenvector(M, field, beta)
     return field, beta, lengths
@@ -224,19 +229,17 @@ def fixed_point_seed(s: Substitution) -> tuple[int, int, int]:
     """(k, left_letter, right_letter) seeding a two-sided fixed point of sigma^k.
 
     Picks the smallest k <= m*m such that some sigma^k(a) ends in a, some
-    sigma^k(b) starts with b, and the two-letter word ab occurs in some
-    sigma^j(c) with j <= m + k (so the seed pair is in the language).
+    sigma^k(b) starts with b, and the two-letter word ab is in the language
+    (legal_pairs).
     """
     M = matrix(s)
     if not is_primitive(M):
         raise SubstitutionError("fixed point seed requires primitivity")
+    legal = legal_pairs(s)
     for k in range(1, s.m * s.m + 1):
         sk = power(s, k)
         enders = [a for a in range(1, s.m + 1) if sk.rules[a - 1][-1] == a]
         starters = [b for b in range(1, s.m + 1) if sk.rules[b - 1][0] == b]
-        if not enders or not starters:
-            continue
-        legal = _legal_pairs(s, s.m + k)
         for a in enders:
             for b in starters:
                 if (a, b) in legal:
@@ -244,14 +247,40 @@ def fixed_point_seed(s: Substitution) -> tuple[int, int, int]:
     raise SubstitutionError("no fixed point seed found (should not happen)")
 
 
-def _legal_pairs(s: Substitution, jmax: int) -> set[tuple[int, int]]:
-    pairs = set()
-    for c in range(1, s.m + 1):
-        word = (c,)
-        for _ in range(jmax):
-            word = s.apply(word)
-        pairs.update(zip(word, word[1:]))
+def legal_pairs(s: Substitution) -> set[tuple[int, int]]:
+    """The two-letter words of the language of s: the pairs inside the
+    images sigma(c), closed under x y -> the pairs of sigma(x y), of which
+    only the pair across the boundary can be new."""
+    pairs = {p for w in s.rules for p in zip(w, w[1:])}
+    todo = list(pairs)
+    while todo:
+        x, y = todo.pop()
+        p = (s.rules[x - 1][-1], s.rules[y - 1][0])
+        if p not in pairs:
+            pairs.add(p)
+            todo.append(p)
     return pairs
+
+
+def return_words(s: Substitution, a: int) -> set[tuple[int, ...]]:
+    """The return words to the letter a: each word w that starts with a,
+    holds no other a, and has w a in the language of s (primitive).
+
+    Take k with every sigma^k(c) holding every letter.  Every word of the
+    language lies in some sigma^k(v) with v in the language, and an
+    occurrence of w a there meets at most two consecutive blocks sigma^k(c):
+    a block strictly inside it would hold an a inside w.  So the return
+    words are the ones inside sigma^k(x y) over the legal pairs x y."""
+    k = primitivity_exponent(matrix(s))
+    if k is None:
+        raise SubstitutionError("return words require primitivity")
+    images = power(s, k).rules
+    out = set()
+    for x, y in legal_pairs(s):
+        w = images[x - 1] + images[y - 1]
+        at = [i for i, b in enumerate(w) if b == a]
+        out.update(w[i:j] for i, j in zip(at, at[1:]))
+    return out
 
 
 def dekking_column_check(s: Substitution) -> bool:

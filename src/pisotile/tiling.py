@@ -7,10 +7,14 @@ also solves tile-map control points, tests admissibility, and collects
 return vectors -- all exact.
 
 Tile positions of the fixed tiling lie in the module L spanned by the
-beta^k l_i.  Central patches and return vectors are computed on integer
-coordinates over one denominator (TilingSystem.den), where multiplication
-by beta is an integer matrix; signs are decided by a proven float
-enclosure, else exactly in Q(beta).
+beta^k l_i.  Central patches, return vectors and subtile offsets are
+computed on integer coordinates over one denominator (TilingSystem.den),
+where multiplication by beta is an integer matrix.  Control points are
+points of Q(beta) held as (D, v): sum_k v_k beta^k / D with v an integer
+vector and D > 0 in lowest terms, the form overlap-class keys use too; they
+are solved with integer adjugates and become field elements only for
+output (ControlPoints.c).  Signs are decided by a proven float enclosure,
+else exactly in Q(beta).
 """
 
 from __future__ import annotations
@@ -18,13 +22,14 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cmp_to_key
-from math import lcm
-from operator import add, mul
+from functools import cached_property, cmp_to_key
+from math import gcd, lcm
+from operator import add, neg
 
-from .numberfield import AlgebraicReal, IntEnclosure, fast_cmp
+from .algebra import adjugate, mat_mul, mat_vec
+from .numberfield import AlgebraicReal, IntEnclosure, NumberField
 from .substitution import (
     Substitution,
     SubstitutionError,
@@ -56,9 +61,9 @@ class TilingSystem:
         self.seed_power, self.seed_left, self.seed_right = fixed_point_seed(s)
         self._central_cache: tuple[AlgebraicReal, Patch] | None = None
         self._overlap_closure = None  # overlap.OverlapClosure, made on first use
-        self._inverses: dict[tuple, AlgebraicReal] = {}
-        self._powers: dict[int, AlgebraicReal] = {}
-        self._subtiles: dict[int, tuple] = {}
+        self._enclosures: dict[int, IntEnclosure] = {}
+        self._offsets: dict[int, tuple] = {}
+        self._solvers: dict[tuple[int, int], tuple] = {}
         self._control_points: dict[tuple, tuple] = {}  # see solve_control_points
         self._build_module_coords()
 
@@ -72,8 +77,7 @@ class TilingSystem:
         - beta_matrix: multiplication by beta, the integer companion matrix
           (column convention: beta * v = beta_matrix v).
         - length_coords[i]: the coordinates of l_(i+1).
-        - prefix_offsets[i]: (letter, offset) for each letter of sigma(i+1),
-          the offset being the summed length of the letters before it.
+        - prefix_offsets: subtile_offsets(1).
         - floats: the proven float enclosure of an integer vector.
         """
         d, mp = self.field.degree, self.field.min_poly
@@ -83,15 +87,31 @@ class TilingSystem:
             for i in range(d)
         )
         self.length_coords = tuple(self.coords(l) for l in self.lengths)
-        offsets = []
-        for word in self.substitution.rules:
-            pos, row = (0,) * d, []
-            for a in word:
-                row.append((a, pos))
-                pos = tuple(map(add, pos, self.length_coords[a - 1]))
-            offsets.append(tuple(row))
-        self.prefix_offsets = tuple(offsets)
-        self.floats = IntEnclosure(self.field, self.den)
+        self.prefix_offsets = self.subtile_offsets(1)
+        self.floats = self.enclosure(self.den)
+
+    def enclosure(self, den: int) -> IntEnclosure:
+        """The proven float enclosure of integer vectors over den, kept per den."""
+        enc = self._enclosures.get(den)
+        if enc is None:
+            enc = self._enclosures[den] = IntEnclosure(self.field, den)
+        return enc
+
+    def subtile_offsets(self, n: int) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]:
+        """Per color i, (letter, offset) for each tile of sigma^n(i), the
+        offset being the coordinates over den of the summed length of the
+        letters before it; kept per n."""
+        out = self._offsets.get(n)
+        if out is None:
+            rows = []
+            for word in power(self.substitution, n).rules:
+                pos, row = (0,) * self.field.degree, []
+                for a in word:
+                    row.append((a, pos))
+                    pos = tuple(map(add, pos, self.length_coords[a - 1]))
+                rows.append(tuple(row))
+            out = self._offsets[n] = tuple(rows)
+        return out
 
     def coords(self, x: AlgebraicReal) -> tuple[int, ...]:
         """Integer coordinates of x over den; ValueError if x has none."""
@@ -110,7 +130,7 @@ class TilingSystem:
         return AlgebraicReal(self.field, tuple(Fraction(c, den) for c in v))
 
     def times_beta(self, v) -> tuple[int, ...]:
-        return tuple(sum(map(mul, row, v)) for row in self.beta_matrix)
+        return mat_vec(self.beta_matrix, v)
 
     def compare(self, v, x: AlgebraicReal) -> int:
         """sign(point(v) - x), from the proven float enclosures when they
@@ -127,35 +147,36 @@ class TilingSystem:
             return 1 if diff > 0 else -1
         return (self.point(v) - x).sign()
 
-    def inverse(self, x: AlgebraicReal) -> AlgebraicReal:
-        """1 / x, kept per x: control points divide by the same few
-        elements (beta^n and beta^(n len) - 1) for every tile map."""
-        inv = self._inverses.get(x.coeffs)
-        if inv is None:
-            inv = self._inverses[x.coeffs] = x.inverse()
-        return inv
+    def times_beta_power(self, v, e: int) -> tuple[int, ...]:
+        for _ in range(e):
+            v = self.times_beta(v)
+        return v
 
-    def beta_power(self, e: int) -> AlgebraicReal:
-        """beta^e for e >= 0, kept per e."""
-        p = self._powers.get(e)
-        if p is None:
-            p = self._powers[e] = self.beta ** e
-        return p
-
-    def subtiles(self, n: int) -> tuple[tuple[tuple[int, AlgebraicReal], ...], ...]:
-        """Per color i, (letter, offset) for each tile of sigma^n(i), the
-        offset being the summed length of the letters before it; kept per n."""
-        out = self._subtiles.get(n)
+    def solver(self, e: int, t: int) -> tuple[list[list[int]], int]:
+        """(adj, det) of B^e - t I for B = beta_matrix, kept per (e, t): the
+        matrix of beta^e - t, whose determinant is the norm N(beta^e - t),
+        nonzero unless beta^e = t."""
+        out = self._solvers.get((e, t))
         if out is None:
-            rows = []
-            for word in power(self.substitution, n).rules:
-                u, row = self.field.zero(), []
-                for a in word:
-                    row.append((a, u))
-                    u = u + self.length(a)
-                rows.append(tuple(row))
-            out = self._subtiles[n] = tuple(rows)
+            d = self.field.degree
+            P = [[int(i == j) for j in range(d)] for i in range(d)]
+            for _ in range(e):
+                P = mat_mul(self.beta_matrix, P)
+            for i in range(d):
+                P[i][i] -= t
+            out = self._solvers[(e, t)] = adjugate(P)
         return out
+
+    def compare_points(self, x, y) -> int:
+        """sign(x - y) for points (D, v, mid, err) with |v / D - mid| <= err,
+        from the floats when they separate the two, else exactly (as in
+        compare)."""
+        (dx, vx, mx, ex), (dy, vy, my, ey) = x, y
+        diff = mx - my
+        if abs(diff) > 2 * (ex + ey):
+            return 1 if diff > 0 else -1
+        den, w = combine((dx, vx), (dy, vy), -1)
+        return self.point(w, den).sign() if any(w) else 0
 
     def length(self, color: int) -> AlgebraicReal:
         return self.lengths[color - 1]
@@ -357,43 +378,87 @@ class TileMap:
 
 @dataclass(frozen=True)
 class ControlPoints:
-    c: tuple[AlgebraicReal, ...]
+    """points[i] = (D, v): the control point c_(i+1) = sum_k v_k beta^k / D,
+    in lowest terms.  c holds them as field elements, made on first use."""
+
+    points: tuple[tuple[int, tuple[int, ...]], ...]
     tile_map: TileMap
     admissible: bool
+    number_field: NumberField = field(repr=False, compare=False)
+
+    @cached_property
+    def c(self) -> tuple[AlgebraicReal, ...]:
+        return tuple(
+            AlgebraicReal(self.number_field, tuple(Fraction(x, den) for x in v))
+            for den, v in self.points
+        )
 
 
 class TileMapError(ValueError):
     """A tile map whose choices do not fit the substitution."""
 
 
-def tile_map_targets(system: TilingSystem, tm: TileMap):
-    """Per color i: (j_i, u_i) = color and exact offset of the chosen subtile."""
-    subtiles = system.subtiles(tm.n)
-    if len(tm.choice) != len(subtiles):
-        raise TileMapError(f"{len(tm.choice)} choices given for {len(subtiles)} colors")
+def _targets(system: TilingSystem, tm: TileMap):
+    """Per color i: (j_i, u_i), the color of the chosen subtile and its
+    offset as integer coordinates over den."""
+    offsets = system.subtile_offsets(tm.n)
+    if len(tm.choice) != len(offsets):
+        raise TileMapError(f"{len(tm.choice)} choices given for {len(offsets)} colors")
     targets = []
     for i, k in enumerate(tm.choice):
-        if not 0 <= k < len(subtiles[i]):
+        if not 0 <= k < len(offsets[i]):
             raise TileMapError(f"choice {k} out of range for color {i + 1}")
-        targets.append(subtiles[i][k])
+        targets.append(offsets[i][k])
     return targets
 
 
+def tile_map_targets(system: TilingSystem, tm: TileMap):
+    """Per color i: (j_i, u_i) = color and exact offset of the chosen subtile."""
+    return [(j, system.point(u)) for j, u in _targets(system, tm)]
+
+
+def reduced(den: int, v) -> tuple[int, tuple[int, ...]]:
+    """(D, w) with w / D = v / den, D > 0 and gcd(D, w) = 1."""
+    g = gcd(den, *v)
+    if den < 0:
+        g = -g
+    return den // g, tuple(c // g for c in v)
+
+
+def combine(x, y, sign: int = 1) -> tuple[int, tuple[int, ...]]:
+    """x + sign * y for points (D, v), in lowest terms."""
+    (dx, vx), (dy, vy) = x, y
+    den = lcm(dx, dy)
+    fx, fy = den // dx, sign * (den // dy)
+    return reduced(den, tuple(a * fx + b * fy for a, b in zip(vx, vy)))
+
+
+def int_point(x: AlgebraicReal) -> tuple[int, tuple[int, ...]]:
+    """The field element x as a point (D, v) in lowest terms: D is the lcm
+    of the denominators of its coordinates."""
+    den = lcm(*(q.denominator for q in x.coeffs))
+    return den, tuple(q.numerator * (den // q.denominator) for q in x.coeffs)
+
+
 def solve_control_points(system: TilingSystem, tm: TileMap) -> ControlPoints:
-    """Exact solution of beta^n c_i = c_{j_i} + u_i.
+    """Exact solution of beta^n c_i = c_{j_i} + u_i on integer vectors.
 
-    The functional graph i -> j_i is eventually periodic; points on each
-    cycle are solved by composing the affine maps around the cycle, the rest
-    by back-substitution toward the cycle.  c_i depends only on the choices
-    along the path from i into and around its cycle, so the system keeps
-    each c_i under that path: tile maps of one level share most of them.
+    With B = beta_matrix and u_i the offsets over den, the functional graph
+    i -> j_i is eventually periodic.  A point on a cycle of length L solves
+    (beta^(nL) - 1) c_i = acc, acc = sum_k beta^(n(L-1-k)) u_(path[k]), so
+    c_i = adj(B^(nL) - I) acc / (det(B^(nL) - I) den); the determinant is
+    N(beta^(nL) - 1), nonzero as beta > 1.  The other points follow by
+    back-substitution toward the cycle, c_i = adj(B^n) (c_j + u_i) /
+    det(B^n).  c_i depends only on the choices along the path from i into
+    and around its cycle, so the system keeps each c_i under that path:
+    tile maps of one level share most of them.
     """
-    targets = tile_map_targets(system, tm)
-    lam = system.beta_power(tm.n)
+    targets = _targets(system, tm)
+    den = system.den
 
-    def point(i: int) -> tuple[AlgebraicReal, AlgebraicReal, AlgebraicReal]:
-        """(c_i, -c_i, l_i - c_i): the point and the ends of the support of
-        color i shifted by -c_i."""
+    def point(i: int) -> tuple:
+        """(c_i, -c_i, l_i - c_i): the point, and the ends of the support of
+        color i shifted by -c_i as (D, v, mid, err) with their enclosures."""
         path = [i]  # the colors from i until one repeats
         while (j := targets[path[-1]][0] - 1) not in path:
             path.append(j)
@@ -401,23 +466,30 @@ def solve_control_points(system: TilingSystem, tm: TileMap) -> ControlPoints:
         out = system._control_points.get(key)
         if out is None:
             if j == i:  # i lies on its cycle, which is the whole path
-                # beta^(n*len) c_i = c_i + sum_k lam^(len-1-k) u_{path[k]}
-                acc = system.field.zero()
+                acc = (0,) * system.field.degree
                 for k in path:
-                    acc = lam * acc + targets[k][1]
-                c = acc * system.inverse(system.beta_power(tm.n * len(path)) - 1)
+                    acc = tuple(map(add, system.times_beta_power(acc, tm.n), targets[k][1]))
+                adj, det = system.solver(tm.n * len(path), 1)
+                c = reduced(det * den, mat_vec(adj, acc))
             else:
-                c = (point(path[1])[0] + targets[i][1]) * system.inverse(lam)
-            out = system._control_points[key] = (c, -c, system.length(i + 1) - c)
+                adj, det = system.solver(tm.n, 0)
+                dc, v = combine(point(path[1])[0], (den, targets[i][1]))
+                c = reduced(det * dc, mat_vec(adj, v))
+            ends = [(c[0], tuple(map(neg, c[1]))),
+                    combine((den, system.length_coords[i]), c, -1)]
+            out = system._control_points[key] = (c, *(
+                (d, v, *system.enclosure(d)(v)) for d, v in ends))
         return out
 
     points = [point(i) for i in range(system.substitution.m)]
     # Admissible: the shifted supports [-c_i, l_i - c_i] share an interior
     # point.  The ends are kept with their points, so their float
     # enclosures are reused across tile maps.
-    lo = max((p[1] for p in points), key=cmp_to_key(fast_cmp))
-    hi = min((p[2] for p in points), key=cmp_to_key(fast_cmp))
-    return ControlPoints(tuple(p[0] for p in points), tm, fast_cmp(hi, lo) > 0)
+    order = cmp_to_key(system.compare_points)
+    lo = max((p[1] for p in points), key=order)
+    hi = min((p[2] for p in points), key=order)
+    return ControlPoints(tuple(p[0] for p in points), tm,
+                         system.compare_points(hi, lo) > 0, system.field)
 
 
 def admissible(cp: ControlPoints) -> bool:

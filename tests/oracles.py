@@ -7,7 +7,11 @@ library's class inflation and re-derives a pair test from it by a plain
 search; inflate_children and central_patch_reference build overlap-class
 children and central patches from the library's exact field-element
 inflation of tiles; perron_equals_reference decides the Perron comparison
-with sympy's factorization and root isolation.
+with sympy's factorization and root isolation; group_G_reference builds the
+translation module from the return vectors of a central patch,
+control_points_reference solves the control points in field elements, and
+descendant_reference finds a self-equivalent descendant among inflated
+field-element tiles.
 """
 
 from __future__ import annotations
@@ -256,3 +260,57 @@ def perron_equals_reference(matrix_rows, target) -> bool:
             if above(root):
                 return False
     return True
+
+
+def group_G_reference(system):
+    """The translation module from the same-color position differences of
+    the central patch of radius 8 times the longest tile, saturated under
+    beta: the construction group_G used before it read return words."""
+    from pisotile import GroupG
+
+    patch = system.central_patch(system.field.from_rational(8) * max(system.lengths, key=float))
+    return GroupG(system, system.return_vectors(patch))
+
+
+def control_points_reference(system, tm):
+    """The control points of the tile map in field elements, by composing
+    the affine maps c -> (c + u_i) / beta^n around each cycle of
+    i -> j_i and back-substituting the rest, with Q(beta) inverses."""
+    from pisotile import tile_map_targets
+
+    targets = tile_map_targets(system, tm)
+    lam = system.beta ** tm.n
+    out = {}
+
+    def point(i):
+        if i not in out:
+            path = [i]
+            while (j := targets[path[-1]][0] - 1) not in path:
+                path.append(j)
+            if j == i:
+                acc = system.field.zero()
+                for k in path:
+                    acc = lam * acc + targets[k][1]
+                out[i] = acc / (system.beta ** (tm.n * len(path)) - 1)
+            else:
+                out[i] = (point(path[1]) + targets[i][1]) / lam
+        return out[i]
+
+    return [point(i) for i in range(system.substitution.m)]
+
+
+def descendant_reference(system, c, n):
+    """The lexicographically least (ka, kb) with tile ka of the n-fold
+    inflation of a color-u tile at 0 of color u, tile kb of the inflation
+    of a color-v tile at the shift of color v, and pos(kb) - pos(ka) equal
+    to the shift; None when there is none."""
+    from pisotile import Tile
+
+    upatch = system.inflate(Tile(c.color_u, system.field.zero()), n)
+    vpatch = system.inflate(Tile(c.color_v, c.shift), n)
+    for ka, a in enumerate(upatch.tiles):
+        if a.color == c.color_u:
+            for kb, b in enumerate(vpatch.tiles):
+                if b.color == c.color_v and b.pos - a.pos == c.shift:
+                    return ka, kb
+    return None

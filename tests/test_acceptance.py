@@ -95,7 +95,7 @@ def test_criterion_2_thue_morse():
         tm_map, cp, pair = extract_witness(system, g, sccs[0], group)
         assert pair == (1, 2)
         assert cp.admissible
-        assert _family_in_group(system, cp, group)
+        assert _family_in_group(cp, group)
         rep = strong_coincidence(system, cp, group)
         assert not rep.ok
         assert any((p.i, p.j) in {(1, 2), (2, 1)} and not p.ok for p in rep.pairs)

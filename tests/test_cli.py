@@ -1,5 +1,6 @@
 """Command-line interface: parsing, exit codes, determinism, round-trips."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -151,10 +152,12 @@ def test_parse_failure_exit_two(tmp_path, capsys):
     ["strong", str(FIB), "--choice", "a,b"],
     ["msc", str(FIB), "--map-level", "0"],
     ["analyze", str(FIB), "--radius", "5"],  # the option is gone: rejected
-    ["msc", str(FIB), "--map-level", "2", "--kmax", "-1"],
-    ["analyze", str(TM), "--kmax", "-1"],
+    ["msc", str(FIB), "--map-level", "2", "--kmax", "5"],  # gone: membership is exact
+    ["analyze", str(TM), "--kmax", "20"],
     ["analyze", str(FIB), "--cap-classes", "-1"],
     ["overlaps", str(FIB), "--cap-maps", "-1"],
+    ["analyze", '{"alphabet": ["1"], "rules": {"1": ["1"]}}'],  # beta = 1 is not Pisot
+    ["analyze", '{"alphabet": ["1", "2"], "rules": {"1": ["2", "2"], "2": ["1", "2", "2", "1"]}}'],
 ])
 def test_input_errors_exit_two(argv, capsys):
     try:
@@ -252,3 +255,46 @@ def test_verify_corrupted_expectation(tmp_path, capsys):
     (tmp_path / "bad.json").write_text(json.dumps(data))
     assert main(["verify", str(tmp_path)]) == 2
     assert "FIXTURE ERROR" in capsys.readouterr().out
+
+
+GOLDEN = [
+    (["msc", "tribonacci", "--map-level", "3"],
+     "b1dcf1d85e69bad6d1e09bf9a50cb717a49181921fbd31e2306fee82c6fe0e96"),
+    (["msc", "thue_morse", "--map-level", "3"],
+     "7efbf2ed11891984fb0015285c249dd71ab39911b26281de968e520b8767a924"),
+    (["msc", "fibonacci", "--map-level", "4"],
+     "f6a38abe0749b18ad1e8be5852c032072c219431091f3ea712d540b8850e9d1c"),
+    (["msc", "s112", "--map-level", "2"],
+     "2708c45a683480d3102c9d69468b4b4855c586a2f29e8e1910a350dc2e2209a1"),
+    (["strong", "fibonacci", "--map-level", "2", "--choice", "1,0"],
+     "6c350034154568bc4d93df710b4f636228a5f803c9f1b598af6ff732fcaa1be6"),
+    (["analyze", "fibonacci"], "ae2d492594ac008cae923996474607b1c0712b8a62109e603fceaf0bc02223ff"),
+    (["analyze", "thue_morse"], "b034b107f010716f329017431f0c0b81805b8b3edf32e38c49d9de107fc2cbb0"),
+    (["analyze", "period_doubling"],
+     "9da5e74e75e434428b8ef7b2aa11b7f1ee1010530ed87af7c5977e38cccf03e1"),
+    (["analyze", "s112"], "bf49ad0198e23eef68c7049c2d1adc0d4f04900d590758931684fa07f79e16ac"),
+    (["analyze", "1->231,2->323,3->13"],
+     "9750e37a179208431fbaa5b50d105fc6c62f62cd843e31f916d4f9db35a2fa44"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN, ids=[" ".join(a) for a, _ in GOLDEN])
+def test_golden_output(argv, digest, capsys):
+    # The sha256 of stdout as it read before control points moved to
+    # integer vectors (for analyze, with "timings" dropped and the report
+    # written again as the CLI writes it).
+    name = argv[1]
+    if "->" in name:
+        rules = CUBIC_RULES[name][1]
+        letters = [str(i + 1) for i in range(len(rules))]
+        source = json.dumps({"alphabet": letters, "rules": {
+            a: [str(b) for b in w] for a, w in zip(letters, rules)}})
+    else:
+        source = str(CORPUS / f"{name}.json")
+    assert main([argv[0], source, *argv[2:]]) == 0
+    out = capsys.readouterr().out
+    if argv[0] == "analyze":
+        report = json.loads(out)
+        del report["timings"]
+        out = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

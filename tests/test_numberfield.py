@@ -202,6 +202,7 @@ def test_is_pisot_cases():
     assert is_pisot((-1, -1, -1, 1), half)  # tribonacci cubic
     assert is_pisot((1, -3, 1), (Fraction(2), Fraction(3)))  # (3+sqrt5)/2
     assert is_pisot((-2, 1), half)  # rational beta = 2
+    assert not is_pisot((-1, 1), (Fraction(1, 2), Fraction(3, 2)))  # beta = 1
     assert not is_pisot((-3, -1, 1), (Fraction(2), Fraction(3)))  # conj < -1
     # Self-reciprocal of degree >= 3: roots pair (r, 1/r), never Pisot.
     assert not is_pisot((1, -1, -1, -1, 1), (Fraction(1), Fraction(2)))

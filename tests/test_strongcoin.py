@@ -1,16 +1,19 @@
 """Strong coincidence, translation-module membership, tile-map enumeration,
 level computation, and witness extraction."""
 
+import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
-from sympy import Matrix
+from sympy import Matrix, factorint
 
-from conftest import CORPUS_RULES
-from oracles import pair_closure
+from conftest import CORPUS_RULES, CUBIC_RULES
+from oracles import descendant_reference, group_G_reference, pair_closure
 from pisotile import (
     CapExceededError,
     EnumerationCapError,
+    NotPisotError,
     OverlapClass,
     OverlapGraph,
     RodHypothesisError,
@@ -22,12 +25,16 @@ from pisotile import (
     extract_witness,
     group_G,
     inflate_class,
+    is_primitive,
     multiple_strong_coincidence,
     solve_control_points,
     stable_overlap_graph,
     strong_coincidence,
     stuck_scc_indices,
 )
+from pisotile.overlap import class_key
+from pisotile.strongcoin import _descendant
+from pisotile.substitution import matrix
 
 
 @pytest.fixture(scope="module")
@@ -194,6 +201,21 @@ def test_extract_witness_thue_morse(tm):
     assert tuple(sorted(pair)) in {tuple(sorted(f)) for f in failing}
 
 
+def test_descendant_matches_tile_scan():
+    # The offset lookup of the witness against the scan of inflated tiles,
+    # on the distinct-color vertices of overlap graphs at levels 1..3.
+    found = set()
+    for name in ("thue_morse", "fibonacci", "s112", "period_doubling"):
+        system = TilingSystem(Substitution(*CORPUS_RULES[name]))
+        g, _ = stable_overlap_graph(system)
+        for c in [c for c in g.vertices if c.color_u != c.color_v][:40]:
+            for n in (1, 2, 3):
+                got = _descendant(system, c.color_u, c.color_v, class_key(c)[2:], n)
+                assert got == descendant_reference(system, c, n), (name, c.label(), n)
+                found.add((got is not None, c.shift.is_zero()))
+    assert {(True, True), (True, False), (False, False)} <= found
+
+
 def test_extract_witness_rod_hypothesis(fib):
     # A component whose classes all have equal colors triggers the error.
     c = OverlapClass(1, 1, fib.field.one())
@@ -203,27 +225,42 @@ def test_extract_witness_rod_hypothesis(fib):
 
 
 def _membership_loop(group, x):
-    """The bounded search of GroupG.membership for every field: the least
-    K <= k_max with beta^K x in the module, by H^-1 in rationals."""
+    """The least K with beta^K x in the module, searched up to the proven
+    bound d Omega(q), by H^-1 in rationals: x = H t / den with q the least
+    common denominator of t, and Omega(q) its prime factors with
+    multiplicity."""
     H = Matrix(group.basis).T  # the basis vectors as columns
     inv = [[Fraction(int(a.p), int(a.q)) for a in row] for row in H.inv().tolist()]
-    y = x
-    for k in range(group.k_max + 1):
+
+    def coords(y):
         v = [c * group.den for c in y.coeffs]
-        if all(sum(a * b for a, b in zip(row, v)).denominator == 1 for row in inv):
+        return [sum(a * b for a, b in zip(row, v)) for row in inv]
+
+    q = lcm(*(t.denominator for t in coords(x)))
+    y = x
+    for k in range(len(group.basis) * sum(factorint(q).values()) + 1):
+        if all(t.denominator == 1 for t in coords(y)):
             return True, k
         y = y * group.system.beta
     return False, None
 
 
+NON_UNIT_RULES = {"1->1112,2->12": ((1, 1, 1, 2), (1, 2)),
+                  "1->132,2->33,3->31": ((1, 3, 2), (3, 3), (3, 1))}
+
+
 @pytest.mark.parametrize("name, n", [
     ("tribonacci", 3), ("thue_morse", 3), ("fibonacci", 4), ("s112", 2),
+    ("1->1112,2->12", 2), ("1->132,2->33,3->31", 1),
 ])
 def test_membership_equals_kmax_loop(name, n):
-    # Unit fields decide at K = 0 alone; the answers must be those of the
-    # k_max loop on every family of every tile map, and on its shifted
-    # cross-color differences (the points _family_in_group tests).
-    system = TilingSystem(Substitution(*CORPUS_RULES[name]))
+    # The least K found by GroupG.membership must be the reference loop's on
+    # every family of every tile map, and on its cross-color differences
+    # shifted by representatives taken from a central patch (the points
+    # _family_in_group tests, with other representatives).  The non-unit
+    # inputs need K up to 6.
+    rules = NON_UNIT_RULES.get(name) or CORPUS_RULES[name][1]
+    system = TilingSystem(Substitution(len(rules), rules))
     group = group_G(system)
     rep = {}
     for t in system.central_patch(system.field.from_rational(8) * max(system.lengths, key=float)).tiles:
@@ -237,3 +274,31 @@ def test_membership_equals_kmax_loop(name, n):
                     answers.add(group.membership(x))
                     assert group.membership(x) == _membership_loop(group, x)
     assert {ok for ok, _ in answers} == {True, False}
+
+
+def _pisot_systems(seed, count):
+    """count seeded primitive Pisot substitutions on 2-4 letters."""
+    rng, out = random.Random(seed), []
+    while len(out) < count:
+        m = rng.randint(2, 4)
+        s = Substitution(m, tuple(tuple(rng.randint(1, m) for _ in range(rng.randint(1, 4)))
+                                  for _ in range(m)))
+        if is_primitive(matrix(s)):
+            try:
+                out.append(TilingSystem(s))
+            except NotPisotError:
+                pass
+    return out
+
+
+def test_group_from_return_words_equals_patch_group():
+    # The module read off the return words has the HNF basis of the module
+    # read off a central patch: on the corpus, the cubic-closure and ROADMAP
+    # inputs, and 50 seeded primitive Pisot inputs.
+    rule_sets = [rules for _, rules in CORPUS_RULES.values()]
+    rule_sets += [rules for _, rules in CUBIC_RULES.values()]
+    rule_sets += [((2,), (3,), (1, 2)), ((1, 1, 1, 2), (1, 2)), ((2, 3, 1), (1, 2), (2,)),
+                  ((1, 3, 2), (3, 3), (3, 1))]
+    systems = [TilingSystem(Substitution(len(r), r)) for r in rule_sets]
+    for system in systems + _pisot_systems(12, 50):
+        assert group_G(system).basis == group_G_reference(system).basis, str(system.substitution)

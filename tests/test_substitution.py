@@ -15,7 +15,7 @@ from pisotile import (
     perron_data,
     power,
 )
-from pisotile.substitution import char_poly, matrix
+from pisotile.substitution import char_poly, matrix, return_words
 
 FIB = Substitution(2, ((1, 2), (1,)))
 TM = Substitution(2, ((1, 2), (2, 1)))
@@ -51,6 +51,26 @@ def test_irreducibility():
     assert is_irreducible(FIB)
     assert is_irreducible(TRIB)
     assert not is_irreducible(TM)  # (x-2)(x-1)
+
+
+def test_return_words():
+    # The Fibonacci word 1211212112...: 1 returns after 1 or 12, 2 after
+    # 211 or 21.
+    assert return_words(FIB, 1) == {(1,), (1, 2)}
+    assert return_words(FIB, 2) == {(2, 1), (2, 1, 1)}
+    # Against a scan of long words of the language: every return word to a
+    # inside sigma^k(c), for k with 3000 letters or more.
+    for s in (FIB, TM, PD, TRIB, Substitution(2, ((1, 1, 2), (1, 2))),
+              Substitution(3, ((2, 3, 1), (1, 2), (2,)))):
+        for a in range(1, s.m + 1):
+            seen = set()
+            for c in range(1, s.m + 1):
+                w = (c,)
+                while len(w) < 3000:
+                    w = s.apply(w)
+                at = [i for i, b in enumerate(w) if b == a]
+                seen.update(w[i:j] for i, j in zip(at, at[1:]))
+            assert return_words(s, a) == seen, (str(s), a)
 
 
 def test_power():

@@ -1,12 +1,13 @@
 """Suspension tiling geometry: inflation, central patches, control points."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from conftest import CORPUS_RULES, CUBIC_RULES
-from oracles import central_patch_reference
+from oracles import central_patch_reference, control_points_reference
 from pisotile import (
     Patch,
     Substitution,
@@ -17,6 +18,7 @@ from pisotile import (
     solve_control_points,
     tile_map_targets,
 )
+from pisotile.strongcoin import enumerate_tile_maps
 
 FIB = Substitution(2, ((1, 2), (1,)))
 TRIB = Substitution(3, ((1, 2), (1, 3), (1,)))
@@ -198,3 +200,31 @@ def test_control_point_residuals_exact(fib, trib):
                     lhs = lam * cp.c[i]
                     rhs = cp.c[j - 1] + u
                     assert (lhs - rhs).is_zero()
+
+
+ROADMAP_RULES = [((2,), (3,), (1, 2)), ((1, 1, 1, 2), (1, 2)), ((2, 3, 1), (1, 2), (2,)),
+                 ((1, 3, 2), (3, 3), (3, 1))]
+
+
+@pytest.mark.parametrize("rules, n", [
+    *((rules, 3 if m < 3 else 2) for m, rules in CORPUS_RULES.values()),
+    *((rules, 1) for _, rules in CUBIC_RULES.values()),
+    *((rules, 1) for rules in ROADMAP_RULES),
+])
+def test_control_points_match_field_solve(rules, n):
+    # Every tile map of levels 1..n: the points solved on integer vectors
+    # equal the field-element solve, each (D, v) is in lowest terms, and
+    # admissibility is the exact test max(-c_i) < min(l_i - c_i).
+    system = TilingSystem(Substitution(len(rules), rules))
+    for level in range(1, n + 1):
+        for tm in enumerate_tile_maps(system, level):
+            cp = solve_control_points(system, tm)
+            ref = control_points_reference(system, tm)
+            assert list(cp.c) == ref, tm
+            for den, v in cp.points:
+                assert den > 0 and math.gcd(den, *v) == 1
+            lo, hi = -ref[0], system.length(1) - ref[0]
+            for i, c in enumerate(ref):
+                lo = max(lo, -c)  # exact comparisons in Q(beta)
+                hi = min(hi, system.length(i + 1) - c)
+            assert cp.admissible == (hi > lo), tm
