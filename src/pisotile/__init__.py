@@ -22,7 +22,6 @@ from .tiling import (
     Tile,
     TileMap,
     TilingSystem,
-    admissible,
     solve_control_points,
     tile_map_targets,
 )
@@ -33,7 +32,6 @@ from .overlap import (
     build_graph,
     expansive_sccs,
     inflate_class,
-    make_class,
     overlap_coincidence,
     seed_overlaps,
     stable_overlap_graph,

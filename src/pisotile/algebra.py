@@ -50,27 +50,6 @@ def peval(p, x):
     return acc
 
 
-def psub(a, b):
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] -= c
-    return _trim(out)
-
-
-def pmul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, c in enumerate(a):
-        if c:
-            for j, e in enumerate(b):
-                out[i + j] += c * e
-    return _trim(out)
-
-
 def pdivmod(a, b):
     """(quotient, remainder) of a by a nonzero b over Q."""
     a = [Fraction(c) for c in a]

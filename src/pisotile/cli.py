@@ -52,12 +52,23 @@ class VerdictMismatch(RuntimeError):
     """Computed verdicts disagree with each other or with expectations."""
 
 
+def _is_path(source) -> bool:
+    """Whether source names an existing file or directory; a name the
+    operating system refuses as a path (too long, say) is inline JSON."""
+    try:
+        return Path(source).exists()
+    except (OSError, ValueError):
+        return False
+
+
 def parse(source) -> tuple[Substitution, list[str], dict]:
     """Parse a substitution file (path, JSON text, or dict) into a
     Substitution plus the letter names and any metadata."""
-    if isinstance(source, (str, Path)) and Path(str(source)).exists():
-        text = Path(source).read_text()
-        data = json.loads(text)
+    if isinstance(source, (str, Path)) and _is_path(source):
+        try:
+            data = json.loads(Path(source).read_text())
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
+            raise ParseError(f"{source}: not a readable JSON file: {e}") from e
     elif isinstance(source, str):
         try:
             data = json.loads(source)

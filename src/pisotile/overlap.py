@@ -14,15 +14,14 @@ The overlap graph is the part of it reachable from the seeds, and a strong
 coincidence pair test is a distance lookup in it, so the graph and the pair
 tests share their inflations.
 
-The closure holds a class (i, j, t) as integers: t = sum_k v_k beta^k / D
-with v an integer vector and D > 0 in lowest terms.  beta is an integer
-matrix on such vectors (TilingSystem.beta_matrix), so a child is
+The closure holds a class (i, j, t) as the key (i, j, D, v) of its shift
+t = sum_k v_k beta^k / D, the (D, v) of the field element.  beta is an
+integer matrix on such vectors (TilingSystem.beta_matrix), so a child is
 beta v + offset difference over lcm(D, den), and it is kept when both
-overlap signs are positive: a proven float enclosure (IntEnclosure)
-decides each sign it separates from 0, an exact zero test the tiles that
-touch, and the exact sign in Q(beta) the rest.  Shifts become field
-elements only for the classes that leave the closure: graph vertices,
-labels, certificates and JSON.
+overlap signs are positive, each decided by NumberField.compare: its
+floats where they separate the ends, else the exact sign, which is 0 for
+tiles that touch.  Shifts become field elements only for the classes that
+leave the closure: graph vertices, labels, certificates and JSON.
 """
 
 from __future__ import annotations
@@ -31,12 +30,12 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from math import gcd, inf, lcm
+from math import inf, lcm
 from operator import add, sub
 
 from .graphkit import Digraph, distances_to, reachable_to, scc, perron_equals
-from .numberfield import _U, AlgebraicReal, IntEnclosure
-from .tiling import ModuleVectors, Patch, TilingSystem, int_point
+from .numberfield import _U, AlgebraicReal, reduced
+from .tiling import ModuleVectors, Patch, TilingSystem
 
 
 class CapExceededError(RuntimeError):
@@ -54,6 +53,7 @@ class OverlapClass:
         return self.color_u == self.color_v and self.shift.is_zero()
 
     def key(self):
+        """The sort key of output: colors, then rational coordinates."""
         return (self.color_u, self.color_v, self.shift.coeffs)
 
     def label(self) -> str:
@@ -73,12 +73,6 @@ class OverlapGraph:
 
     def coincidence_indices(self) -> list[int]:
         return [i for i, c in enumerate(self.vertices) if c.is_coincidence]
-
-
-def make_class(system: TilingSystem, cu: int, cv: int, shift: AlgebraicReal) -> OverlapClass:
-    if (shift + system.length(cv)).sign() <= 0 or (system.length(cu) - shift).sign() <= 0:
-        raise ValueError("tiles do not share an interior point")
-    return OverlapClass(cu, cv, shift)
 
 
 class OverlapClosure:
@@ -105,7 +99,7 @@ class OverlapClosure:
         self._classes: dict[int, OverlapClass] = {}
 
     def intern(self, c: OverlapClass) -> int:
-        return self._id(class_key(c))
+        return self._id((c.color_u, c.color_v, c.shift.den, c.shift.v))
 
     def _id(self, key: tuple) -> int:
         i = self._index.get(key)
@@ -120,7 +114,7 @@ class OverlapClosure:
         c = self._classes.get(i)
         if c is None:
             a, b, den, v = self.keys[i]
-            c = self._classes[i] = OverlapClass(a, b, self.system.point(v, den))
+            c = self._classes[i] = OverlapClass(a, b, AlgebraicReal(self.system.field, den, v))
         return c
 
     def successors(self, i: int) -> tuple[tuple[int, int], ...]:
@@ -131,23 +125,20 @@ class OverlapClosure:
             self.children[i] = out
         return out
 
-    def _frame(self, den: int) -> tuple:
-        """For classes over den: the enclosure of integer vectors over den,
-        and per color c the tile bounds of sigma(c) (the inflated tile at 0:
-        where each subtile starts, then where the last one ends) as vectors
-        over den, with their enclosures."""
+    def _frame(self, den: int) -> list:
+        """For classes over den: per color c the tile bounds of sigma(c) (the
+        inflated tile at 0: where each subtile starts, then where the last
+        one ends) as points (den, v, mid, err) (NumberField.enclosed)."""
         frame = self._frames.get(den)
         if frame is None:
             system = self.system
-            enclose = IntEnclosure(system.field, den)
             k = den // system.den
-            bounds = []
+            frame = self._frames[den] = []
             for row in system.prefix_offsets:
                 last, off = row[-1]
                 end = tuple(map(add, off, system.length_coords[last - 1]))
-                vs = [tuple(k * c for c in v) for v in [off for _, off in row] + [end]]
-                bounds.append((vs, [enclose(v) for v in vs]))
-            frame = self._frames[den] = (enclose, bounds)
+                frame.append([system.field.enclosed(den, tuple(k * c for c in v))
+                              for v in [off for _, off in row] + [end]])
         return frame
 
     def _inflate(self, key: tuple) -> list[tuple[tuple, int]]:
@@ -162,41 +153,22 @@ class OverlapClosure:
         i, j, dv, v = key
         system = self.system
         den = lcm(dv, system.den)
-        enclose, bounds = self._frame(den)
+        bounds = self._frame(den)
         bv = system.times_beta(v)
         if den != dv:
             bv = tuple((den // dv) * c for c in bv)
-        us, ufl = bounds[i - 1]
-        vs = [tuple(map(add, bv, off)) for off in bounds[j - 1][0]]
-        vfl = [enclose(x) for x in vs]
-        less = self._less
+        us = bounds[i - 1]
+        enclosed, compare = system.field.enclosed, system.field.compare
+        vs = [enclosed(den, tuple(map(add, bv, off[1]))) for off in bounds[j - 1]]
         counts: dict[tuple, int] = {}
         rules = system.substitution.rules
         for s, a in enumerate(rules[i - 1]):
             for t, b in enumerate(rules[j - 1]):
-                if (less(us[s], ufl[s], vs[t + 1], vfl[t + 1], den)
-                        and less(vs[t], vfl[t], us[s + 1], ufl[s + 1], den)):
-                    child = (a, b, tuple(map(sub, vs[t], us[s])))
+                if compare(us[s], vs[t + 1]) < 0 and compare(vs[t], us[s + 1]) < 0:
+                    child = (a, b, tuple(map(sub, vs[t][1], us[s][1])))
                     counts[child] = counts.get(child, 0) + 1
-        out = []
-        for (a, b, w), mult in sorted(counts.items()):  # one den': the order of the shifts
-            g = gcd(den, *w)
-            out.append(((a, b, den // g, tuple(c // g for c in w)), mult))
-        return out
-
-    def _less(self, x, fx, y, fy, den: int) -> bool:
-        """point(x) < point(y) for integer vectors over den with enclosures
-        fx, fy: from the floats when they separate the two, else exactly.
-
-        With |x - mx| <= ex and |y - my| <= ey, diff = fl(my - mx) is within
-        ex + ey + u|diff| of y - x, so |diff| > 2(ex + ey) fixes the sign
-        (as in TilingSystem.compare).  Tiles that touch give y - x = 0
-        exactly, which the zero test decides before the exact sign."""
-        diff = fy[0] - fx[0]
-        if abs(diff) > 2 * (fx[1] + fy[1]):
-            return diff > 0
-        w = tuple(map(sub, y, x))
-        return any(w) and self.system.point(w, den).sign() > 0
+        # One den': sorting the vectors sorts the shifts' keys.
+        return [((a, b, *reduced(den, w)), mult) for (a, b, w), mult in sorted(counts.items())]
 
     def reach(self, ids, cap: int) -> list[int]:
         """Ids reachable from ids, in breadth-first discovery order; raises
@@ -255,11 +227,6 @@ class OverlapClosure:
         return self._dist[i]
 
 
-def class_key(c: OverlapClass) -> tuple:
-    """(i, j, D, v) with shift = sum_k v_k beta^k / D in lowest terms."""
-    return (c.color_u, c.color_v, *int_point(c.shift))
-
-
 def overlap_closure(system: TilingSystem) -> OverlapClosure:
     """The system's shared closure, made on first use."""
     if system._overlap_closure is None:
@@ -272,8 +239,8 @@ def inflate_class(system: TilingSystem, c: OverlapClass) -> Counter:
     (uncached: the children are not kept in the system's closure)."""
     closure = overlap_closure(system)
     return Counter({
-        OverlapClass(a, b, system.point(v, den)): mult
-        for (a, b, den, v), mult in closure._inflate(class_key(c))
+        OverlapClass(a, b, AlgebraicReal(system.field, den, v)): mult
+        for (a, b, den, v), mult in closure._inflate((c.color_u, c.color_v, c.shift.den, c.shift.v))
     })
 
 
@@ -286,7 +253,7 @@ def seed_overlaps(system: TilingSystem, patch: Patch, ys: ModuleVectors) -> list
     and each distinct position difference, a float window picks the ys that
     can give an overlap; the window's slack covers the proven errors of the
     floats and the roundings that form its ends, so it never drops one.
-    Each distinct candidate shift is then decided by TilingSystem.compare,
+    Each distinct candidate shift is then decided by NumberField.compare,
     exactly whenever the floats do not separate it from the window's ends,
     so the result is identical to the all-pairs exact scan.
     """
@@ -295,13 +262,14 @@ def seed_overlaps(system: TilingSystem, patch: Patch, ys: ModuleVectors) -> list
         ys = ModuleVectors.of(system, ys, 2 * norm + ys.coord_bound)
     pack, unpack = ys.packing.pack, ys.packing.unpack
     packed = {c: [pack(v) for v in vs] for c, vs in by_color.items()}
-    enclose = system.floats
+    field, den = system.field, system.den
+    enclose, enclosed, compare = field.floats, field.enclosed, field.compare
     yf, yp = ys.floats, ys.packed
     colors = sorted(packed)
     classes: dict[tuple, OverlapClass] = {}
     for n, cu in enumerate(colors):
         for cv in colors[n:]:
-            (flu, elu), (flv, elv) = (enclose(system.length_coords[c - 1]) for c in (cu, cv))
+            (flu, elu), (flv, elv) = (enclose(system.length_coords[c - 1], den) for c in (cu, cv))
             # Distinct values d of pos(V) - pos(U) for one pair of colors, the
             # largest structure here.  The pair (cv, cu) sees each d as -d,
             # so for one color each pair of tiles is taken once.
@@ -313,7 +281,7 @@ def seed_overlaps(system: TilingSystem, patch: Patch, ys: ModuleVectors) -> list
             back = fwd if cu == cv else set()
             errs, lens = ys.err + elu + elv, flu + flv
             for dv in ds:
-                fd, ed = enclose(unpack(dv))
+                fd, ed = enclose(unpack(dv), den)
                 # An overlap needs fd - l_u - (ed + e_y + e_lu) < fy < fd + l_v
                 # + (ed + e_y + e_lv) (for -d: -fd - l_v ... -fd + l_u);
                 # doubling the errors and the 4u term cover the roundings in
@@ -325,11 +293,11 @@ def seed_overlaps(system: TilingSystem, patch: Patch, ys: ModuleVectors) -> list
                 back.update(map((-dv).__sub__, yp[i:bisect_right(yf, -fd + flu + slack, i)]))
             del ds
             for a, b, shifts in ((cu, cv, fwd),) if cu == cv else ((cu, cv, fwd), (cv, cu, back)):
-                lo, hi = -system.length(b), system.length(a)
+                lo, hi = (-system.length(b)).enclosed(), system.length(a).enclosed()
                 for sv in shifts:
-                    v = unpack(sv)
-                    if system.compare(v, lo) > 0 and system.compare(v, hi) < 0:
-                        classes[(a, b, v)] = OverlapClass(a, b, system.point(v))
+                    x = enclosed(den, unpack(sv))
+                    if compare(x, lo) > 0 and compare(x, hi) < 0:
+                        classes[(a, b, x[1])] = OverlapClass(a, b, system.point(x[1]))
     return [classes[k] for k in sorted(classes)]
 
 
@@ -433,7 +401,7 @@ def stable_overlap_graph(
         del patch, ys
         graph = build_graph(system, seeds, cap)
         del seeds
-        keys = frozenset(c.key() for c in graph.vertices)
+        keys = frozenset(graph.vertices)
         if keys == prev_keys:
             return graph, radius
         prev_keys = keys

@@ -7,32 +7,26 @@ points are constructed whose family is admissible, lies in the translation
 module, and fails strong coincidence for an explicit color pair.
 
 Everything here works on points of Q(beta) held as (D, v), integer vectors
-over a denominator (tiling.reduced): control points, the module filter, the
-pair classes handed to the overlap closure, and the witness search.  The
-translation module is built from the return words of the substitution, so
-no patch of the tiling is laid out.
+over a denominator in lowest terms (numberfield.reduced), the form of field
+elements: control points, the module filter, the pair classes handed to the
+overlap closure, and the witness search.  The translation module is built
+from the return words of the substitution, so no patch of the tiling is
+laid out.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 from operator import sub
 
 from .algebra import adjugate, hnf, mat_mul, mat_vec, prime_factors
 from .graphkit import cycle_extension, Digraph
-from .numberfield import AlgebraicReal
-from .overlap import CapExceededError, OverlapClass, OverlapGraph, class_key, overlap_closure, stuck_scc_matrices
+from .numberfield import AlgebraicReal, combine
+from .overlap import OverlapClass, OverlapGraph, overlap_closure, stuck_scc_matrices
 from .substitution import matrix, power, primitivity_exponent, return_words
-from .tiling import (
-    ControlPoints,
-    TileMap,
-    TilingSystem,
-    combine,
-    int_point,
-    solve_control_points,
-)
+from .tiling import ControlPoints, TileMap, TilingSystem, solve_control_points
 
 
 class EnumerationCapError(RuntimeError):
@@ -93,7 +87,7 @@ class GroupG:
 
     def membership(self, x: AlgebraicReal):
         """(bool, K) for the field element x: see contains."""
-        return self.contains(int_point(x))
+        return self.contains((x.den, x.v))
 
     def contains(self, x: tuple[int, tuple[int, ...]]):
         """(True, K) for the least K >= 0 with beta^K x in the module, or
@@ -318,16 +312,57 @@ def multiple_strong_coincidence(
 # -- the level n0 of the equivalence theorem -------------------------------------
 
 
-def compute_level_n(g: OverlapGraph, cap: int = 10**4) -> int:
+def compute_level_n(g: OverlapGraph) -> int:
     """Smallest n0 >= 1 such that every vertex of every coincidence-free SCC
-    lies on a closed walk of length n0; 1 when no such component exists."""
+    lies on a closed walk of length n0; 1 when no such component exists.
+
+    The search is a proof.  Let A be the adjacency matrix of a stuck SCC
+    with k vertices and period p.  Every closed walk in it has a length
+    divisible by p, so n0 is a multiple of L, the lcm of the periods, and
+    only multiples of L are tried.  A^p is, up to a permutation of the
+    vertices, block diagonal with p primitive blocks of at most k vertices,
+    and by Wielandt's theorem a primitive matrix with m vertices has a
+    positive r-th power for every r >= (m - 1)^2 + 1.  For n = t L the
+    power A^n = (A^p)^(n/p) has n/p >= t, so once t >= (k - 1)^2 + 1 its
+    diagonal is positive.  Hence the least n0 is t L for some
+    t <= (k - 1)^2 + 1, k the largest SCC size, and t = 1, 2, ... finds it.
+    """
     mats = [[[w > 0 for w in row] for row in mat] for _, mat in stuck_scc_matrices(g)]
-    powers = mats
-    for n0 in range(1, cap + 1):
+    period = lcm(*map(_period, mats))
+    steps = [_bool_pow(m, period) for m in mats]
+    powers = steps
+    for t in range(1, (max(map(len, mats), default=1) - 1) ** 2 + 2):
         if all(all(p[i][i] for i in range(len(p))) for p in powers):
-            return n0
-        powers = [_bool_mul(p, m) for p, m in zip(powers, mats)]
-    raise CapExceededError(f"no common closed-walk length found up to {cap}")
+            return t * period
+        powers = [_bool_mul(p, m) for p, m in zip(powers, steps)]
+    raise AssertionError("Wielandt's bound passed without a common closed-walk length")
+
+
+def _period(a) -> int:
+    """The period of a strongly connected graph with boolean adjacency
+    matrix a: the gcd of level(u) + 1 - level(v) over its edges u -> v, the
+    levels being breadth-first distances from vertex 0."""
+    level = {0: 0}
+    queue = [0]
+    for u in queue:  # grows while it is read
+        for v, edge in enumerate(a[u]):
+            if edge and v not in level:
+                level[v] = level[u] + 1
+                queue.append(v)
+    return gcd(*(level[u] + 1 - level[v]
+                 for u, row in enumerate(a) for v, edge in enumerate(row) if edge))
+
+
+def _bool_pow(a, e: int):
+    """a^e for e >= 1, by squaring."""
+    out = None
+    while e:
+        if e & 1:
+            out = a if out is None else _bool_mul(out, a)
+        e >>= 1
+        if e:
+            a = _bool_mul(a, a)
+    return out
 
 
 def _bool_mul(a, b):
@@ -399,7 +434,7 @@ def extract_witness(
         )
     n0 = compute_level_n(g)
     p_col, q_col = cls.color_u, cls.color_v
-    shift = class_key(cls)[2:]
+    shift = (cls.shift.den, cls.shift.v)
     found = _descendant(system, p_col, q_col, shift, n0)
     if found is None:
         raise RuntimeError(

@@ -11,10 +11,10 @@ beta^k l_i.  Central patches, return vectors and subtile offsets are
 computed on integer coordinates over one denominator (TilingSystem.den),
 where multiplication by beta is an integer matrix.  Control points are
 points of Q(beta) held as (D, v): sum_k v_k beta^k / D with v an integer
-vector and D > 0 in lowest terms, the form overlap-class keys use too; they
-are solved with integer adjugates and become field elements only for
-output (ControlPoints.c).  Signs are decided by a proven float enclosure,
-else exactly in Q(beta).
+vector and D > 0 in lowest terms, the form of field elements and of
+overlap-class keys; they are solved with integer adjugates.  Every sign is
+decided by NumberField.compare on points that carry their proven float
+enclosure.
 """
 
 from __future__ import annotations
@@ -25,11 +25,11 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
-from math import gcd, lcm
+from math import lcm
 from operator import add, neg
 
 from .algebra import adjugate, mat_mul, mat_vec
-from .numberfield import AlgebraicReal, IntEnclosure, NumberField
+from .numberfield import AlgebraicReal, NumberField, combine, reduced
 from .substitution import (
     Substitution,
     SubstitutionError,
@@ -61,7 +61,6 @@ class TilingSystem:
         self.seed_power, self.seed_left, self.seed_right = fixed_point_seed(s)
         self._central_cache: tuple[AlgebraicReal, Patch] | None = None
         self._overlap_closure = None  # overlap.OverlapClosure, made on first use
-        self._enclosures: dict[int, IntEnclosure] = {}
         self._offsets: dict[int, tuple] = {}
         self._solvers: dict[tuple[int, int], tuple] = {}
         self._control_points: dict[tuple, tuple] = {}  # see solve_control_points
@@ -74,28 +73,15 @@ class TilingSystem:
         combination of lower powers), so positions, differences and shifts
         of the fixed tiling all have integer coordinates.
 
-        - beta_matrix: multiplication by beta, the integer companion matrix
-          (column convention: beta * v = beta_matrix v).
+        - beta_matrix: multiplication by beta, the field's integer companion
+          matrix (column convention: beta * v = beta_matrix v).
         - length_coords[i]: the coordinates of l_(i+1).
         - prefix_offsets: subtile_offsets(1).
-        - floats: the proven float enclosure of an integer vector.
         """
-        d, mp = self.field.degree, self.field.min_poly
-        self.den = lcm(*(c.denominator for l in self.lengths for c in l.coeffs))
-        self.beta_matrix = tuple(
-            tuple((1 if j == i - 1 else 0) - (mp[i] if j == d - 1 else 0) for j in range(d))
-            for i in range(d)
-        )
+        self.den = lcm(*(l.den for l in self.lengths))
+        self.beta_matrix = self.field.beta_matrix
         self.length_coords = tuple(self.coords(l) for l in self.lengths)
         self.prefix_offsets = self.subtile_offsets(1)
-        self.floats = self.enclosure(self.den)
-
-    def enclosure(self, den: int) -> IntEnclosure:
-        """The proven float enclosure of integer vectors over den, kept per den."""
-        enc = self._enclosures.get(den)
-        if enc is None:
-            enc = self._enclosures[den] = IntEnclosure(self.field, den)
-        return enc
 
     def subtile_offsets(self, n: int) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]:
         """Per color i, (letter, offset) for each tile of sigma^n(i), the
@@ -114,38 +100,20 @@ class TilingSystem:
         return out
 
     def coords(self, x: AlgebraicReal) -> tuple[int, ...]:
-        """Integer coordinates of x over den; ValueError if x has none."""
-        out = []
-        for c in x.coeffs:
-            q, r = divmod(c.numerator * self.den, c.denominator)
-            if r:
-                raise ValueError(f"{x} has no integer coordinates over {self.den}")
-            out.append(q)
-        return tuple(out)
+        """Integer coordinates of x over den; ValueError if x has none
+        (x = v / D in lowest terms has them iff D divides den)."""
+        q, r = divmod(self.den, x.den)
+        if r:
+            raise ValueError(f"{x} has no integer coordinates over {self.den}")
+        return tuple(q * c for c in x.v)
 
     def point(self, v, den: int | None = None) -> AlgebraicReal:
         """The field element with integer coordinates v over den (by
         default self.den)."""
-        den = den or self.den
-        return AlgebraicReal(self.field, tuple(Fraction(c, den) for c in v))
+        return self.field.point(den or self.den, v)
 
     def times_beta(self, v) -> tuple[int, ...]:
         return mat_vec(self.beta_matrix, v)
-
-    def compare(self, v, x: AlgebraicReal) -> int:
-        """sign(point(v) - x), from the proven float enclosures when they
-        separate the two, else exactly.
-
-        With |point(v) - mv| <= ev and |x - mx| <= ex, the float difference
-        diff = fl(mv - mx) is within ev + ex + u|diff| of point(v) - x, so
-        |diff| > 2(ev + ex) (computed with two roundings) fixes the sign.
-        """
-        mv, ev = self.floats(v)
-        mx, ex = x._approx()
-        diff = mv - mx
-        if abs(diff) > 2 * (ev + ex):
-            return 1 if diff > 0 else -1
-        return (self.point(v) - x).sign()
 
     def times_beta_power(self, v, e: int) -> tuple[int, ...]:
         for _ in range(e):
@@ -167,40 +135,14 @@ class TilingSystem:
             out = self._solvers[(e, t)] = adjugate(P)
         return out
 
-    def compare_points(self, x, y) -> int:
-        """sign(x - y) for points (D, v, mid, err) with |v / D - mid| <= err,
-        from the floats when they separate the two, else exactly (as in
-        compare)."""
-        (dx, vx, mx, ex), (dy, vy, my, ey) = x, y
-        diff = mx - my
-        if abs(diff) > 2 * (ex + ey):
-            return 1 if diff > 0 else -1
-        den, w = combine((dx, vx), (dy, vy), -1)
-        return self.point(w, den).sign() if any(w) else 0
-
     def length(self, color: int) -> AlgebraicReal:
         return self.lengths[color - 1]
-
-    def end(self, t: Tile) -> AlgebraicReal:
-        return t.pos + self.length(t.color)
 
     def support_length(self, p: Patch) -> AlgebraicReal:
         total = self.field.zero()
         for t in p.tiles:
             total = total + self.length(t.color)
         return total
-
-    def check_disjoint(self, p: Patch) -> bool:
-        """Exact pairwise-disjoint-interior test for a patch."""
-        tiles = sorted(p.tiles, key=lambda t: float(t.pos))
-        for a, b in zip(tiles, tiles[1:]):
-            if (self.end(a) - b.pos).sign() > 0:
-                # Float pre-sort can misorder near-equal positions; re-check.
-                if (a.pos - b.pos).sign() > 0:
-                    a, b = b, a
-                if (self.end(a) - b.pos).sign() > 0:
-                    return False
-        return True
 
     # -- inflation -----------------------------------------------------------
 
@@ -240,16 +182,20 @@ class TilingSystem:
         if self._central_cache is not None and self._central_cache[0] == radius:
             return self._central_cache[1]
         self._central_cache = None  # let the last patch go before a larger one is built
-        lc = self.length_coords
+        lc, den = self.length_coords, self.den
+        compare, enclosed = self.field.compare, self.field.enclosed
         a, b = self.seed_left, self.seed_right
         tiles = [(a, tuple(-c for c in lc[a - 1])), (b, (0,) * self.field.degree)]
-        left = -radius
+        left, right = (-radius).enclosed(), radius.enclosed()
+
+        def start(i):
+            return enclosed(den, tiles[i][1])
 
         def end(i):
             color, v = tiles[i]
-            return tuple(map(add, v, lc[color - 1]))
+            return enclosed(den, tuple(map(add, v, lc[color - 1])))
 
-        while self.compare(tiles[0][1], left) > 0 or self.compare(end(-1), radius) < 0:
+        while compare(start(0), left) > 0 or compare(end(-1), right) < 0:
             for _ in range(self.seed_power):
                 tiles = [
                     (c, tuple(map(add, bv, off)))
@@ -263,8 +209,8 @@ class TilingSystem:
         # window are one run: from the first ending at or right of -radius
         # to the last starting at or left of radius.
         idx = range(len(tiles))
-        first = bisect_left(idx, True, key=lambda i: self.compare(end(i), left) >= 0)
-        stop = bisect_left(idx, True, key=lambda i: self.compare(tiles[i][1], radius) > 0)
+        first = bisect_left(idx, True, key=lambda i: compare(end(i), left) >= 0)
+        stop = bisect_left(idx, True, key=lambda i: compare(start(i), right) > 0)
         patch = Patch(tuple(Tile(c, self.point(v)) for c, v in tiles[first:stop]))
         self._central_cache = (radius, patch)
         return patch
@@ -332,10 +278,10 @@ class ModuleVectors(Sequence):
     def __init__(self, system: TilingSystem, packing: Packing, packed: list[int],
                  coord_bound: int):
         """packed: distinct packed vectors, a list that is sorted in place."""
-        enclose, unpack = system.floats, packing.unpack
+        enclose, unpack, den = system.field.floats, packing.unpack, system.den
 
         def value(p):
-            return enclose(unpack(p))[0]
+            return enclose(unpack(p), den)[0]
 
         # Computing the midpoints twice keeps no (midpoint, int) pairs alive.
         packed.sort(key=value)
@@ -345,7 +291,7 @@ class ModuleVectors(Sequence):
         except OverflowError:
             self.packed = packed
         self.packing, self.coord_bound = packing, coord_bound
-        self.err = system.floats.bound(coord_bound)
+        self.err = system.field.floats.bound(coord_bound, den)
 
     @classmethod
     def of(cls, system: TilingSystem, vectors, bound: int = 0) -> ModuleVectors:
@@ -388,10 +334,7 @@ class ControlPoints:
 
     @cached_property
     def c(self) -> tuple[AlgebraicReal, ...]:
-        return tuple(
-            AlgebraicReal(self.number_field, tuple(Fraction(x, den) for x in v))
-            for den, v in self.points
-        )
+        return tuple(AlgebraicReal(self.number_field, den, v) for den, v in self.points)
 
 
 class TileMapError(ValueError):
@@ -415,29 +358,6 @@ def _targets(system: TilingSystem, tm: TileMap):
 def tile_map_targets(system: TilingSystem, tm: TileMap):
     """Per color i: (j_i, u_i) = color and exact offset of the chosen subtile."""
     return [(j, system.point(u)) for j, u in _targets(system, tm)]
-
-
-def reduced(den: int, v) -> tuple[int, tuple[int, ...]]:
-    """(D, w) with w / D = v / den, D > 0 and gcd(D, w) = 1."""
-    g = gcd(den, *v)
-    if den < 0:
-        g = -g
-    return den // g, tuple(c // g for c in v)
-
-
-def combine(x, y, sign: int = 1) -> tuple[int, tuple[int, ...]]:
-    """x + sign * y for points (D, v), in lowest terms."""
-    (dx, vx), (dy, vy) = x, y
-    den = lcm(dx, dy)
-    fx, fy = den // dx, sign * (den // dy)
-    return reduced(den, tuple(a * fx + b * fy for a, b in zip(vx, vy)))
-
-
-def int_point(x: AlgebraicReal) -> tuple[int, tuple[int, ...]]:
-    """The field element x as a point (D, v) in lowest terms: D is the lcm
-    of the denominators of its coordinates."""
-    den = lcm(*(q.denominator for q in x.coeffs))
-    return den, tuple(q.numerator * (den // q.denominator) for q in x.coeffs)
 
 
 def solve_control_points(system: TilingSystem, tm: TileMap) -> ControlPoints:
@@ -478,19 +398,15 @@ def solve_control_points(system: TilingSystem, tm: TileMap) -> ControlPoints:
             ends = [(c[0], tuple(map(neg, c[1]))),
                     combine((den, system.length_coords[i]), c, -1)]
             out = system._control_points[key] = (c, *(
-                (d, v, *system.enclosure(d)(v)) for d, v in ends))
+                system.field.enclosed(d, v) for d, v in ends))
         return out
 
     points = [point(i) for i in range(system.substitution.m)]
     # Admissible: the shifted supports [-c_i, l_i - c_i] share an interior
     # point.  The ends are kept with their points, so their float
     # enclosures are reused across tile maps.
-    order = cmp_to_key(system.compare_points)
+    compare = system.field.compare
+    order = cmp_to_key(compare)
     lo = max((p[1] for p in points), key=order)
     hi = min((p[2] for p in points), key=order)
-    return ControlPoints(tuple(p[0] for p in points), tm,
-                         system.compare_points(hi, lo) > 0, system.field)
-
-
-def admissible(cp: ControlPoints) -> bool:
-    return cp.admissible
+    return ControlPoints(tuple(p[0] for p in points), tm, compare(hi, lo) > 0, system.field)

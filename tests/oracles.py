@@ -11,7 +11,9 @@ with sympy's factorization and root isolation; group_G_reference builds the
 translation module from the return vectors of a central patch,
 control_points_reference solves the control points in field elements, and
 descendant_reference finds a self-equivalent descendant among inflated
-field-element tiles.
+field-element tiles.  RationalField is the arithmetic of Q(beta) on vectors
+of Fractions, the reference for the library's integer vectors over a
+denominator.
 """
 
 from __future__ import annotations
@@ -164,6 +166,20 @@ def pair_closure(inflate, start):
     return "exhausted", None, tuple(seen[k].label() for k in sorted(seen))
 
 
+def _end(system, t):
+    """The right end of the support of the field-element tile t."""
+    return t.pos + system.length(t.color)
+
+
+def tiles_disjoint(system, patch) -> bool:
+    """Whether the tiles of the patch have pairwise disjoint interiors, by
+    an exact test of every pair."""
+    return all(
+        (_end(system, a) - b.pos).sign() <= 0 or (_end(system, b) - a.pos).sign() <= 0
+        for k, a in enumerate(patch.tiles) for b in patch.tiles[k + 1:]
+    )
+
+
 def central_patch_reference(system, radius):
     """The central patch of the given radius by inflation of field-element
     tiles (TilingSystem.inflate_patch) and a sign test per tile."""
@@ -174,12 +190,12 @@ def central_patch_reference(system, radius):
     while True:
         first = min(patch.tiles, key=lambda t: float(t.pos))
         last = max(patch.tiles, key=lambda t: float(t.pos))
-        if (first.pos + radius).sign() <= 0 and (system.end(last) - radius).sign() >= 0:
+        if (first.pos + radius).sign() <= 0 and (_end(system, last) - radius).sign() >= 0:
             break
         patch = system.inflate_patch(patch, system.seed_power)
     return Patch(tuple(
         t for t in patch.tiles
-        if (t.pos - radius).sign() <= 0 and (system.end(t) + radius).sign() >= 0
+        if (t.pos - radius).sign() <= 0 and (_end(system, t) + radius).sign() >= 0
     ))
 
 
@@ -194,7 +210,7 @@ def inflate_children(system, c):
     counts, objs = {}, {}
     for a in upatch.tiles:
         for b in vpatch.tiles:
-            if (system.end(b) - a.pos).sign() > 0 and (system.end(a) - b.pos).sign() > 0:
+            if (_end(system, b) - a.pos).sign() > 0 and (_end(system, a) - b.pos).sign() > 0:
                 child = OverlapClass(a.color, b.color, b.pos - a.pos)
                 counts[child.key()] = counts.get(child.key(), 0) + 1
                 objs.setdefault(child.key(), child)
@@ -314,3 +330,127 @@ def descendant_reference(system, c, n):
                 if b.color == c.color_v and b.pos - a.pos == c.shift:
                     return ka, kb
     return None
+
+
+def _trim(p):
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _pdivmod(a, b):
+    """(quotient, remainder) of a by a nonzero b over Q."""
+    a = [Fraction(c) for c in a]
+    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    while len(a) >= len(b):
+        k = len(a) - len(b)
+        f = a[-1] / b[-1]
+        q[k] = f
+        for i, c in enumerate(b):
+            a[k + i] -= f * c
+        _trim(a)
+    return q, a
+
+
+def _pmul(a, b):
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, c in enumerate(a):
+        for j, e in enumerate(b):
+            out[i + j] += c * e
+    return _trim(out)
+
+
+def _psub(a, b):
+    out = [Fraction(0)] * max(len(a), len(b))
+    for i, c in enumerate(a):
+        out[i] += c
+    for i, c in enumerate(b):
+        out[i] -= c
+    return _trim(out)
+
+
+class RationalField:
+    """Q(beta) on tuples of Fractions in the power basis: sums coordinate by
+    coordinate, products reduced by a power table of Fractions, inverses by
+    the extended Euclid algorithm with the minimal polynomial, signs and
+    floats by rational interval evaluation on its own bisection of the
+    isolating interval, no floats involved."""
+
+    def __init__(self, min_poly, lo, hi):
+        self.min_poly = tuple(min_poly)
+        d = self.degree = len(min_poly) - 1
+        self.lo, self.hi = Fraction(lo), Fraction(hi)
+        cur = [Fraction(-c) for c in min_poly[:d]]  # beta^d
+        self.pow_table = [tuple(cur)]
+        for _ in range(d - 1):
+            top = cur[-1]
+            cur = [s + top * t for s, t in zip([Fraction(0)] + cur[:-1], self.pow_table[0])]
+            self.pow_table.append(tuple(cur))
+
+    def add(self, a, b):
+        return tuple(x + y for x, y in zip(a, b))
+
+    def sub(self, a, b):
+        return tuple(x - y for x, y in zip(a, b))
+
+    def mul(self, a, b):
+        d = self.degree
+        raw = [Fraction(0)] * (2 * d - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                raw[i + j] += x * y
+        out = raw[:d]
+        for c, row in zip(raw[d:], self.pow_table):
+            for i in range(d):
+                out[i] += c * row[i]
+        return tuple(out)
+
+    def inverse(self, a):
+        r0, r1 = [Fraction(c) for c in self.min_poly], _trim(list(a))
+        s0, s1 = [Fraction(0)], [Fraction(1)]
+        while r1:
+            q, r = _pdivmod(r0, r1)
+            r0, r1 = r1, r
+            s0, s1 = s1, _psub(s0, _pmul(q, s1))
+        inv = [c / r0[0] for c in s0][: self.degree]  # r0 is a nonzero constant
+        return tuple(inv + [Fraction(0)] * (self.degree - len(inv)))
+
+    def pow(self, a, n):
+        if n < 0:
+            return self.pow(self.inverse(a), -n)
+        out = (Fraction(1),) + (Fraction(0),) * (self.degree - 1)
+        for _ in range(n):
+            out = self.mul(out, a)
+        return out
+
+    def _refine(self):
+        mid = (self.lo + self.hi) / 2
+        at = sum(c * mid**k for k, c in enumerate(self.min_poly))
+        at_lo = sum(c * self.lo**k for k, c in enumerate(self.min_poly))
+        if at == 0:  # a rational root: degree 1
+            self.lo, self.hi = mid - (self.hi - self.lo) / 4, mid + (self.hi - self.lo) / 4
+        elif (at > 0) == (at_lo > 0):
+            self.lo = mid
+        else:
+            self.hi = mid
+
+    def _enclosures(self, a):
+        """Interval evaluations of a on ever narrower intervals of beta."""
+        while True:
+            lo = hi = Fraction(0)
+            for c in reversed(a):
+                products = (lo * self.lo, lo * self.hi, hi * self.lo, hi * self.hi)
+                lo, hi = min(products) + c, max(products) + c
+            yield lo, hi
+            self._refine()
+
+    def sign(self, a):
+        if not any(a):
+            return 0
+        return next(1 if lo > 0 else -1 for lo, hi in self._enclosures(a) if lo > 0 or hi < 0)
+
+    def float(self, a):
+        if not any(a):
+            return 0.0
+        return next(float((lo + hi) / 2) for lo, hi in self._enclosures(a)
+                    if (lo > 0 or hi < 0) and hi - lo <= min(abs(lo), abs(hi)) / 2**60)

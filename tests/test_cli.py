@@ -158,6 +158,8 @@ def test_parse_failure_exit_two(tmp_path, capsys):
     ["overlaps", str(FIB), "--cap-maps", "-1"],
     ["analyze", '{"alphabet": ["1"], "rules": {"1": ["1"]}}'],  # beta = 1 is not Pisot
     ["analyze", '{"alphabet": ["1", "2"], "rules": {"1": ["2", "2"], "2": ["1", "2", "2", "1"]}}'],
+    ["analyze", str(CORPUS)],  # a directory
+    ["analyze", str(CORPUS.parents[2] / "README.md")],  # a file that is not JSON
 ])
 def test_input_errors_exit_two(argv, capsys):
     try:
@@ -173,11 +175,21 @@ def test_cap_failure_exit_three(capsys):
     assert "cap" in capsys.readouterr().err
 
 
-def test_level_cap_exit_three(monkeypatch, capsys):
-    level_n = cli.compute_level_n
-    monkeypatch.setattr(cli, "compute_level_n", lambda g: level_n(g, cap=0))
-    assert main(["analyze", str(TM)]) == 3
-    assert "closed-walk" in capsys.readouterr().err
+def test_long_inline_json_is_parsed(capsys):
+    # Inline JSON longer than a file name may be: parsed, not looked up as
+    # a path, with the report of the corpus file.
+    data = json.loads(FIB.read_text())
+    data["metadata"]["name"] = "f" * 300
+    text = json.dumps(data)
+    assert len(text.encode()) > 255
+
+    def report(source):
+        assert main(["analyze", source]) == 0
+        out = json.loads(capsys.readouterr().out)
+        del out["timings"]
+        return out
+
+    assert report(text) == report(str(FIB))
 
 
 def test_analyze_inflates_each_class_once(monkeypatch, capsys):
@@ -275,6 +287,12 @@ GOLDEN = [
     (["analyze", "s112"], "bf49ad0198e23eef68c7049c2d1adc0d4f04900d590758931684fa07f79e16ac"),
     (["analyze", "1->231,2->323,3->13"],
      "9750e37a179208431fbaa5b50d105fc6c62f62cd843e31f916d4f9db35a2fa44"),
+    # DOT and JSON with irrational shifts, printed from rational coordinates.
+    (["overlaps", "fibonacci"], "b0ec0427e15486bc04d6b243f0ac485215e050286fa57a572e8f53749b5fb7fb"),
+    (["overlaps", "thue_morse"], "e34b5800c8e5bd2749d184967fcddd4c265ac1513d48506bef5b2ed72ce85c00"),
+    (["overlaps", "s112"], "92024a3fb6a8acb6ea055720fba7e7a3d9179c0292b3c43f4d3ce5c64c0ac65f"),
+    (["overlaps", "1->231,2->323,3->13"],
+     "e0109e1b4257f8314a39fc2df404c5734c534e37195ee2040366bbf31d6d7224"),
 ]
 
 
@@ -282,7 +300,8 @@ GOLDEN = [
 def test_golden_output(argv, digest, capsys):
     # The sha256 of stdout as it read before control points moved to
     # integer vectors (for analyze, with "timings" dropped and the report
-    # written again as the CLI writes it).
+    # written again as the CLI writes it); for overlaps, as it read before
+    # field elements moved to integer vectors over a denominator.
     name = argv[1]
     if "->" in name:
         rules = CUBIC_RULES[name][1]

@@ -9,8 +9,10 @@ import pytest
 
 from sympy import Poly, Symbol
 
-from pisotile import NumberField, fast_cmp, is_pisot
-from pisotile.numberfield import IntEnclosure, _cubic_discriminant
+from conftest import CORPUS_RULES, CUBIC_RULES
+from oracles import RationalField
+from pisotile import NumberField, Substitution, fast_cmp, is_pisot, perron_data
+from pisotile.numberfield import _cubic_discriminant
 
 _X = Symbol("x")
 
@@ -158,29 +160,91 @@ def test_fast_path_adversarial(poly, interval):
         fresh = float(x)
         assert x.sign() == 1
         assert fresh == float(x) == 1.0
-    abstained = int_abstained = 0
+    abstained = 0
     for a, b in _adversarial_pairs(field, random.Random(17)):
         for x in (a, b, a - b):
             expected, value = _reference(field, x)
-            mid, err = field._float_enclosure(x.coeffs)
+            # The field's one enclosure, on the element's (D, v).
+            mid, err = field.floats(x.v, x.den)
             if err == float("inf"):
                 abstained += 1
             else:
+                assert max(map(abs, x.v)) < 2**1024 and x.den < 2**1024
                 with mpmath.workdps(60):
                     assert abs(value - mid) <= err
+            assert x.sign() == expected
             assert field.element(x.coeffs).sign() == expected
-            # The same element as an integer vector over its denominators' lcm.
-            den = math.lcm(*(c.denominator for c in x.coeffs))
-            v = [int(c * den) for c in x.coeffs]
-            mid, err = IntEnclosure(field, den)(v)
-            if err == float("inf"):
-                int_abstained += 1
-            else:
-                assert max(map(abs, v)) < 2**1024
-                with mpmath.workdps(60):
-                    assert abs(value - mid) <= err
         assert fast_cmp(a, b) == _reference(field, a - b)[0]
-    assert abstained and int_abstained
+    assert abstained
+
+
+ROADMAP_RULES = [((2,), (3,), (1, 2)), ((1, 1, 1, 2), (1, 2)), ((2, 3, 1), (1, 2), (2,)),
+                 ((1, 3, 2), (3, 3), (3, 1))]
+QUARTIC_RULES = ((1, 3, 4, 4), (2, 1, 2), (2, 2, 4, 1), (2,))  # a unit of degree 4
+
+
+def _rational(rng, kind):
+    """A random coordinate: small, a huge numerator over a huge
+    denominator, or of subnormal size."""
+    if kind == "mixed":
+        kind = rng.choice(("small", "huge", "tiny"))
+    if kind == "small":
+        return Fraction(rng.randint(-30, 30), rng.randint(1, 9))
+    if kind == "huge":
+        return Fraction(rng.randint(-10**400, 10**400), rng.randint(10**395, 10**396))
+    return Fraction(rng.randint(-50, 50), 2**1070 * rng.randint(1, 9))
+
+
+def _float_or_overflow(f, x):
+    try:
+        return f(x)
+    except OverflowError:
+        return "overflow"
+
+
+def test_arithmetic_matches_fraction_reference():
+    # Integer vectors over a denominator against the Fraction-vector
+    # arithmetic of tests/oracles.py, on the fields of the corpus, the
+    # cubic-closure and ROADMAP inputs and a quartic: sums, products,
+    # inverses, powers, signs, floats, equality and hashing.
+    rule_sets = [rules for _, rules in CORPUS_RULES.values()]
+    rule_sets += [rules for _, rules in CUBIC_RULES.values()] + ROADMAP_RULES + [QUARTIC_RULES]
+    fields = {}
+    for rules in rule_sets:
+        field = perron_data(Substitution(len(rules), rules))[0]
+        fields.setdefault(field.min_poly, field)
+    assert sorted({f.degree for f in fields.values()}) == [1, 2, 3, 4]
+    rng = random.Random(23)
+    for field in fields.values():
+        lo, hi = field.enclosure(Fraction(1, 2**80))
+        ref = RationalField(field.min_poly, lo, hi)
+        for trial in range(8):
+            kind = ("small", "huge", "tiny", "mixed")[trial % 4]
+            ac, bc = (tuple(_rational(rng, kind) for _ in range(field.degree)) for _ in "ab")
+            a, b = field.element(ac), field.element(bc)
+            assert (a.coeffs, b.coeffs) == (ac, bc)
+            assert math.gcd(a.den, *a.v) == 1 and a.den > 0
+            assert (a + b).coeffs == ref.add(ac, bc)
+            assert (a - b).coeffs == ref.sub(ac, bc)
+            assert (a * b).coeffs == ref.mul(ac, bc)
+            for n in (-2, -1, 0, 1, 3) if kind == "small" else (-1, 2):
+                if n >= 0 or any(ac):
+                    assert (a**n).coeffs == ref.pow(ac, n), (kind, n)
+            if any(bc):
+                assert (a / b).coeffs == ref.mul(ac, ref.inverse(bc))
+            for x, xc in ((a, ac), (a - b, ref.sub(ac, bc)), (a * b, ref.mul(ac, bc))):
+                assert x.sign() == ref.sign(xc)
+                got, want = _float_or_overflow(float, x), _float_or_overflow(ref.float, xc)
+                if "overflow" in (got, want):
+                    assert got == want
+                else:
+                    assert abs(got - want) <= abs(want) * 2**-39 + 2**-1074
+            # Equal elements made apart are equal and hash alike.
+            again = (a + b) - b
+            assert again == a and hash(again) == hash(a) and again is not a
+            assert (a == b) == (ac == bc)
+            assert len({a, again, field.element(ac)}) == 1
+            assert a + 1 != a and a == field.element(list(ac))
 
 
 def test_comparison_operators(golden):

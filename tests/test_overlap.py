@@ -19,9 +19,7 @@ from pisotile import (
     expansive_sccs,
     inflate_class,
     compute_level_n,
-    make_class,
     multiple_strong_coincidence,
-    overlap,
     overlap_coincidence,
     seed_overlaps,
     stable_overlap_graph,
@@ -29,7 +27,7 @@ from pisotile import (
     to_dot,
     Tile,
 )
-from pisotile.overlap import OverlapClosure, class_key, overlap_closure
+from pisotile.overlap import OverlapClosure, overlap_closure
 
 
 @pytest.fixture(scope="module")
@@ -42,17 +40,14 @@ def tm():
     return TilingSystem(Substitution(2, ((1, 2), (2, 1))))
 
 
-def test_make_class(fib):
-    c = make_class(fib, 1, 1, fib.field.zero())
-    assert c.is_coincidence
-    c2 = make_class(fib, 1, 2, fib.field.one())
-    assert not c2.is_coincidence
-    with pytest.raises(ValueError):
-        make_class(fib, 2, 2, fib.field.from_rational(2))  # disjoint supports
+def class_key(c):
+    """The closure's key (i, j, D, v) of the class c: its shift's (D, v)."""
+    return (c.color_u, c.color_v, c.shift.den, c.shift.v)
 
 
 def test_inflate_class_coincidence(fib):
-    c = make_class(fib, 1, 1, fib.field.zero())
+    c = OverlapClass(1, 1, fib.field.zero())
+    assert c.is_coincidence
     children = inflate_class(fib, c)
     assert all(ch.is_coincidence for ch in children)
     assert sum(children.values()) == 2  # the two subtiles of sigma(1)
@@ -282,7 +277,10 @@ def _touching_pairs(system, c):
     """Subtile pairs of the inflated class c whose tiles meet in one point."""
     upatch = system.inflate(Tile(c.color_u, system.field.zero()))
     vpatch = system.inflate(Tile(c.color_v, c.shift))
-    return sum((system.end(b) - a.pos).is_zero() or (system.end(a) - b.pos).is_zero()
+    def end(t):
+        return t.pos + system.length(t.color)
+
+    return sum((end(b) - a.pos).is_zero() or (end(a) - b.pos).is_zero()
                for a in upatch.tiles for b in vpatch.tiles)
 
 
@@ -324,22 +322,20 @@ def test_int_inflation_equals_field_inflation(name, pipeline):
 
 
 def test_int_inflation_exact_fallback(monkeypatch, pipeline):
-    # With every float enclosure abstaining, the zero test and the exact
-    # sign decide each pair alone, and give the same children.
-    class Abstain:
-        def __init__(self, field, den):
-            pass
-
-        def __call__(self, v):
-            return 0.0, math.inf
+    # With the field's float enclosure abstaining, the exact sign of
+    # NumberField.compare decides each pair alone (0 for tiles that touch),
+    # and gives the same children.
+    def abstain(v, den=1):
+        return 0.0, math.inf
 
     for name in ("tribonacci", "1->231,2->323,3->13"):
         system, closure = _closure_of_analyze(name, pipeline)
         classes = [closure.overlap_class(i) for i in range(0, len(closure.keys), 7)]
-        monkeypatch.setattr(overlap, "IntEnclosure", Abstain)
+        expected = [_field_children(system, c) for c in classes]
+        monkeypatch.setattr(system.field, "floats", abstain)
         closure = OverlapClosure(system)
-        for c in classes:
-            assert closure._inflate(class_key(c)) == _field_children(system, c), c.label()
+        for c, children in zip(classes, expected):
+            assert closure._inflate(class_key(c)) == children, c.label()
         monkeypatch.undo()
 
 

@@ -11,7 +11,6 @@ from sympy import Matrix, factorint
 from conftest import CORPUS_RULES, CUBIC_RULES
 from oracles import descendant_reference, group_G_reference, pair_closure
 from pisotile import (
-    CapExceededError,
     EnumerationCapError,
     NotPisotError,
     OverlapClass,
@@ -32,7 +31,6 @@ from pisotile import (
     strong_coincidence,
     stuck_scc_indices,
 )
-from pisotile.overlap import class_key
 from pisotile.strongcoin import _descendant
 from pisotile.substitution import matrix
 
@@ -163,10 +161,68 @@ def test_compute_level_n(fib, tm):
     assert compute_level_n(g3) == 3
 
 
-def test_compute_level_n_cap(fib):
-    g2 = _synthetic_graph(fib, [(0, 1), (1, 0)], [fib.field.one(), -fib.field.one()])
-    with pytest.raises(CapExceededError):
-        compute_level_n(g2, cap=1)
+def _closed_walk_loop(g):
+    """The least n0 by trying n0 = 1, 2, ... on the boolean powers of every
+    stuck SCC's matrix: the search compute_level_n made before it was
+    bounded by periods and Wielandt's theorem."""
+    from pisotile.strongcoin import _bool_mul, stuck_scc_matrices
+
+    mats = [[[w > 0 for w in row] for row in mat] for _, mat in stuck_scc_matrices(g)]
+    powers = mats
+    for n0 in range(1, 10**4 + 1):
+        if all(all(p[i][i] for i in range(len(p))) for p in powers):
+            return n0
+        powers = [_bool_mul(p, m) for p, m in zip(powers, mats)]
+    raise AssertionError("no common closed-walk length up to 10^4")
+
+
+def _periodic_case(rng):
+    """A random strongly connected graph whose period is a multiple of
+    p = 2..4: a ring through n = p t vertices in layers k mod p, with more
+    edges only from each layer to the next."""
+    p = rng.randint(2, 4)
+    n = p * rng.randint(1, 4)
+    edges = {(k, (k + 1) % n) for k in range(n)}
+    for _ in range(rng.randint(0, 2 * n)):
+        u, v = rng.randrange(n), rng.randrange(n)
+        if v % p == (u + 1) % p:
+            edges.add((u, v))
+    return n, edges
+
+
+def test_level_search_equals_closed_walk_loop(fib):
+    # The period-and-Wielandt search against the plain loop: on the 2- and
+    # 3-cycles of test_compute_level_n, and on graphs made of several stuck
+    # SCCs (random_case of test_graphkit, and graphs of period 2-4), joined
+    # by one-way edges and a few vertices on no cycle.
+    from test_graphkit import random_case
+
+    one = fib.field.one()
+    assert _closed_walk_loop(_synthetic_graph(fib, [(0, 1), (1, 0)], [one, -one])) == 2
+    g3 = _synthetic_graph(fib, [(0, 1), (1, 2), (2, 0)], [one, -one, fib.beta])
+    assert compute_level_n(g3) == _closed_walk_loop(g3) == 3
+    rng = random.Random(31)
+    levels = set()
+    for _ in range(60):
+        edges, size = {}, 0
+        parts = []
+        for _ in range(rng.randint(1, 3)):
+            if rng.random() < 0.5:
+                g, _ = random_case(rng)
+                n, part = g.n, {(u, v) for u, v, _ in g.edges}
+            else:
+                n, part = _periodic_case(rng)
+            parts.append(range(size, size + n))
+            edges.update({(u + size, v + size): 1 for u, v in part})
+            size += n
+        for a, b in zip(parts, parts[1:]):  # one way: the SCCs stay apart
+            edges[(rng.choice(a), rng.choice(b))] = 1
+        edges[(size, rng.randrange(size))] = 1  # a vertex on no cycle
+        g = _synthetic_graph(fib, edges, [one] * (size + 1))
+        n0 = compute_level_n(g)
+        assert n0 == _closed_walk_loop(g)
+        levels.add(n0)
+    assert len(levels) >= 4
 
 
 @pytest.mark.parametrize("name, n", [
@@ -210,7 +266,7 @@ def test_descendant_matches_tile_scan():
         g, _ = stable_overlap_graph(system)
         for c in [c for c in g.vertices if c.color_u != c.color_v][:40]:
             for n in (1, 2, 3):
-                got = _descendant(system, c.color_u, c.color_v, class_key(c)[2:], n)
+                got = _descendant(system, c.color_u, c.color_v, (c.shift.den, c.shift.v), n)
                 assert got == descendant_reference(system, c, n), (name, c.label(), n)
                 found.add((got is not None, c.shift.is_zero()))
     assert {(True, True), (True, False), (False, False)} <= found
