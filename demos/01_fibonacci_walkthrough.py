@@ -26,9 +26,12 @@ print(f"beta ~ {float(system.beta):.6f}")
 print(f"tile lengths: {[str(l) for l in system.lengths]}")
 
 patch = system.central_patch(8)
-print(f"\ncentral patch of radius 8: {len(patch.tiles)} tiles")
-row = sorted(patch.tiles, key=lambda t: float(t.pos))
-print("colors:", "".join(str(t.color) for t in row))
+print(f"\ncentral patch of radius 8: {len(patch.tiles)} tiles, left to right")
+print("colors:", "".join(str(color) for color, _ in patch.tiles))
+# Each tile is (color, v): v holds the integer coordinates of its start over
+# system.den, and system.point(v) is that start as an exact field element.
+for color, v in patch.tiles[:4]:
+    print(f"  color {color} starts at {system.point(v)} ~ {float(system.point(v)):.4f}")
 
 graph, radius = stable_overlap_graph(system)
 print(f"\noverlap graph: {len(graph.vertices)} classes at stable radius {float(radius):.1f}")

@@ -19,11 +19,9 @@ from .tiling import (
     ControlPoints,
     ModuleVectors,
     Patch,
-    Tile,
     TileMap,
     TilingSystem,
     solve_control_points,
-    tile_map_targets,
 )
 from .overlap import (
     CapExceededError,
@@ -51,6 +49,6 @@ from .strongcoin import (
     multiple_strong_coincidence,
     strong_coincidence,
 )
-from .graphkit import Digraph, cycle_extension, perron_equals, reachable_to, scc
+from .graphkit import Digraph, cycle_extension, perron_equals, scc
 
 __version__ = "1.0.0"

@@ -82,6 +82,8 @@ def parse(source) -> tuple[Substitution, list[str], dict]:
     rules = data.get("rules")
     if not isinstance(alphabet, list) or not alphabet:
         raise ParseError("field 'alphabet' must be a nonempty list")
+    if any(isinstance(a, (list, dict)) for a in alphabet):
+        raise ParseError("letters must be strings or numbers")
     if len(set(alphabet)) != len(alphabet):
         raise ParseError("duplicate letters in alphabet")
     if not isinstance(rules, dict):
@@ -95,7 +97,7 @@ def parse(source) -> tuple[Substitution, list[str], dict]:
         if not isinstance(word, list) or not word:
             raise ParseError(f"empty rule for letter {a!r}")
         for b in word:
-            if b not in index:
+            if isinstance(b, (list, dict)) or b not in index:
                 raise ParseError(f"rule for {a!r} uses undeclared letter {b!r}")
         words.append(tuple(index[b] for b in word))
     extra = set(rules) - set(alphabet)
@@ -255,7 +257,11 @@ def cmd_overlaps(args) -> int:
     oc, cert = overlap_coincidence(g)
     dot = to_dot(g, None if oc else cert)
     if args.dot:
-        Path(args.dot).write_text(dot)
+        try:
+            Path(args.dot).write_text(dot)
+        except OSError as e:
+            print(f"error: cannot write {args.dot}: {e.strerror}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(dot)
     summary = {
@@ -302,6 +308,9 @@ def cmd_msc(args) -> int:
 
 def cmd_verify(args) -> int:
     corpus = Path(args.corpus) if args.corpus else Path(__file__).parent / "corpus"
+    if not corpus.is_dir():
+        print(f"error: {corpus} is not a directory", file=sys.stderr)
+        return 2
     files = sorted(corpus.glob("*.json"))
     if not files:
         print(f"warning: no corpus files in {corpus}")
@@ -311,7 +320,7 @@ def cmd_verify(args) -> int:
     for f in files:
         try:
             s, _, meta = parse(f)
-            expected = meta.get("expected")
+            expected = meta.get("expected") if isinstance(meta, dict) else None
             if not isinstance(expected, dict) or "overlap_coincidence" not in expected:
                 raise ParseError("missing or malformed 'metadata.expected'")
             if not isinstance(expected["overlap_coincidence"], bool):

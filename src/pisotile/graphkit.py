@@ -1,4 +1,4 @@
-"""Directed-multigraph algorithms: Tarjan SCCs, reverse reachability,
+"""Directed-multigraph algorithms: Tarjan SCCs, distances into a target set,
 out-degree-1 cycle-extension subgraphs, and exact Perron-root comparison
 against an algebraic target.
 """
@@ -101,22 +101,6 @@ def scc(g: Digraph):
     )
     condensation = Digraph(len(comps), tuple((u, v, 1) for u, v in cond_edges))
     return comps, condensation
-
-
-def reachable_to(g: Digraph, targets) -> set[int]:
-    """Vertices with a (possibly empty) path into targets, by reverse BFS."""
-    pred = g.predecessors()
-    seen = set(targets)
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for u, _ in pred[v]:
-                if u not in seen:
-                    seen.add(u)
-                    nxt.append(u)
-        frontier = nxt
-    return seen
 
 
 def distances_to(g: Digraph, targets) -> dict[int, int]:

@@ -9,10 +9,10 @@ property of the return vectors, enforced here by a vertex cap).  Overlap
 coincidence holds iff every vertex reaches a coincidence vertex.
 
 Each TilingSystem keeps one grow-only OverlapClosure: every class met so far,
-inflated at most once, with each class's shortest distance to a coincidence.
-The overlap graph is the part of it reachable from the seeds, and a strong
-coincidence pair test is a distance lookup in it, so the graph and the pair
-tests share their inflations.
+inflated at most once.  The overlap graph is the part of it reachable from
+the seeds, and a strong coincidence pair test is a breadth-first search in
+it for the nearest coincidence, so the graph and the pair tests share their
+inflations.
 
 The closure holds a class (i, j, t) as the key (i, j, D, v) of its shift
 t = sum_k v_k beta^k / D, the (D, v) of the field element.  beta is an
@@ -29,11 +29,10 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
-from math import inf, lcm
+from math import lcm
 from operator import add, sub
 
-from .graphkit import Digraph, distances_to, reachable_to, scc, perron_equals
+from .graphkit import Digraph, distances_to, scc, perron_equals
 from .numberfield import _U, AlgebraicReal, reduced
 from .tiling import ModuleVectors, Patch, TilingSystem
 
@@ -83,10 +82,8 @@ class OverlapClosure:
     color-j tile at sum_k v_k beta^k / D, with v an integer vector and D > 0
     in lowest terms, so equal shifts meet whichever start they came from.
     Ids index ``keys``; ``children[i]`` holds (child id, multiplicity) pairs
-    once class i is inflated.  A class is closed once every class reachable
-    from it is inflated; distances are read only for closed classes.  Field
-    elements are made only for the classes that leave the closure
-    (overlap_class).
+    once class i is inflated.  Field elements are made only for the classes
+    that leave the closure (overlap_class).
     """
 
     def __init__(self, system: TilingSystem):
@@ -94,7 +91,7 @@ class OverlapClosure:
         self.keys: list[tuple] = []
         self.children: list[tuple[tuple[int, int], ...] | None] = []
         self._index: dict[tuple, int] = {}
-        self._dist: dict[int, int | None] = {}  # of the classes distance() closed
+        self._dist: dict[int, int | None] = {}  # of the starts distance() finished
         self._frames: dict[int, tuple] = {}
         self._classes: dict[int, OverlapClass] = {}
 
@@ -170,60 +167,48 @@ class OverlapClosure:
         # One den': sorting the vectors sorts the shifts' keys.
         return [((a, b, *reduced(den, w)), mult) for (a, b, w), mult in sorted(counts.items())]
 
-    def reach(self, ids, cap: int) -> list[int]:
-        """Ids reachable from ids, in breadth-first discovery order; raises
-        CapExceededError when there are more than cap of them."""
-        order = list(dict.fromkeys(ids))
-        seen = set(order)
-        for i in order:  # grows while it is read: a breadth-first queue
-            for j, _ in self.successors(i):
-                if j not in seen:
-                    seen.add(j)
-                    order.append(j)
-            if len(order) > cap:
+    def _levels(self, ids, cap: int):
+        """Breadth-first levels of the classes reachable from ids: ids, then
+        each level's unseen children in discovery order.  A level is
+        inflated only when the next one is asked for; raises
+        CapExceededError once more than cap classes are seen."""
+        level = list(dict.fromkeys(ids))
+        seen = set(level)
+        while level:
+            yield level
+            nxt = []
+            for k in level:
+                for j, _ in self.successors(k):
+                    if j not in seen:
+                        seen.add(j)
+                        nxt.append(j)
+            if len(seen) > cap:
                 raise CapExceededError(
                     f"overlap closure exceeded vertex cap {cap}; "
                     "either the input is not Meyer or the cap is too small"
                 )
-        return order
+            level = nxt
+
+    def reach(self, ids, cap: int) -> list[int]:
+        """Ids reachable from ids, in breadth-first discovery order; raises
+        CapExceededError when there are more than cap of them."""
+        return [k for level in self._levels(ids, cap) for k in level]
 
     def distance(self, i: int, cap: int) -> int | None:
         """Shortest path length from class i into a coincidence, None when
-        no coincidence is reachable.
+        no coincidence is reachable; raises CapExceededError when the search
+        visits more than cap classes.
 
-        A closed class keeps its distance, since a class inflated later is
-        not reachable from it.  So only the classes this call closes are
-        computed: by Dijkstra over their edges, from their coincidences and
-        from their children of known distance."""
-        if i in self._dist:
-            return self._dist[i]
-        new = [k for k in self.reach([i], cap) if k not in self._dist]
-        preds: dict[int, list[int]] = {k: [] for k in new}
-        best: dict[int, int] = {}
-        for k in new:
-            a, b, _, v = self.keys[k]
-            if a == b and not any(v):
-                best[k] = 0
-                continue
-            for child, _ in self.children[k]:
-                d = self._dist.get(child)
-                if child in preds:
-                    preds[child].append(k)
-                elif d is not None and d + 1 < best.get(k, inf):
-                    best[k] = d + 1
-        heap = [(d, k) for k, d in best.items()]
-        heapify(heap)
-        while heap:
-            d, k = heappop(heap)
-            if k in self._dist:
-                continue
-            self._dist[k] = d
-            for p in preds[k]:
-                if p not in self._dist and d + 1 < best.get(p, inf):
-                    best[p] = d + 1
-                    heappush(heap, (d + 1, p))
-        for k in new:
-            self._dist.setdefault(k, None)
+        The first breadth-first level from i that holds a coincidence, so
+        no class beyond that level is inflated.  Each start's answer is
+        kept."""
+        if i not in self._dist:
+            def coincident(k):
+                a, b, _, v = self.keys[k]
+                return a == b and not any(v)
+
+            self._dist[i] = next((d for d, level in enumerate(self._levels([i], cap))
+                                  if any(map(coincident, level))), None)
         return self._dist[i]
 
 
@@ -324,22 +309,18 @@ def overlap_coincidence(g: OverlapGraph):
     length into a coincidence.  verdict False: certificate is the sorted list
     of vertex indices from which no coincidence is reachable.
     """
-    coins = g.coincidence_indices()
-    if not coins:
-        if not g.vertices:
-            raise ValueError("empty overlap graph")
-        return False, sorted(range(len(g.vertices)))
-    dg = g.digraph()
-    reach = reachable_to(dg, coins)
-    if len(reach) == len(g.vertices):
-        return True, distances_to(dg, coins)
-    return False, sorted(set(range(len(g.vertices))) - reach)
+    if not g.vertices:
+        raise ValueError("empty overlap graph")
+    dist = distances_to(g.digraph(), g.coincidence_indices())
+    if len(dist) == len(g.vertices):
+        return True, dist
+    return False, sorted(set(range(len(g.vertices))) - dist.keys())
 
 
 def stuck_scc_indices(g: OverlapGraph) -> list[list[int]]:
     """Nontrivial SCCs none of whose vertices reach a coincidence."""
     dg = g.digraph()
-    reach = reachable_to(dg, g.coincidence_indices())
+    reach = distances_to(dg, g.coincidence_indices())
     comps, _ = scc(dg)
     has_self = {(u, v) for (u, v) in g.edges}
     out = []

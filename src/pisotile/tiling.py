@@ -7,9 +7,11 @@ also solves tile-map control points, tests admissibility, and collects
 return vectors -- all exact.
 
 Tile positions of the fixed tiling lie in the module L spanned by the
-beta^k l_i.  Central patches, return vectors and subtile offsets are
-computed on integer coordinates over one denominator (TilingSystem.den),
-where multiplication by beta is an integer matrix.  Control points are
+beta^k l_i.  A patch is a tuple of (color, v) pairs, v the start of the tile
+as integer coordinates over one denominator (TilingSystem.den), where
+multiplication by beta is an integer matrix; central patches, return
+vectors and subtile offsets are computed on these coordinates, and
+inflate_patch is the one patch inflation.  Control points are
 points of Q(beta) held as (D, v): sum_k v_k beta^k / D with v an integer
 vector and D > 0 in lowest terms, the form of field elements and of
 overlap-class keys; they are solved with integer adjugates.  Every sign is
@@ -40,16 +42,11 @@ from .substitution import (
 
 
 @dataclass(frozen=True)
-class Tile:
-    """Interval tile: support [pos, pos + length(color)]."""
-
-    color: int
-    pos: AlgebraicReal
-
-
-@dataclass(frozen=True)
 class Patch:
-    tiles: tuple[Tile, ...]
+    """tiles: (color, v) pairs, v the start of the tile as integer
+    coordinates over TilingSystem.den."""
+
+    tiles: tuple[tuple[int, tuple[int, ...]], ...]
 
 
 class TilingSystem:
@@ -59,7 +56,6 @@ class TilingSystem:
         self.substitution = s
         self.field, self.beta, self.lengths = perron_data(s)
         self.seed_power, self.seed_left, self.seed_right = fixed_point_seed(s)
-        self._central_cache: tuple[AlgebraicReal, Patch] | None = None
         self._overlap_closure = None  # overlap.OverlapClosure, made on first use
         self._offsets: dict[int, tuple] = {}
         self._solvers: dict[tuple[int, int], tuple] = {}
@@ -138,82 +134,55 @@ class TilingSystem:
     def length(self, color: int) -> AlgebraicReal:
         return self.lengths[color - 1]
 
-    def support_length(self, p: Patch) -> AlgebraicReal:
-        total = self.field.zero()
-        for t in p.tiles:
-            total = total + self.length(t.color)
-        return total
-
-    # -- inflation -----------------------------------------------------------
-
-    def inflate(self, t: Tile, n: int = 1) -> Patch:
-        """n-fold inflation of a single tile into the exact subdivision patch."""
-        return self.inflate_patch(Patch((t,)), n)
+    # -- inflation and the fixed tiling ---------------------------------------
 
     def inflate_patch(self, p: Patch, n: int = 1, tile_cap: int = 10**6) -> Patch:
+        """sigma^n on the tiles of p: each time, a color-i tile at v becomes
+        the tiles of sigma(i) at beta v plus their prefix offsets."""
         if n < 0:
             raise ValueError("inflation level must be >= 0")
-        rules = self.substitution.rules
-        tiles = list(p.tiles)
+        tiles = p.tiles
         for _ in range(n):
-            out = []
-            for t in tiles:
-                pos = self.beta * t.pos
-                for a in rules[t.color - 1]:
-                    out.append(Tile(a, pos))
-                    pos = pos + self.length(a)
-            tiles = out
+            tiles = [
+                (c, tuple(map(add, bv, off)))
+                for color, v in tiles
+                for bv in (self.times_beta(v),)
+                for c, off in self.prefix_offsets[color - 1]
+            ]
             if len(tiles) > tile_cap:
                 raise SubstitutionError(f"patch exceeds tile cap {tile_cap}")
         return Patch(tuple(tiles))
 
-    # -- the fixed tiling, materialized as central patches --------------------
-
     def central_patch(self, radius, tile_cap: int = 10**6) -> Patch:
         """A patch of the two-sided fixed point whose support covers [-radius, radius].
 
-        Seeded by the pair a|b from fixed_point_seed and repeatedly inflated
-        by sigma^k, which fixes the pair at the origin; tiles are trimmed to
-        the ones meeting the window.  The last (radius, patch) is kept, so a
-        repeat call with an equal radius returns the same patch.
+        Seeded by the pair a|b from fixed_point_seed and inflated by
+        sigma^k, which fixes the pair at the origin, until it covers the
+        window; tiles are trimmed to the ones meeting the window.
         """
         if isinstance(radius, (int, Fraction)):
             radius = self.field.from_rational(radius)
-        if self._central_cache is not None and self._central_cache[0] == radius:
-            return self._central_cache[1]
-        self._central_cache = None  # let the last patch go before a larger one is built
         lc, den = self.length_coords, self.den
         compare, enclosed = self.field.compare, self.field.enclosed
         a, b = self.seed_left, self.seed_right
-        tiles = [(a, tuple(-c for c in lc[a - 1])), (b, (0,) * self.field.degree)]
+        patch = Patch(((a, tuple(-c for c in lc[a - 1])), (b, (0,) * self.field.degree)))
         left, right = (-radius).enclosed(), radius.enclosed()
 
-        def start(i):
-            return enclosed(den, tiles[i][1])
+        def start(t):
+            return enclosed(den, t[1])
 
-        def end(i):
-            color, v = tiles[i]
-            return enclosed(den, tuple(map(add, v, lc[color - 1])))
+        def end(t):
+            return enclosed(den, tuple(map(add, t[1], lc[t[0] - 1])))
 
-        while compare(start(0), left) > 0 or compare(end(-1), right) < 0:
-            for _ in range(self.seed_power):
-                tiles = [
-                    (c, tuple(map(add, bv, off)))
-                    for color, v in tiles
-                    for bv in (self.times_beta(v),)
-                    for c, off in self.prefix_offsets[color - 1]
-                ]
-                if len(tiles) > tile_cap:
-                    raise SubstitutionError(f"patch exceeds tile cap {tile_cap}")
+        while compare(start(patch.tiles[0]), left) > 0 or compare(end(patch.tiles[-1]), right) < 0:
+            patch = self.inflate_patch(patch, self.seed_power, tile_cap)
         # The tiles run left to right without gaps, so the ones meeting the
         # window are one run: from the first ending at or right of -radius
         # to the last starting at or left of radius.
-        idx = range(len(tiles))
-        first = bisect_left(idx, True, key=lambda i: compare(end(i), left) >= 0)
-        stop = bisect_left(idx, True, key=lambda i: compare(start(i), right) > 0)
-        patch = Patch(tuple(Tile(c, self.point(v)) for c, v in tiles[first:stop]))
-        self._central_cache = (radius, patch)
-        return patch
+        tiles = patch.tiles
+        first = bisect_left(tiles, True, key=lambda t: compare(end(t), left) >= 0)
+        stop = bisect_left(tiles, True, key=lambda t: compare(start(t), right) > 0)
+        return Patch(tiles[first:stop])
 
     # -- return vectors --------------------------------------------------------
 
@@ -240,8 +209,8 @@ class TilingSystem:
         """Integer coordinates of the tile positions of p, by color, and the
         largest absolute coordinate."""
         by_color: dict[int, list[tuple[int, ...]]] = {}
-        for t in p.tiles:
-            by_color.setdefault(t.color, []).append(self.coords(t.pos))
+        for color, v in p.tiles:
+            by_color.setdefault(color, []).append(v)
         norm = max((abs(c) for vs in by_color.values() for v in vs for c in v), default=0)
         return by_color, norm
 
@@ -353,11 +322,6 @@ def _targets(system: TilingSystem, tm: TileMap):
             raise TileMapError(f"choice {k} out of range for color {i + 1}")
         targets.append(offsets[i][k])
     return targets
-
-
-def tile_map_targets(system: TilingSystem, tm: TileMap):
-    """Per color i: (j_i, u_i) = color and exact offset of the chosen subtile."""
-    return [(j, system.point(u)) for j, u in _targets(system, tm)]
 
 
 def solve_control_points(system: TilingSystem, tm: TileMap) -> ControlPoints:

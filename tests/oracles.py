@@ -4,14 +4,15 @@ These deliberately avoid the library's geometric machinery: they operate on
 words and abelianization vectors alone, so they can cross-check the
 geometric verdicts.  The exceptions: pair_closure is handed the
 library's class inflation and re-derives a pair test from it by a plain
-search; inflate_children and central_patch_reference build overlap-class
-children and central patches from the library's exact field-element
-inflation of tiles; perron_equals_reference decides the Perron comparison
+search; inflate_tiles is the inflation of tiles held as field elements, the
+reference for the library's integer inflate_patch, and inflate_children,
+central_patch_reference, tile_map_targets and descendant_reference build
+overlap-class children, central patches, tile-map targets and descendants
+on it; perron_equals_reference decides the Perron comparison
 with sympy's factorization and root isolation; group_G_reference builds the
-translation module from the return vectors of a central patch,
-control_points_reference solves the control points in field elements, and
-descendant_reference finds a self-equivalent descendant among inflated
-field-element tiles.  RationalField is the arithmetic of Q(beta) on vectors
+translation module from the return vectors of a central patch, and
+control_points_reference solves the control points in field elements.
+RationalField is the arithmetic of Q(beta) on vectors
 of Fractions, the reference for the library's integer vectors over a
 denominator.
 """
@@ -166,52 +167,69 @@ def pair_closure(inflate, start):
     return "exhausted", None, tuple(seen[k].label() for k in sorted(seen))
 
 
+def inflate_tiles(system, tiles, n=1):
+    """sigma^n on tiles held as (color, pos) with pos a field element: each
+    time, a color-i tile at pos becomes the tiles of sigma(i), the first at
+    beta * pos and each next one where the one before it ends."""
+    rules = system.substitution.rules
+    for _ in range(n):
+        out = []
+        for color, pos in tiles:
+            pos = system.beta * pos
+            for a in rules[color - 1]:
+                out.append((a, pos))
+                pos = pos + system.length(a)
+        tiles = out
+    return tiles
+
+
+def field_tiles(system, patch):
+    """The tiles of a library patch as (color, pos), pos a field element."""
+    return [(color, system.point(v)) for color, v in patch.tiles]
+
+
 def _end(system, t):
     """The right end of the support of the field-element tile t."""
-    return t.pos + system.length(t.color)
+    return t[1] + system.length(t[0])
 
 
-def tiles_disjoint(system, patch) -> bool:
-    """Whether the tiles of the patch have pairwise disjoint interiors, by
+def tiles_disjoint(system, tiles) -> bool:
+    """Whether the field-element tiles have pairwise disjoint interiors, by
     an exact test of every pair."""
     return all(
-        (_end(system, a) - b.pos).sign() <= 0 or (_end(system, b) - a.pos).sign() <= 0
-        for k, a in enumerate(patch.tiles) for b in patch.tiles[k + 1:]
+        (_end(system, a) - b[1]).sign() <= 0 or (_end(system, b) - a[1]).sign() <= 0
+        for k, a in enumerate(tiles) for b in tiles[k + 1:]
     )
 
 
 def central_patch_reference(system, radius):
-    """The central patch of the given radius by inflation of field-element
-    tiles (TilingSystem.inflate_patch) and a sign test per tile."""
-    from pisotile import Patch, Tile
-
+    """The central patch of the given radius as field-element tiles, by
+    inflate_tiles and a sign test per tile."""
     a, b = system.seed_left, system.seed_right
-    patch = Patch((Tile(a, -system.length(a)), Tile(b, system.field.zero())))
+    tiles = [(a, -system.length(a)), (b, system.field.zero())]
     while True:
-        first = min(patch.tiles, key=lambda t: float(t.pos))
-        last = max(patch.tiles, key=lambda t: float(t.pos))
-        if (first.pos + radius).sign() <= 0 and (_end(system, last) - radius).sign() >= 0:
+        first = min(tiles, key=lambda t: float(t[1]))
+        last = max(tiles, key=lambda t: float(t[1]))
+        if (first[1] + radius).sign() <= 0 and (_end(system, last) - radius).sign() >= 0:
             break
-        patch = system.inflate_patch(patch, system.seed_power)
-    return Patch(tuple(
-        t for t in patch.tiles
-        if (t.pos - radius).sign() <= 0 and (_end(system, t) + radius).sign() >= 0
-    ))
+        tiles = inflate_tiles(system, tiles, system.seed_power)
+    return [t for t in tiles
+            if (t[1] - radius).sign() <= 0 and (_end(system, t) + radius).sign() >= 0]
 
 
 def inflate_children(system, c):
     """(child, multiplicity) pairs of the overlap class c, sorted by key: the
-    subtiles of both inflated tiles as field-element tiles
-    (TilingSystem.inflate), one pair for each two whose interiors meet."""
-    from pisotile import OverlapClass, Tile
+    subtiles of both inflated tiles as field-element tiles (inflate_tiles),
+    one pair for each two whose interiors meet."""
+    from pisotile import OverlapClass
 
-    upatch = system.inflate(Tile(c.color_u, system.field.zero()))
-    vpatch = system.inflate(Tile(c.color_v, c.shift))
+    upatch = inflate_tiles(system, [(c.color_u, system.field.zero())])
+    vpatch = inflate_tiles(system, [(c.color_v, c.shift)])
     counts, objs = {}, {}
-    for a in upatch.tiles:
-        for b in vpatch.tiles:
-            if (_end(system, b) - a.pos).sign() > 0 and (_end(system, a) - b.pos).sign() > 0:
-                child = OverlapClass(a.color, b.color, b.pos - a.pos)
+    for a in upatch:
+        for b in vpatch:
+            if (_end(system, b) - a[1]).sign() > 0 and (_end(system, a) - b[1]).sign() > 0:
+                child = OverlapClass(a[0], b[0], b[1] - a[1])
                 counts[child.key()] = counts.get(child.key(), 0) + 1
                 objs.setdefault(child.key(), child)
     return [(objs[k], counts[k]) for k in sorted(counts)]
@@ -288,12 +306,17 @@ def group_G_reference(system):
     return GroupG(system, system.return_vectors(patch))
 
 
+def tile_map_targets(system, tm):
+    """Per color i: (j_i, u_i), the color and field-element position of the
+    chosen subtile of the n-fold inflated color-i tile at 0."""
+    return [inflate_tiles(system, [(i + 1, system.field.zero())], tm.n)[k]
+            for i, k in enumerate(tm.choice)]
+
+
 def control_points_reference(system, tm):
     """The control points of the tile map in field elements, by composing
     the affine maps c -> (c + u_i) / beta^n around each cycle of
     i -> j_i and back-substituting the rest, with Q(beta) inverses."""
-    from pisotile import tile_map_targets
-
     targets = tile_map_targets(system, tm)
     lam = system.beta ** tm.n
     out = {}
@@ -320,14 +343,12 @@ def descendant_reference(system, c, n):
     inflation of a color-u tile at 0 of color u, tile kb of the inflation
     of a color-v tile at the shift of color v, and pos(kb) - pos(ka) equal
     to the shift; None when there is none."""
-    from pisotile import Tile
-
-    upatch = system.inflate(Tile(c.color_u, system.field.zero()), n)
-    vpatch = system.inflate(Tile(c.color_v, c.shift), n)
-    for ka, a in enumerate(upatch.tiles):
-        if a.color == c.color_u:
-            for kb, b in enumerate(vpatch.tiles):
-                if b.color == c.color_v and b.pos - a.pos == c.shift:
+    upatch = inflate_tiles(system, [(c.color_u, system.field.zero())], n)
+    vpatch = inflate_tiles(system, [(c.color_v, c.shift)], n)
+    for ka, a in enumerate(upatch):
+        if a[0] == c.color_u:
+            for kb, b in enumerate(vpatch):
+                if b[0] == c.color_v and b[1] - a[1] == c.shift:
                     return ka, kb
     return None
 

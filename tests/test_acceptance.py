@@ -14,12 +14,17 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from oracles import balanced_pair_coincidence, word_strong_coincidence_all
+from oracles import (
+    balanced_pair_coincidence,
+    field_tiles,
+    inflate_tiles,
+    tile_map_targets,
+    word_strong_coincidence_all,
+)
 from pisotile import (
     NumberField,
     Patch,
     Substitution,
-    Tile,
     TileMap,
     TilingSystem,
     compute_level_n,
@@ -33,7 +38,6 @@ from pisotile import (
     stable_overlap_graph,
     strong_coincidence,
     stuck_scc_indices,
-    tile_map_targets,
 )
 from pisotile.overlap import build_graph
 from pisotile.strongcoin import _family_in_group, enumerate_tile_maps
@@ -189,18 +193,24 @@ def test_criterion_7_exactness_suite():
             TilingSystem(Substitution(*CORPUS_RULES[n]))
             for n in ("fibonacci", "tribonacci")
         ]
+        def measure(system, p):
+            total = system.field.zero()
+            for color, _ in p.tiles:
+                total = total + system.length(color)
+            return total
+
         for k in range(100):
+            # The identity does not depend on positions: random integer
+            # vectors over den.
             system = systems[k % 2]
-            m = system.substitution.m
-            tiles = tuple(
-                Tile(rng.randint(1, m), system.field.from_rational(
-                    Fraction(rng.randint(-40, 40), rng.randint(1, 4))))
+            m, d = system.substitution.m, system.field.degree
+            p = Patch(tuple(
+                (rng.randint(1, m), tuple(rng.randint(-40, 40) for _ in range(d)))
                 for _ in range(rng.randint(1, 10))
-            )
-            p = Patch(tiles)
-            assert system.support_length(system.inflate_patch(p)) == (
-                system.beta * system.support_length(p)
-            )
+            ))
+            q = system.inflate_patch(p)
+            assert measure(system, q) == system.beta * measure(system, p)
+            assert field_tiles(system, q) == inflate_tiles(system, field_tiles(system, p))
 
         for system in systems:
             for n in (1, 2):

@@ -160,6 +160,10 @@ def test_parse_failure_exit_two(tmp_path, capsys):
     ["analyze", '{"alphabet": ["1", "2"], "rules": {"1": ["2", "2"], "2": ["1", "2", "2", "1"]}}'],
     ["analyze", str(CORPUS)],  # a directory
     ["analyze", str(CORPUS.parents[2] / "README.md")],  # a file that is not JSON
+    ["analyze", '{"alphabet": [[1]], "rules": {}}'],  # a letter that is a list
+    ["analyze", '{"alphabet": ["1"], "rules": {"1": [[1]]}}'],
+    ["overlaps", str(FIB), "--dot", str(CORPUS / "no-such-dir" / "g.dot")],
+    ["verify", str(CORPUS / "no-such-dir")],  # a mistyped corpus path
 ])
 def test_input_errors_exit_two(argv, capsys):
     try:
@@ -269,6 +273,14 @@ def test_verify_corrupted_expectation(tmp_path, capsys):
     assert "FIXTURE ERROR" in capsys.readouterr().out
 
 
+def test_verify_metadata_not_an_object(tmp_path, capsys):
+    data = json.loads(FIB.read_text())
+    data["metadata"] = [data["metadata"]]
+    (tmp_path / "listed.json").write_text(json.dumps(data))
+    assert main(["verify", str(tmp_path)]) == 2
+    assert "FIXTURE ERROR" in capsys.readouterr().out
+
+
 GOLDEN = [
     (["msc", "tribonacci", "--map-level", "3"],
      "b1dcf1d85e69bad6d1e09bf9a50cb717a49181921fbd31e2306fee82c6fe0e96"),
@@ -287,12 +299,19 @@ GOLDEN = [
     (["analyze", "s112"], "bf49ad0198e23eef68c7049c2d1adc0d4f04900d590758931684fa07f79e16ac"),
     (["analyze", "1->231,2->323,3->13"],
      "9750e37a179208431fbaa5b50d105fc6c62f62cd843e31f916d4f9db35a2fa44"),
+    # Central patches through about six radius rounds.
+    (["analyze", "1->2,2->3,3->12"],
+     "979e0812f4f89b18abce7b9637d78a4f5a4b2aaae1c68e9d63256952fea2469b"),
+    (["analyze", "1->13,2->1,3->2"],
+     "6eeb3c5be5be6c9c8d084bcdc7b6111f9dd4f01fef659e4fce87db5d058e1fea"),
     # DOT and JSON with irrational shifts, printed from rational coordinates.
     (["overlaps", "fibonacci"], "b0ec0427e15486bc04d6b243f0ac485215e050286fa57a572e8f53749b5fb7fb"),
     (["overlaps", "thue_morse"], "e34b5800c8e5bd2749d184967fcddd4c265ac1513d48506bef5b2ed72ce85c00"),
     (["overlaps", "s112"], "92024a3fb6a8acb6ea055720fba7e7a3d9179c0292b3c43f4d3ce5c64c0ac65f"),
     (["overlaps", "1->231,2->323,3->13"],
      "e0109e1b4257f8314a39fc2df404c5734c534e37195ee2040366bbf31d6d7224"),
+    (["overlaps", "1->13,2->1,3->2"],
+     "658b0934244c35be34e3036b082d6330a5e229650a52c3389f3d96e76e2d448e"),
 ]
 
 

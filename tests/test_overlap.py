@@ -8,7 +8,7 @@ import mpmath
 import pytest
 
 from conftest import CORPUS_RULES, CUBIC_RULES
-from oracles import inflate_children
+from oracles import field_tiles, inflate_children, inflate_tiles
 from pisotile import (
     CapExceededError,
     ModuleVectors,
@@ -25,7 +25,6 @@ from pisotile import (
     stable_overlap_graph,
     stuck_scc_indices,
     to_dot,
-    Tile,
 )
 from pisotile.overlap import OverlapClosure, overlap_closure
 
@@ -98,14 +97,15 @@ def _scan_all_pairs(system, patch, ys):
             return not x.is_zero() and value(x) > 0
 
         keys = set()
-        for u in patch.tiles:
-            for v in patch.tiles:
+        tiles = field_tiles(system, patch)
+        for cu, pu in tiles:
+            for cv, pv in tiles:
                 for y in ys:
-                    shift = v.pos - u.pos - y
-                    if positive(shift + system.length(v.color)) and positive(
-                        system.length(u.color) - shift
+                    shift = pv - pu - y
+                    if positive(shift + system.length(cv)) and positive(
+                        system.length(cu) - shift
                     ):
-                        keys.add((u.color, v.color, shift.coeffs))
+                        keys.add((cu, cv, shift.coeffs))
     return keys
 
 
@@ -148,10 +148,10 @@ def test_seed_overlaps_equals_all_pairs_scan(m, rules):
     # floats cannot separate from it: gap + edge -+ eps.
     eps = _tiny_module_point(system)
     near = []
-    for u, v in zip(patch.tiles, patch.tiles[3:11]):
-        gap = v.pos - u.pos
-        for edge in (-system.length(u.color), system.length(v.color)):
-            w = system.coords(gap + edge)
+    tiles = field_tiles(system, patch)
+    for (cu, pu), (cv, pv) in zip(tiles, tiles[3:11]):
+        for edge in (-system.length(cu), system.length(cv)):
+            w = system.coords(pv - pu + edge)
             near += [tuple(a - b for a, b in zip(w, eps)), tuple(a + b for a, b in zip(w, eps))]
     # Apart, so that the return vectors keep their own tight float window.
     expected = [_scan_all_pairs(system, patch, vs) for vs in (ys, near)]
@@ -275,13 +275,14 @@ def _field_children(system, c):
 
 def _touching_pairs(system, c):
     """Subtile pairs of the inflated class c whose tiles meet in one point."""
-    upatch = system.inflate(Tile(c.color_u, system.field.zero()))
-    vpatch = system.inflate(Tile(c.color_v, c.shift))
-    def end(t):
-        return t.pos + system.length(t.color)
+    upatch = inflate_tiles(system, [(c.color_u, system.field.zero())])
+    vpatch = inflate_tiles(system, [(c.color_v, c.shift)])
 
-    return sum((end(b) - a.pos).is_zero() or (end(a) - b.pos).is_zero()
-               for a in upatch.tiles for b in vpatch.tiles)
+    def end(t):
+        return t[1] + system.length(t[0])
+
+    return sum((end(b) - a[1]).is_zero() or (end(a) - b[1]).is_zero()
+               for a in upatch for b in vpatch)
 
 
 # 1->112, 2->11: lengths over den = 2 (beta = 1 + sqrt 3), so classes over a

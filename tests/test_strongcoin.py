@@ -319,8 +319,8 @@ def test_membership_equals_kmax_loop(name, n):
     system = TilingSystem(Substitution(len(rules), rules))
     group = group_G(system)
     rep = {}
-    for t in system.central_patch(system.field.from_rational(8) * max(system.lengths, key=float)).tiles:
-        rep.setdefault(t.color, t.pos)
+    for color, v in system.central_patch(system.field.from_rational(8) * max(system.lengths, key=float)).tiles:
+        rep.setdefault(color, system.point(v))
     m, answers = system.substitution.m, set()
     for tm in enumerate_tile_maps(system, n):
         c = solve_control_points(system, tm).c

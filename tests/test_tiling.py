@@ -2,22 +2,26 @@
 
 import math
 import random
-from fractions import Fraction
 
 import pytest
 
 from conftest import CORPUS_RULES, CUBIC_RULES
-from oracles import central_patch_reference, control_points_reference, tiles_disjoint
+from oracles import (
+    central_patch_reference,
+    control_points_reference,
+    field_tiles,
+    tile_map_targets,
+    tiles_disjoint,
+)
 from pisotile import (
     Patch,
     Substitution,
-    Tile,
     TileMap,
     TilingSystem,
     solve_control_points,
-    tile_map_targets,
 )
 from pisotile.strongcoin import enumerate_tile_maps
+from pisotile.tiling import TileMapError, _targets
 
 FIB = Substitution(2, ((1, 2), (1,)))
 TRIB = Substitution(3, ((1, 2), (1, 3), (1,)))
@@ -35,56 +39,65 @@ def trib():
 
 def test_inflate_single(fib):
     b = fib.beta
-    p = fib.inflate(Tile(1, fib.field.zero()))
-    assert [t.color for t in p.tiles] == [1, 2]
-    assert p.tiles[0].pos == fib.field.zero()
-    assert p.tiles[1].pos == b
-    p2 = fib.inflate(Tile(1, fib.field.zero()), 2)
-    assert [t.color for t in p2.tiles] == [1, 2, 1]
+    zero = (0, 0)
+    p = fib.inflate_patch(Patch(((1, zero),)))
+    assert [c for c, _ in p.tiles] == [1, 2]
+    assert p.tiles[0][1] == zero
+    assert fib.point(p.tiles[1][1]) == b
+    p2 = fib.inflate_patch(Patch(((1, zero),)), 2)
+    assert [c for c, _ in p2.tiles] == [1, 2, 1]
     # Exact prefix sums of sigma^2(1) = 121 with lengths (beta, 1):
-    assert p2.tiles[1].pos == b
-    assert p2.tiles[2].pos == b + fib.field.one()
-    assert p2.tiles[2].pos == b * b
+    assert fib.point(p2.tiles[1][1]) == b
+    assert fib.point(p2.tiles[2][1]) == b + fib.field.one()
+    assert fib.point(p2.tiles[2][1]) == b * b
 
 
 def test_inflate_zero_level(fib):
-    t = Tile(1, fib.beta)
-    assert fib.inflate_patch(Patch((t,)), 0) == Patch((t,))
+    p = Patch(((1, fib.coords(fib.beta)),))
+    assert fib.inflate_patch(p, 0) == p
+    with pytest.raises(ValueError):
+        fib.inflate_patch(p, -1)
+
+
+def _measure(system, p):
+    """The summed tile lengths of p, as integer coordinates over den."""
+    total = (0,) * system.field.degree
+    for color, _ in p.tiles:
+        total = tuple(map(sum, zip(total, system.length_coords[color - 1])))
+    return total
 
 
 def test_measure_identity(fib, trib):
+    # Inflation multiplies the summed tile lengths by beta, whatever the
+    # positions: random integer vectors over den.
     rng = random.Random(3)
     for system in (fib, trib):
-        m = system.substitution.m
+        d, m = system.field.degree, system.substitution.m
         for _ in range(20):
-            tiles = tuple(
-                Tile(rng.randint(1, m), system.field.from_rational(
-                    Fraction(rng.randint(-50, 50), rng.randint(1, 5))))
+            p = Patch(tuple(
+                (rng.randint(1, m), tuple(rng.randint(-40, 40) for _ in range(d)))
                 for _ in range(rng.randint(1, 12))
-            )
-            p = Patch(tiles)
-            assert system.support_length(system.inflate_patch(p)) == (
-                system.beta * system.support_length(p)
-            )
+            ))
+            assert _measure(system, system.inflate_patch(p)) == system.times_beta(_measure(system, p))
 
 
 def test_shift_covariance(fib):
-    g = fib.beta - fib.field.one()
-    p = Patch((Tile(1, fib.field.zero()), Tile(2, fib.beta)))
-    shifted = Patch(tuple(Tile(t.color, t.pos + g) for t in p.tiles))
-    left = fib.inflate_patch(shifted)
+    g = fib.coords(fib.beta - fib.field.one())
+    p = Patch(((1, (0, 0)), (2, fib.coords(fib.beta))))
+    shifted = Patch(tuple((c, tuple(map(sum, zip(v, g)))) for c, v in p.tiles))
+    bg = fib.times_beta(g)
     right = Patch(tuple(
-        Tile(t.color, t.pos + fib.beta * g) for t in fib.inflate_patch(p).tiles
+        (c, tuple(map(sum, zip(v, bg)))) for c, v in fib.inflate_patch(p).tiles
     ))
-    assert left == right
+    assert fib.inflate_patch(shifted) == right
 
 
 def test_central_patch_radius_zero(fib):
     p = fib.central_patch(0)
     assert len(p.tiles) == 2
-    ends = sorted(float(t.pos) for t in p.tiles)
+    ends = sorted(float(fib.point(v)) for _, v in p.tiles)
     assert ends[1] == 0.0  # one tile starts at the origin
-    assert tiles_disjoint(fib, p)
+    assert tiles_disjoint(fib, field_tiles(fib, p))
 
 
 def test_central_patch_nesting(fib):
@@ -97,9 +110,9 @@ def test_central_patch_letters(fib):
     # Right of the origin the colors spell a prefix of the fixed point 12112...
     p = fib.central_patch(6)
     right = sorted(
-        (t for t in p.tiles if t.pos.sign() >= 0), key=lambda t: float(t.pos)
+        (t for t in field_tiles(fib, p) if t[1].sign() >= 0), key=lambda t: float(t[1])
     )
-    colors = [t.color for t in right]
+    colors = [c for c, _ in right]
     assert colors[:5] == [1, 2, 1, 1, 2]
 
 
@@ -111,16 +124,6 @@ def test_central_patch_is_fixed(fib):
     assert set(p.tiles) <= set(q.tiles)
 
 
-def test_central_patch_repeat_is_cached(fib):
-    p = fib.central_patch(7)
-    assert fib.central_patch(fib.field.from_rational(7)) is p
-    other = fib.central_patch(3)
-    assert other is not p
-    # Only the last radius is kept; a rebuilt patch has the same tiles.
-    again = fib.central_patch(7)
-    assert again is not p and again == p
-
-
 @pytest.mark.parametrize("rules", [*CORPUS_RULES.values(), *CUBIC_RULES.values()])
 def test_central_patch_matches_exact_inflation(rules):
     # The patch inflated on integer coordinates equals, tile by tile, the
@@ -129,11 +132,12 @@ def test_central_patch_matches_exact_inflation(rules):
     l_max = max(system.lengths, key=float)
     for k in (8, 32):
         radius = system.field.from_rational(k) * l_max
-        assert system.central_patch(radius) == central_patch_reference(system, radius)
+        patch = system.central_patch(radius)
+        assert field_tiles(system, patch) == central_patch_reference(system, radius)
 
 
 def test_return_vectors_single_tiles(fib):
-    p = Patch((Tile(1, fib.field.zero()), Tile(2, fib.beta)))
+    p = Patch(((1, (0, 0)), (2, fib.coords(fib.beta))))
     ys = fib.return_vectors(p)
     assert list(ys) == [fib.coords(fib.field.zero())]
 
@@ -150,13 +154,16 @@ def test_return_vectors_negation_closure(fib):
 
 
 def test_tile_map_targets(fib):
-    t = tile_map_targets(fib, TileMap(1, (0, 0)))
-    assert t[0] == (1, fib.field.zero())
-    assert t[1] == (1, fib.field.zero())
-    t2 = tile_map_targets(fib, TileMap(1, (1, 0)))
-    assert t2[0] == (2, fib.beta)
-    with pytest.raises(ValueError):
-        tile_map_targets(fib, TileMap(1, (2, 0)))
+    # The chosen subtiles as colors and offsets over den, against the
+    # field-element inflation.
+    t = _targets(fib, TileMap(1, (0, 0)))
+    assert t == [(1, (0, 0)), (1, (0, 0))]
+    for choice in ((0, 0), (1, 0)):
+        tm = TileMap(1, choice)
+        assert [(j, fib.point(u)) for j, u in _targets(fib, tm)] == tile_map_targets(fib, tm)
+    assert fib.point(_targets(fib, TileMap(1, (1, 0)))[0][1]) == fib.beta
+    with pytest.raises(TileMapError):
+        _targets(fib, TileMap(1, (2, 0)))
 
 
 def test_control_points_identity_map(fib):
