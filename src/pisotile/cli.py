@@ -12,6 +12,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from .overlap import (
@@ -107,6 +108,40 @@ def parse(source) -> tuple[Substitution, list[str], dict]:
 
 
 # -- exact serialization ---------------------------------------------------------
+
+
+_SPECIAL_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _write_json(x, nl: str = "\n") -> str:
+    """json.dumps(x, indent=2, sort_keys=True), byte for byte: with indent,
+    the json module runs its pure-Python encoder, which is slower than this
+    one recursive function.  nl is the line break and indent before x."""
+    if isinstance(x, str):
+        return _quote(x)
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        inner = nl + "  "
+        return "{" + inner + ("," + inner).join([
+            _quote(k) + ": " + _write_json(v, inner) for k, v in sorted(x.items())]) + nl + "}"
+    if isinstance(x, (list, tuple)):
+        if not x:
+            return "[]"
+        inner = nl + "  "
+        return "[" + inner + ("," + inner).join([_write_json(v, inner) for v in x]) + nl + "]"
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):
+        text = float.__repr__(x)
+        return _SPECIAL_FLOATS.get(text, text)
+    raise TypeError(f"{type(x).__name__} is not JSON serializable")
 
 
 def _rat(x: Fraction) -> str:
@@ -246,7 +281,7 @@ def _add_common(p):
 def cmd_analyze(args) -> int:
     s, _, _ = parse(args.file)
     report = analyze(s, args)
-    print(json.dumps(report, indent=2, sort_keys=True))
+    print(_write_json(report))
     return 0
 
 
@@ -271,7 +306,7 @@ def cmd_overlaps(args) -> int:
     }
     if not oc:
         summary["stuck"] = [g.vertices[i].label() for i in cert]
-    print(json.dumps(summary, indent=2, sort_keys=True))
+    print(_write_json(summary))
     return 0
 
 
@@ -286,7 +321,7 @@ def cmd_strong(args) -> int:
         rep = strong_coincidence(system, cp, group, args.cap_classes)
     else:
         rep = StrongCoincidenceReport(tm, cp, False, None, [])
-    print(json.dumps(rep.to_json(), indent=2, sort_keys=True))
+    print(_write_json(rep.to_json()))
     return 0
 
 
@@ -302,7 +337,7 @@ def cmd_msc(args) -> int:
     msc = multiple_strong_coincidence(
         system, n, cap_maps=args.cap_maps, cap_classes=args.cap_classes, group=group,
     )
-    print(json.dumps(msc.to_json(), indent=2, sort_keys=True))
+    print(_write_json(msc.to_json()))
     return 0
 
 
@@ -313,8 +348,8 @@ def cmd_verify(args) -> int:
         return 2
     files = sorted(corpus.glob("*.json"))
     if not files:
-        print(f"warning: no corpus files in {corpus}")
-        return 0
+        print(f"error: no *.json corpus files in {corpus}", file=sys.stderr)
+        return 2
     failures = 0
     fixture_errors = 0
     for f in files:

@@ -17,10 +17,14 @@ inflations.
 The closure holds a class (i, j, t) as the key (i, j, D, v) of its shift
 t = sum_k v_k beta^k / D, the (D, v) of the field element.  beta is an
 integer matrix on such vectors (TilingSystem.beta_matrix), so a child is
-beta v + offset difference over lcm(D, den), and it is kept when both
-overlap signs are positive, each decided by NumberField.compare: its
-floats where they separate the ends, else the exact sign, which is 0 for
-tiles that touch.  Shifts become field elements only for the classes that
+beta v + offset difference over lcm(D, den).  Which subtile pairs overlap
+depends only on where x = beta t lies among the thresholds u_s - w_t of
+the color pair (subtile bounds of sigma(i) minus those of sigma(j)): each
+color pair's thresholds are sorted once, exactly, and each open gap and
+each threshold (where tiles only touch) lists its children, so a class
+costs one binary search with NumberField.compare.  Distances to a
+coincidence are kept for every class a search settles, and later searches
+stop at them.  Shifts become field elements only for the classes that
 leave the closure: graph vertices, labels, certificates and JSON.
 """
 
@@ -29,8 +33,9 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from functools import cmp_to_key
 from math import lcm
-from operator import add, sub
+from operator import add, itemgetter, sub
 
 from .graphkit import Digraph, distances_to, scc, perron_equals
 from .numberfield import _U, AlgebraicReal, reduced
@@ -91,8 +96,9 @@ class OverlapClosure:
         self.keys: list[tuple] = []
         self.children: list[tuple[tuple[int, int], ...] | None] = []
         self._index: dict[tuple, int] = {}
-        self._dist: dict[int, int | None] = {}  # of the starts distance() finished
-        self._frames: dict[int, tuple] = {}
+        self._dist: dict[int, int | None] = {}  # the distances known so far
+        self._tables: dict[tuple[int, int], tuple[list, list]] = {}
+        self._cells: dict[tuple[int, int, int, int], list] = {}
         self._classes: dict[int, OverlapClass] = {}
 
     def intern(self, c: OverlapClass) -> int:
@@ -122,62 +128,99 @@ class OverlapClosure:
             self.children[i] = out
         return out
 
-    def _frame(self, den: int) -> list:
-        """For classes over den: per color c the tile bounds of sigma(c) (the
-        inflated tile at 0: where each subtile starts, then where the last
-        one ends) as points (den, v, mid, err) (NumberField.enclosed)."""
-        frame = self._frames.get(den)
-        if frame is None:
+    def _table(self, i: int, j: int) -> tuple[list, list]:
+        """The inflation table of the color pair (i, j), built on first use:
+        (thresholds, spans).
+
+        With u_0 .. u_p the bounds of sigma(i) at 0 and w_0 .. w_q those of
+        sigma(j) (where each subtile starts, then where the last one ends),
+        subtiles s and t of a class with x = beta * shift overlap exactly
+        when u_s - w_(t+1) < x < u_(s+1) - w_t.  thresholds are the distinct
+        u_s - w_t over den as enclosed points, in increasing order: sorted
+        by their floats, then by NumberField.compare, which makes it exact
+        and costs one comparison per threshold when the floats were right.
+        Cell 2k is the open gap below thresholds[k] (2K the one above the
+        last), cell 2k + 1 the point thresholds[k] itself.  Each subtile
+        pair overlaps on one run of cells, which leaves out the two
+        thresholds where the tiles only touch: spans lists (first cell,
+        last cell, (a, b, w_t - u_s)) per pair."""
+        table = self._tables.get((i, j))
+        if table is None:
             system = self.system
-            k = den // system.den
-            frame = self._frames[den] = []
-            for row in system.prefix_offsets:
-                last, off = row[-1]
-                end = tuple(map(add, off, system.length_coords[last - 1]))
-                frame.append([system.field.enclosed(den, tuple(k * c for c in v))
-                              for v in [off for _, off in row] + [end]])
-        return frame
+            field, rules = system.field, system.substitution.rules
+            us, ws = self._bounds(i), self._bounds(j)
+            thresholds = sorted((field.enclosed(system.den, x)
+                                 for x in {tuple(map(sub, u, w)) for u in us for w in ws}),
+                                key=itemgetter(2))
+            thresholds.sort(key=cmp_to_key(field.compare))
+            rank = {x[1]: r for r, x in enumerate(thresholds)}
+            spans = [
+                (2 * rank[tuple(map(sub, us[s], ws[t + 1]))] + 2,
+                 2 * rank[tuple(map(sub, us[s + 1], ws[t]))],
+                 (a, b, tuple(map(sub, ws[t], us[s]))))
+                for s, a in enumerate(rules[i - 1]) for t, b in enumerate(rules[j - 1])
+            ]
+            table = self._tables[(i, j)] = (thresholds, spans)
+        return table
+
+    def _cell(self, i: int, j: int, den: int, cell: int) -> list:
+        """The children offsets of one cell of the (i, j) table for classes
+        over den, made on first use: (a, b, offset over den, multiplicity)
+        in increasing order, so adding x keeps it the order of the
+        children."""
+        key = (i, j, den, cell)
+        out = self._cells.get(key)
+        if out is None:
+            k = den // self.system.den
+            counts = Counter((a, b, tuple(k * c for c in off))
+                             for first, last, (a, b, off) in self._table(i, j)[1]
+                             if first <= cell <= last)
+            out = self._cells[key] = [(*entry, mult) for entry, mult in sorted(counts.items())]
+        return out
+
+    def _bounds(self, color: int) -> list[tuple[int, ...]]:
+        """Where each subtile of sigma(color) at 0 starts, then where the
+        last one ends, over system.den."""
+        system = self.system
+        row = system.prefix_offsets[color - 1]
+        last, off = row[-1]
+        return [v for _, v in row] + [tuple(map(add, off, system.length_coords[last - 1]))]
 
     def _inflate(self, key: tuple) -> list[tuple[tuple, int]]:
         """(child key, multiplicity) pairs of the class with this key, in
         increasing key order of their shifts.
 
-        The subtiles of sigma(i) at 0 and of sigma(j) at beta * shift are
-        laid out over den' = lcm(D, den), where beta is the integer matrix
-        beta_matrix; each pair whose interiors meet gives the child
-        (a, b, pos(b) - pos(a)).
-        """
+        Over den' = lcm(D, den), x = beta * shift (beta the integer matrix
+        beta_matrix) is placed among the thresholds of the color pair by
+        binary search with NumberField.compare, and each entry (a, b, off)
+        of its cell gives the child (a, b, x + off)."""
         i, j, dv, v = key
         system = self.system
         den = lcm(dv, system.den)
-        bounds = self._frame(den)
         bv = system.times_beta(v)
         if den != dv:
             bv = tuple((den // dv) * c for c in bv)
-        us = bounds[i - 1]
-        enclosed, compare = system.field.enclosed, system.field.compare
-        vs = [enclosed(den, tuple(map(add, bv, off[1]))) for off in bounds[j - 1]]
-        counts: dict[tuple, int] = {}
-        rules = system.substitution.rules
-        for s, a in enumerate(rules[i - 1]):
-            for t, b in enumerate(rules[j - 1]):
-                if compare(us[s], vs[t + 1]) < 0 and compare(vs[t], us[s + 1]) < 0:
-                    child = (a, b, tuple(map(sub, vs[t][1], us[s][1])))
-                    counts[child] = counts.get(child, 0) + 1
-        # One den': sorting the vectors sorts the shifts' keys.
-        return [((a, b, *reduced(den, w)), mult) for (a, b, w), mult in sorted(counts.items())]
+        thresholds = self._table(i, j)[0]
+        x, compare = system.field.enclosed(den, bv), system.field.compare
+        k = bisect_left(thresholds, True, key=lambda t: compare(t, x) >= 0)
+        on = k < len(thresholds) and compare(thresholds[k], x) == 0
+        return [((a, b, *reduced(den, tuple(map(add, bv, off)))), mult)
+                for a, b, off, mult in self._cell(i, j, den, 2 * k + on)]
 
-    def _levels(self, ids, cap: int):
+    def _levels(self, ids, cap: int, known=()):
         """Breadth-first levels of the classes reachable from ids: ids, then
         each level's unseen children in discovery order.  A level is
-        inflated only when the next one is asked for; raises
-        CapExceededError once more than cap classes are seen."""
+        inflated only when the next one is asked for, and a class in known
+        is not expanded; raises CapExceededError once more than cap classes
+        are seen."""
         level = list(dict.fromkeys(ids))
         seen = set(level)
         while level:
             yield level
             nxt = []
             for k in level:
+                if k in known:
+                    continue
                 for j, _ in self.successors(k):
                     if j not in seen:
                         seen.add(j)
@@ -199,17 +242,34 @@ class OverlapClosure:
         no coincidence is reachable; raises CapExceededError when the search
         visits more than cap classes.
 
-        The first breadth-first level from i that holds a coincidence, so
-        no class beyond that level is inflated.  Each start's answer is
-        kept."""
-        if i not in self._dist:
-            def coincident(k):
-                a, b, _, v = self.keys[k]
-                return a == b and not any(v)
-
-            self._dist[i] = next((d for d, level in enumerate(self._levels([i], cap))
-                                  if any(map(coincident, level))), None)
-        return self._dist[i]
+        A breadth-first search from i that takes k + d from each class at
+        level k whose distance d is known (0 for a coincidence) and does
+        not expand it, nor a class known to reach none.  A shortest path
+        meets its first known class at level k or less, so the least k + d
+        is the distance, and no level past k + 1 >= that least is needed.
+        The search visits no class that the plain search up to the first
+        level with a coincidence would not.  Its answer is kept for i, and
+        when it finds no coincidence, None for every class it saw."""
+        dist = self._dist
+        if i not in dist:
+            best, unknown = None, []
+            for k, level in enumerate(self._levels([i], cap, dist)):
+                for c in level:
+                    d = dist.get(c, -1)
+                    if d == -1:
+                        a, b, _, v = self.keys[c]
+                        if a != b or any(v):
+                            unknown.append(c)
+                            continue
+                        d = dist[c] = 0
+                    if d is not None and (best is None or k + d < best):
+                        best = k + d
+                if best is not None and k + 1 >= best:
+                    break
+            if best is None:
+                dist.update(dict.fromkeys(unknown))
+            dist[i] = best
+        return dist[i]
 
 
 def overlap_closure(system: TilingSystem) -> OverlapClosure:

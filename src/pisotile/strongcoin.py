@@ -12,6 +12,11 @@ elements: control points, the module filter, the pair classes handed to the
 overlap closure, and the witness search.  The translation module is built
 from the return words of the substitution, so no patch of the tiling is
 laid out.
+
+MSC asks the same questions for many tile maps, so each is decided once per
+system: a pair test's result by class and cap, a control-point difference by
+its pair of points (on the TilingSystem), and module membership by point (on
+the GroupG).  Nothing is kept beyond the system.
 """
 
 from __future__ import annotations
@@ -84,6 +89,7 @@ class GroupG:
             (i, j): (self.den, tuple(map(sub, rep[i], rep[j])))
             for i in range(1, s.m + 1) for j in range(i + 1, s.m + 1)
         }
+        self._answers: dict[tuple, tuple] = {}  # point -> contains(point)
 
     def membership(self, x: AlgebraicReal):
         """(bool, K) for the field element x: see contains."""
@@ -91,7 +97,8 @@ class GroupG:
 
     def contains(self, x: tuple[int, tuple[int, ...]]):
         """(True, K) for the least K >= 0 with beta^K x in the module, or
-        (False, None) when there is none; x is a point (D, v).
+        (False, None) when there is none; x is a point (D, v).  Each
+        point's answer is kept.
 
         With H the basis as columns and B_M = H^-1 B H, x = H z / (q den)
         with z integer, q > 0 minimal, and beta^K x lies in the module iff
@@ -104,6 +111,12 @@ class GroupG:
         at least p, so it is stable from K = d e.  Hence K = d max e over the
         primes of N(beta), at most d Omega(q), decides; for a unit beta,
         K = 0 does."""
+        out = self._answers.get(x)
+        if out is None:
+            out = self._answers[x] = self._decide(x)
+        return out
+
+    def _decide(self, x):
         D, v = x
         z = [self.den * c for c in mat_vec(self._adj, v)]
         q = D * self._det
@@ -189,23 +202,33 @@ def _pair_test(system: TilingSystem, key: tuple, cap_classes: int) -> PairResult
     """Strong coincidence of the pair class with key (i, j, D, v) (see
     OverlapClosure): shared at L, its distance to a coincidence in the
     system's overlap closure, or exhausted with the classes reachable from
-    it as the certificate."""
+    it as the certificate.  Kept per class and cap on the system."""
     closure = overlap_closure(system)
     start = closure._id(key)
-    i, j = key[:2]
-    L = closure.distance(start, cap_classes)
-    if L is not None:
-        return PairResult(i, j, "shared", L)
-    reached = sorted(
-        (closure.overlap_class(k) for k in closure.reach([start], cap_classes)),
-        key=OverlapClass.key,
-    )
-    return PairResult(i, j, "exhausted", None, tuple(c.label() for c in reached))
+    out = system._pair_results.get((start, cap_classes))
+    if out is None:
+        i, j = key[:2]
+        L = closure.distance(start, cap_classes)
+        if L is not None:
+            out = PairResult(i, j, "shared", L)
+        else:
+            reached = sorted(
+                (closure.overlap_class(k) for k in closure.reach([start], cap_classes)),
+                key=OverlapClass.key,
+            )
+            out = PairResult(i, j, "exhausted", None, tuple(c.label() for c in reached))
+        system._pair_results[(start, cap_classes)] = out
+    return out
 
 
-def _difference(cp: ControlPoints, i: int, j: int) -> tuple:
-    """The point c_i - c_j of the family, (D, v) in lowest terms."""
-    return combine(cp.points[i - 1], cp.points[j - 1], -1)
+def _difference(system: TilingSystem, cp: ControlPoints, i: int, j: int) -> tuple:
+    """The point c_i - c_j of the family, (D, v) in lowest terms, kept per
+    pair of points on the system."""
+    key = (cp.points[i - 1], cp.points[j - 1])
+    out = system._differences.get(key)
+    if out is None:
+        out = system._differences[key] = combine(*key, -1)
+    return out
 
 
 def strong_coincidence(
@@ -221,7 +244,7 @@ def strong_coincidence(
         raise ValueError("control points are not admissible")
     m = system.substitution.m
     pairs = [
-        _pair_test(system, (i, j, *_difference(cp, i, j)), cap_classes)
+        _pair_test(system, (i, j, *_difference(system, cp, i, j)), cap_classes)
         for i in range(1, m + 1)
         for j in range(1, m + 1)
     ]
@@ -235,7 +258,7 @@ def _family_in_group(cp: ControlPoints, group: GroupG) -> bool:
     Same-color differences are module generators (k = 0), so only one
     representative cross-color difference per color pair needs testing."""
     return all(
-        group.contains(combine(_difference(cp, i, j), d))[0]
+        group.contains(combine(_difference(group.system, cp, i, j), d))[0]
         for (i, j), d in group.cross_offsets.items()
     )
 
@@ -466,7 +489,7 @@ def extract_witness(
     # Postconditions from the proof, asserted directly.
     if not cp.admissible:
         raise RuntimeError("extracted witness is not admissible")
-    diff = _difference(cp, p_col, q_col)
+    diff = _difference(system, cp, p_col, q_col)
     if diff != shift:
         raise RuntimeError("extracted control points do not match the class shift")
     if group is not None and not _family_in_group(cp, group):

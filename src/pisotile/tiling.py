@@ -60,6 +60,9 @@ class TilingSystem:
         self._offsets: dict[int, tuple] = {}
         self._solvers: dict[tuple[int, int], tuple] = {}
         self._control_points: dict[tuple, tuple] = {}  # see solve_control_points
+        # strongcoin._pair_test and strongcoin._difference
+        self._pair_results: dict[tuple[int, int], object] = {}
+        self._differences: dict[tuple, tuple] = {}
         self._build_module_coords()
 
     def _build_module_coords(self) -> None:

@@ -212,6 +212,41 @@ def test_analyze_inflates_each_class_once(monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_no_inflation_outlives_a_call(monkeypatch, capsys):
+    # Every memo lives on the call's TilingSystem: a second call on the same
+    # input inflates as many classes as the first.
+    calls = []
+    inflate = overlap.OverlapClosure._inflate
+
+    def counting(closure, key):
+        calls.append(key)
+        return inflate(closure, key)
+
+    monkeypatch.setattr(overlap.OverlapClosure, "_inflate", counting)
+    for argv in (["msc", str(CORPUS / "tribonacci.json"), "--map-level", "3"], ["analyze", str(TM)]):
+        counts = []
+        for _ in range(2):
+            calls.clear()
+            assert main(argv) == 0
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0, argv
+    capsys.readouterr()
+
+
+def test_write_json_matches_json_dumps():
+    values = [
+        {}, [], [[]], [{}], {"a": {}, "b": [], "c": [[], {}]},
+        "caf\u00e9 \u2603 \U0001f600 \"quoted\" back\\slash\n\ttab\x00",
+        {"\u00e9": "k", "b": [True, 1, False, 0, None]},
+        [1.0, -0.0, 0.1, 1e300, 2.5e-310, float("nan"), float("inf"), float("-inf"), 10**40, -7],
+        (1, (2, 3)), {"z": 0.012, "a": {"y": [1, [2, [3, {}]]]}},
+    ]
+    for x in values:
+        assert cli._write_json(x) == json.dumps(x, indent=2, sort_keys=True), x
+    with pytest.raises(TypeError):
+        cli._write_json({1, 2})
+
+
 def test_overlaps_dot_deterministic(tmp_path, capsys):
     d1 = tmp_path / "a.dot"
     d2 = tmp_path / "b.dot"
@@ -253,8 +288,11 @@ def test_verify_small_corpus(tmp_path, capsys):
 
 
 def test_verify_empty_corpus(tmp_path, capsys):
-    assert main(["verify", str(tmp_path)]) == 0
-    assert "warning" in capsys.readouterr().out
+    # A corpus path that exists but holds no *.json file is an input error,
+    # not a clean run.
+    (tmp_path / "notes.txt").write_text("no corpus here")
+    assert main(["verify", str(tmp_path)]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_verify_wrong_expectation(tmp_path, capsys):
@@ -315,12 +353,8 @@ GOLDEN = [
 ]
 
 
-@pytest.mark.parametrize("argv, digest", GOLDEN, ids=[" ".join(a) for a, _ in GOLDEN])
-def test_golden_output(argv, digest, capsys):
-    # The sha256 of stdout as it read before control points moved to
-    # integer vectors (for analyze, with "timings" dropped and the report
-    # written again as the CLI writes it); for overlaps, as it read before
-    # field elements moved to integer vectors over a denominator.
+def _golden_run(argv, capsys):
+    """(exit code, stdout) of a golden command, with the named input."""
     name = argv[1]
     if "->" in name:
         rules = CUBIC_RULES[name][1]
@@ -329,10 +363,46 @@ def test_golden_output(argv, digest, capsys):
             a: [str(b) for b in w] for a, w in zip(letters, rules)}})
     else:
         source = str(CORPUS / f"{name}.json")
-    assert main([argv[0], source, *argv[2:]]) == 0
-    out = capsys.readouterr().out
+    rc = main([argv[0], source, *argv[2:]])
+    return rc, capsys.readouterr().out
+
+
+def _digest(argv, out):
+    # For analyze, with "timings" dropped and the report written again as
+    # the CLI writes it.
     if argv[0] == "analyze":
         report = json.loads(out)
         del report["timings"]
         out = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    return hashlib.sha256(out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN, ids=[" ".join(a) for a, _ in GOLDEN])
+def test_golden_output(argv, digest, capsys):
+    # The sha256 of stdout as it read before control points moved to
+    # integer vectors (for analyze, see _digest); for overlaps, as it read
+    # before field elements moved to integer vectors over a denominator.
+    rc, out = _golden_run(argv, capsys)
+    assert rc == 0
+    assert _digest(argv, out) == digest
+    # The JSON writer against json.dumps on the whole report, timings of
+    # analyze included; overlaps prints its DOT first.
+    text = "{" + out.partition("}\n{")[2] if argv[0] == "overlaps" else out
+    report = json.loads(text)
+    assert cli._write_json(report) + "\n" == text
+    assert json.dumps(report, indent=2, sort_keys=True) + "\n" == text
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN, ids=[" ".join(a) for a, _ in GOLDEN])
+def test_cap_classes_prints_golden_or_exits_three(argv, digest, capsys):
+    # A class cap never changes an answer: each run prints the golden bytes
+    # or stops with exit code 3.
+    printed = []
+    for cap in (0, 1, 5, 20, 50):
+        rc, out = _golden_run([*argv, "--cap-classes", str(cap)], capsys)
+        assert rc in (0, 3), cap
+        if rc == 0:
+            assert _digest(argv, out) == digest, cap
+            printed.append(cap)
+    if argv[:2] in (["msc", "fibonacci"], ["msc", "s112"]):
+        assert printed  # small caps that suffice

@@ -290,9 +290,17 @@ def _touching_pairs(system, c):
 HALVES = {"1->112,2->11": (2, ((1, 1, 2), (1, 1)))}
 
 
+# The golden `msc NAME --map-level N` commands of test_cli.py.
+MSC_LEVELS = {"tribonacci@3": 3, "thue_morse@3": 3, "fibonacci@4": 4, "s112@2": 2}
+
+
 def _closure_of_analyze(name, pipeline):
-    """The system's closure after the overlap graph and MSC of analyze."""
-    if name in CORPUS_RULES:
+    """The system's closure after the overlap graph and MSC of analyze, or
+    after the MSC of `msc` for a name in MSC_LEVELS."""
+    if name in MSC_LEVELS:
+        system = TilingSystem(Substitution(*CORPUS_RULES[name.split("@")[0]]))
+        multiple_strong_coincidence(system, MSC_LEVELS[name])
+    elif name in CORPUS_RULES:
         system = pipeline(name)["system"]
     else:
         system = TilingSystem(Substitution(*{**CUBIC_RULES, **HALVES}[name]))
@@ -301,10 +309,13 @@ def _closure_of_analyze(name, pipeline):
     return system, overlap_closure(system)
 
 
-@pytest.mark.parametrize("name", list(CORPUS_RULES) + list(CUBIC_RULES) + list(HALVES))
+CLOSURES = list(CORPUS_RULES) + list(CUBIC_RULES) + list(HALVES) + list(MSC_LEVELS)
+
+
+@pytest.mark.parametrize("name", CLOSURES)
 def test_int_inflation_equals_field_inflation(name, pipeline):
     # Every class of the closure, graph vertices and pair starts alike: the
-    # children and multiplicities of the integer inflation against the
+    # children and multiplicities of the table inflation against the
     # field-element inflation of tests/oracles.py.
     system, closure = _closure_of_analyze(name, pipeline)
     touching = 0
@@ -358,3 +369,68 @@ def test_int_inflation_near_touching(m, rules):
                 for sign in (1, -1):
                     c = OverlapClass(i, j, system.point(tuple(a + sign * b for a, b in zip(edge, eps))))
                     assert closure._inflate(class_key(c)) == _field_children(system, c), c.label()
+
+
+@pytest.mark.parametrize("m, rules", [
+    (2, ((1, 2), (1,))),
+    (2, ((1, 2), (2, 1))),
+    (2, ((1, 1, 2), (1, 1))),
+    (3, ((1, 2), (1, 3), (1,))),
+    (3, ((2, 3, 1), (3, 2, 3), (1, 3))),
+])
+def test_inflation_table_cells(m, rules):
+    # One class for every cell of every color pair's table: beta * shift
+    # on each threshold (tiles that touch, as in each (i, i, 0)), inside
+    # each gap between two thresholds, and below the first and above the
+    # last; and one class with a 3 in its denominator, whose cells are
+    # the table's offsets rescaled.
+    system = TilingSystem(Substitution(m, rules))
+    closure = OverlapClosure(system)
+    beta, third = system.field.beta(), system.field.from_rational(Fraction(1, 3))
+    for i in range(1, m + 1):
+        for j in range(1, m + 1):
+            thresholds, spans = closure._table(i, j)
+            assert all(0 < first <= last < 2 * len(thresholds) for first, last, _ in spans)
+            xs = [system.point(t[1]) for t in thresholds]
+            assert all((b - a).sign() > 0 for a, b in zip(xs, xs[1:]))
+            if i == j:  # (i, i, 0): beta * 0 is the threshold u_0 - w_0
+                assert any(x.is_zero() for x in xs)
+            points = xs + [(a + b) / 2 for a, b in zip(xs, xs[1:])]
+            points += [xs[0] - 1, xs[-1] + 1, xs[0] + third]
+            for x in points:
+                c = OverlapClass(i, j, x / beta)
+                assert closure._inflate(class_key(c)) == _field_children(system, c), c.label()
+    assert any(den % (3 * system.den) == 0 for _, _, den, _ in closure._cells)
+
+
+def _plain_distance(closure, i):
+    """The first breadth-first level from class i holding a coincidence."""
+    level, seen, d = [i], {i}, 0
+    while level:
+        if any(a == b and not any(v) for a, b, _, v in map(closure.keys.__getitem__, level)):
+            return d
+        nxt = []
+        for k in level:
+            for j, _ in closure.successors(k):
+                if j not in seen:
+                    seen.add(j)
+                    nxt.append(j)
+        level, d = nxt, d + 1
+    return None
+
+
+@pytest.mark.parametrize("name", CLOSURES)
+def test_distance_equals_plain_search(name, pipeline):
+    # The known-distance search against the plain one on every class of the
+    # closure: with the memo the run left, and from a fresh closure asked
+    # in reverse order, so the known classes differ.
+    system, closure = _closure_of_analyze(name, pipeline)
+    keys = list(closure.keys)
+    expected = {key: _plain_distance(closure, i) for i, key in enumerate(keys)}
+    if name.startswith("thue_morse"):
+        assert None in expected.values()  # classes that reach no coincidence
+    for i, key in enumerate(keys):
+        assert closure.distance(i, 10**4) == expected[key], closure.overlap_class(i).label()
+    fresh = OverlapClosure(system)
+    for key in reversed(keys):
+        assert fresh.distance(fresh._id(key), 10**4) == expected[key], key

@@ -11,6 +11,7 @@ from sympy import Matrix, factorint
 from conftest import CORPUS_RULES, CUBIC_RULES
 from oracles import descendant_reference, group_G_reference, pair_closure
 from pisotile import (
+    CapExceededError,
     EnumerationCapError,
     NotPisotError,
     OverlapClass,
@@ -31,7 +32,7 @@ from pisotile import (
     strong_coincidence,
     stuck_scc_indices,
 )
-from pisotile.strongcoin import _descendant
+from pisotile.strongcoin import _descendant, _pair_test
 from pisotile.substitution import matrix
 
 
@@ -240,6 +241,19 @@ def test_pair_lookup_matches_pair_closure(name, n):
             start = OverlapClass(p.i, p.j, c[p.i - 1] - c[p.j - 1])
             expected = pair_closure(lambda x: inflate_class(system, x), start)
             assert (p.status, p.L, p.classes) == expected
+
+
+def test_pair_results_kept_per_cap():
+    # An exhausted pair's certificate is all its reachable classes: a kept
+    # result is not returned for a smaller cap, which that reach exceeds.
+    system = TilingSystem(Substitution(*CORPUS_RULES["thue_morse"]))
+    key = (1, 2, 1, (0,))
+    full = _pair_test(system, key, 10**4)
+    assert full.classes == ("(1,2,0)", "(2,1,0)")
+    assert _pair_test(system, key, 10**4) is full
+    with pytest.raises(CapExceededError):
+        _pair_test(system, key, 1)
+    assert _pair_test(system, key, 2) == full
 
 
 def test_extract_witness_thue_morse(tm):
