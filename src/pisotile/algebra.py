@@ -11,7 +11,8 @@ with a nonzero last entry.  The module holds:
 - ``roots``: float approximations of the complex roots by the Aberth-Ehrlich
   iteration.  They only propose candidates; nothing is decided from them;
 - ``schur_cohn``: an exact count of the zeros in a disk |z| < rho for a
-  rational rho;
+  rational rho, and ``unit_disk_count``, the count in |z| < 1 of a
+  polynomial with no zero on |z| = 1 from two agreeing counts;
 - ``pisot_certificate`` and ``perron_minimal_polynomial``, which build the
   minimal polynomial of a Perron root from float roots and prove it
   irreducible and Pisot with one Schur-Cohn count;
@@ -172,11 +173,14 @@ def count_roots(p, lo, hi) -> int:
 
 # -- float roots ----------------------------------------------------------------------
 
+_ABERTH_ITERATIONS = 200
 
-def roots(p, iterations: int = 200):
-    """Float approximations of the complex roots of p (degree >= 1), by the
-    Aberth-Ehrlich iteration from a circle of radius Fujiwara's bound; None
-    if a float overflows.  Simple roots converge to about machine precision.
+
+def roots(p):
+    """Float approximations of the complex roots of p (degree >= 1), by at
+    most _ABERTH_ITERATIONS steps of the Aberth-Ehrlich iteration from a
+    circle of radius Fujiwara's bound; None if a float overflows.  Simple
+    roots converge to about machine precision.
     """
     n = len(p) - 1
     try:
@@ -186,7 +190,7 @@ def roots(p, iterations: int = 200):
         return None
     dc = derivative(c)
     z = [radius * cmath.exp(1j * (2 * math.pi * k / n + 0.4)) for k in range(n)]
-    for _ in range(iterations):
+    for _ in range(_ABERTH_ITERATIONS):
         moved = 0.0
         for i in range(n):
             fz, dz = peval(c, z[i]), peval(dc, z[i])
@@ -238,6 +242,26 @@ def schur_cohn(p, rho: Fraction):
     a, b = rho.numerator, rho.denominator
     n = len(p) - 1
     return _inside_unit_disk([int(c) * a**k * b ** (n - k) for k, c in enumerate(p)])
+
+
+def unit_disk_count(p) -> int:
+    """The number of zeros of the integer polynomial p in |z| < 1, for p
+    with no zero on |z| = 1 (an irreducible p that is not self-reciprocal).
+
+    Equal Schur-Cohn counts in |z| < 1 - e and |z| < 1 + e prove that no
+    zero lies in 1 - e <= |z| < 1 + e, so either is the count.  e starts
+    below half the distance from 1 of the float root modulus nearest to it,
+    which only proposes it, and is halved until the counts agree; after 64
+    halvings without agreement this raises ArithmeticError rather than
+    guess."""
+    gap = min(abs(abs(z) - 1) for z in roots(p) or [0j])
+    start = max(1, 2 - math.frexp(gap)[1])  # 2^-start < gap, unless gap = 0
+    for k in range(start, start + 65):
+        e = Fraction(1, 2**k)
+        inside = schur_cohn(p, 1 - e)
+        if inside is not None and inside == schur_cohn(p, 1 + e):
+            return inside
+    raise ArithmeticError("Schur-Cohn counts at 1 - e and 1 + e never agreed")
 
 
 def pisot_certificate(q) -> bool:

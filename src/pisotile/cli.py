@@ -342,6 +342,10 @@ def cmd_msc(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    """Check every corpus file against its metadata.expected, one line per
+    file: a gate error or a cap hit on one file does not stop the others.
+    Exit 1 if a file FAILs, else 2 on a fixture or gate error, else 3 if a
+    cap was hit, else 0."""
     corpus = Path(args.corpus) if args.corpus else Path(__file__).parent / "corpus"
     if not corpus.is_dir():
         print(f"error: {corpus} is not a directory", file=sys.stderr)
@@ -350,8 +354,7 @@ def cmd_verify(args) -> int:
     if not files:
         print(f"error: no *.json corpus files in {corpus}", file=sys.stderr)
         return 2
-    failures = 0
-    fixture_errors = 0
+    failures = errors = caps = 0
     for f in files:
         try:
             s, _, meta = parse(f)
@@ -362,7 +365,7 @@ def cmd_verify(args) -> int:
                 raise ParseError("'expected.overlap_coincidence' must be a boolean")
         except ParseError as e:
             print(f"{f.name}: FIXTURE ERROR ({e})")
-            fixture_errors += 1
+            errors += 1
             continue
         try:
             report = analyze(s, args)
@@ -380,11 +383,17 @@ def cmd_verify(args) -> int:
         except VerdictMismatch as e:
             failures += 1
             print(f"{f.name}: FAIL ({e})")
+        except SubstitutionError as e:
+            errors += 1
+            print(f"{f.name}: GATE ERROR ({e})")
+        except (CapExceededError, EnumerationCapError) as e:
+            caps += 1
+            print(f"{f.name}: CAP EXHAUSTED ({e})")
     if failures:
         return 1
-    if fixture_errors:
+    if errors:
         return 2
-    return 0
+    return 3 if caps else 0
 
 
 def cmd_oracle_dekking(args) -> int:

@@ -38,9 +38,9 @@ class Digraph:
         return adj
 
 
-def scc(g: Digraph):
-    """Tarjan partition (list of vertex lists, reverse topological order)
-    and the condensation digraph."""
+def scc(g: Digraph) -> list[list[int]]:
+    """The Tarjan partition: the strongly connected components as sorted
+    vertex lists, in reverse topological order."""
     adj = [sorted({v for v, _ in succ}) for succ in g.successors()]
     index = [None] * g.n
     low = [0] * g.n
@@ -87,20 +87,7 @@ def scc(g: Digraph):
                     if w == v:
                         break
                 comps.append(sorted(comp))
-
-    comp_of = [0] * g.n
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = ci
-    cond_edges = sorted(
-        {
-            (comp_of[u], comp_of[v])
-            for u, v, _ in g.edges
-            if comp_of[u] != comp_of[v]
-        }
-    )
-    condensation = Digraph(len(comps), tuple((u, v, 1) for u, v in cond_edges))
-    return comps, condensation
+    return comps
 
 
 def distances_to(g: Digraph, targets) -> dict[int, int]:
@@ -122,8 +109,7 @@ def distances_to(g: Digraph, targets) -> dict[int, int]:
 
 
 def is_strongly_connected(g: Digraph) -> bool:
-    comps, _ = scc(g)
-    return len(comps) == 1
+    return len(scc(g)) == 1
 
 
 def functional_cycles(succ: list[int]) -> list[tuple[int, ...]]:

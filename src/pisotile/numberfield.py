@@ -13,6 +13,11 @@ A sign is decided by one routine, ``NumberField.compare``, on points
 the floats decide when they separate the two points; otherwise the exact
 sign of an integer vector decides, by refining a rational enclosure of beta
 until the evaluated enclosure of the value excludes 0.
+
+``is_pisot`` decides whether beta is a Pisot number with the algebra
+kernel: a Schur-Cohn certificate for "yes", and for "no" a Sturm count
+(beta > 1) and Schur-Cohn counts of the roots in the unit disk.  sympy only
+checks irreducibility, when no certificate is found.
 """
 
 from __future__ import annotations
@@ -21,7 +26,8 @@ import math
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .algebra import adjugate, count_roots, derivative, mat_vec, peval, pisot_certificate
+from .algebra import (adjugate, count_roots, derivative, mat_vec, peval, pisot_certificate,
+                      unit_disk_count)
 
 RationalLike = Union[int, Fraction]
 
@@ -555,29 +561,24 @@ def fast_cmp(a: AlgebraicReal, b: AlgebraicReal) -> int:
 # -- the Pisot test -----------------------------------------------------------
 
 
-def _cubic_discriminant(coeffs: tuple[int, ...]) -> int:
-    """Discriminant of x^3 + b x^2 + c x + e, given as (e, c, b, 1)."""
-    e, c, b, _ = coeffs
-    return 18 * b * c * e - 4 * b**3 * e + b**2 * c**2 - 4 * c**3 - 27 * e**2
-
-
 def _is_reciprocal(coeffs: tuple[int, ...]) -> bool:
     rev = tuple(reversed(coeffs))
     return coeffs == rev or coeffs == tuple(-c for c in rev)
 
 
 def is_pisot(min_poly: Sequence[int], beta_interval: tuple[RationalLike, RationalLike]) -> bool:
-    """True iff the root of min_poly in the interval is a Pisot number.
+    """True iff the root beta of min_poly in the interval is a Pisot number:
+    real, > 1, and every other conjugate of modulus strictly below 1.
 
-    Every conjugate other than beta must have modulus strictly below 1.  For
-    an interval above 1, ``pisot_certificate`` proves this, and the
+    For an interval above 1, ``pisot_certificate`` proves this, and the
     irreducibility of min_poly, without sympy.  Otherwise sympy checks
-    irreducibility, and then: when the conjugates all have one modulus
-    (degree 2, or degree 3 with a complex pair), the norm decides; else real
-    conjugates are compared to +-1 exactly, and complex conjugates are
-    bounded via rigorous isolating-rectangle refinement.  Roots of modulus
-    exactly 1 occur only for self-reciprocal polynomials, which are handled
-    separately, so the refinement loop terminates.
+    irreducibility, and the algebra kernel decides: a Sturm count on
+    [max(lo, 1), hi] that beta > 1; then a self-reciprocal min_poly, whose
+    roots pair up as r, 1/r, is Pisot iff its degree is 2; any other
+    irreducible min_poly has no root on |z| = 1 (such a root z would be a
+    common root with the reciprocal, as 1/z = conj(z)), so Schur-Cohn counts
+    (``unit_disk_count``) give the number of roots in |z| < 1, which is
+    degree - 1 iff beta is Pisot.
     """
     coeffs = tuple(int(c) for c in min_poly)
     if coeffs[-1] != 1:
@@ -585,46 +586,12 @@ def is_pisot(min_poly: Sequence[int], beta_interval: tuple[RationalLike, Rationa
     lo, hi = Fraction(beta_interval[0]), Fraction(beta_interval[1])
     if lo >= 1 and pisot_certificate(coeffs) and count_roots(coeffs, lo, hi) == 1:
         return True
-    poly = _sympy_poly(coeffs)
-    if not poly.is_irreducible:
+    if not _sympy_poly(coeffs).is_irreducible:
         raise ValueError("min_poly must be irreducible")
-    d = len(coeffs) - 1
     if count_roots(coeffs, lo, hi) != 1:
         raise ValueError("interval does not isolate a root")
-    if d == 1:
-        return -coeffs[0] > 1  # beta = -a_0, no conjugates
-    if d == 2 or (d == 3 and _cubic_discriminant(coeffs) < 0):
-        # The conjugates share one modulus r: there is one (d = 2), or a
-        # complex pair (d = 3 with a negative discriminant).  With beta they
-        # multiply to +-a_0, so r^(d-1) = |a_0| / beta, and beta is Pisot iff
-        # |a_0| < beta.  beta is irrational, so the two differ, and the
-        # polynomial has the same sign at |a_0| as at lo iff beta lies above.
-        n = abs(coeffs[0])
-        if n <= lo or n >= hi:
-            return n <= lo
-        return (peval(coeffs, n) > 0) == (peval(coeffs, lo) > 0)
+    if hi <= 1 or peval(coeffs, 1) == 0 or count_roots(coeffs, max(lo, 1), hi) != 1:
+        return False  # beta <= 1
     if _is_reciprocal(coeffs):
-        # Roots pair up as r, 1/r.  Degree 2 gives the single conjugate
-        # +-1/beta; higher degree forces a second root of modulus >= 1.
-        return d == 2
-    for root in poly.all_roots(radicals=False):
-        if root.is_real:
-            if lo <= root <= hi:
-                continue  # beta itself
-            if not (-1 < root < 1):
-                return False
-        else:
-            itv = root._get_interval()
-            while True:
-                ax, bx = Fraction(str(itv.ax)), Fraction(str(itv.bx))
-                ay, by = Fraction(str(itv.ay)), Fraction(str(itv.by))
-                far = max(ax * ax, bx * bx) + max(ay * ay, by * by)
-                near_x = Fraction(0) if ax <= 0 <= bx else min(abs(ax), abs(bx))
-                near_y = Fraction(0) if ay <= 0 <= by else min(abs(ay), abs(by))
-                near = near_x * near_x + near_y * near_y
-                if far < 1:
-                    break
-                if near > 1:
-                    return False
-                itv = itv.refine()
-    return True
+        return len(coeffs) == 3
+    return unit_disk_count(coeffs) == len(coeffs) - 2

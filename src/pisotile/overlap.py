@@ -381,10 +381,9 @@ def stuck_scc_indices(g: OverlapGraph) -> list[list[int]]:
     """Nontrivial SCCs none of whose vertices reach a coincidence."""
     dg = g.digraph()
     reach = distances_to(dg, g.coincidence_indices())
-    comps, _ = scc(dg)
     has_self = {(u, v) for (u, v) in g.edges}
     out = []
-    for comp in comps:
+    for comp in scc(dg):
         if any(v in reach for v in comp):
             continue
         nontrivial = len(comp) > 1 or (comp[0], comp[0]) in has_self
@@ -417,15 +416,14 @@ def expansive_sccs(system: TilingSystem, g: OverlapGraph):
 
 # -- seeding with radius stability ---------------------------------------------
 
+_MAX_DOUBLINGS = 10
 
-def stable_overlap_graph(
-    system: TilingSystem,
-    cap: int = 10**4,
-    max_doublings: int = 10,
-):
+
+def stable_overlap_graph(system: TilingSystem, cap: int = 10**4):
     """Builds the overlap graph from a central patch of radius 8 times the
     longest tile length, doubling the radius until two consecutive doublings
-    yield identical closed vertex sets.  Returns (graph, radius_used).
+    yield identical closed vertex sets, at most _MAX_DOUBLINGS times.
+    Returns (graph, radius_used).
     """
     max_len = system.lengths[0]
     for l in system.lengths[1:]:
@@ -433,7 +431,7 @@ def stable_overlap_graph(
             max_len = l
     radius = 8 * max_len
     prev_keys = None
-    for _ in range(max_doublings + 1):
+    for _ in range(_MAX_DOUBLINGS + 1):
         patch = system.central_patch(radius)
         ys = system.return_vectors(patch)
         seeds = seed_overlaps(system, patch, ys)
@@ -448,7 +446,7 @@ def stable_overlap_graph(
         prev_keys = keys
         radius = 2 * radius
     raise CapExceededError(
-        f"overlap-graph vertex set did not stabilize within {max_doublings} "
+        f"overlap-graph vertex set did not stabilize within {_MAX_DOUBLINGS} "
         "radius doublings"
     )
 

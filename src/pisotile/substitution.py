@@ -5,6 +5,11 @@ matrix counts letter occurrences in the images.  This module provides the
 primitivity / irreducibility / Pisot gates and the exact Perron data (the
 expansion factor beta as an algebraic number and the exact left-eigenvector
 interval lengths) that the tiling layer consumes.
+
+The minimal polynomial of beta comes from the algebra kernel's certificate.
+Without one, Sturm bisection isolates beta, sympy factors the characteristic
+polynomial, and ``is_pisot`` decides; sympy only factors and checks
+irreducibility.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import char_poly, count_roots, mat_mul, perron_minimal_polynomial
+from .algebra import char_poly, count_roots, mat_mul, perron_minimal_polynomial, squarefree
 from .numberfield import AlgebraicReal, NumberField, _sympy_poly, is_pisot
 
 
@@ -93,54 +98,48 @@ def is_irreducible(s: Substitution, min_poly=None) -> bool:
     return _sympy_poly(chi).is_irreducible
 
 
-def power(s: Substitution, n: int, word_cap: int = 10**6) -> Substitution:
-    """The substitution sigma^n (rules composed n times)."""
+_WORD_CAP = 10**6
+
+
+def power(s: Substitution, n: int) -> Substitution:
+    """The substitution sigma^n (rules composed n times); a rule word longer
+    than _WORD_CAP raises SubstitutionError."""
     if n < 1:
         raise SubstitutionError("power requires n >= 1")
     rules = tuple((i + 1,) for i in range(s.m))
     for _ in range(n):
         rules = tuple(s.apply(w) for w in rules)
-        if any(len(w) > word_cap for w in rules):
-            raise SubstitutionError(f"rule words exceed cap {word_cap}")
+        if any(len(w) > _WORD_CAP for w in rules):
+            raise SubstitutionError(f"rule words exceed cap {_WORD_CAP}")
     return Substitution(s.m, rules)
 
 
-def _isolate_root(min_poly_coeffs, root) -> tuple[Fraction, Fraction]:
-    """Rational interval around a sympy real root isolating it in its min
-    poly, where it is the largest real root.  sympy may return the root as
-    an expression (2*CRootOf(x**2 - x - 1, 1) for x^2 - 2x - 4), so the
-    interval comes from the polynomial's own root isolation."""
-    from sympy import Rational
-
-    if root.is_rational:
-        r = Fraction(int(root.p), int(root.q))
-        return r - Fraction(1, 4), r + Fraction(1, 4)
-    poly = _sympy_poly(min_poly_coeffs)
-    tol = Rational(1, 2**24)
-    while True:
-        (lo, hi), _ = poly.intervals(eps=tol)[-1]
-        lo, hi = Fraction(int(lo.p), int(lo.q)), Fraction(int(hi.p), int(hi.q))
-        if lo >= 1 and count_roots(min_poly_coeffs, lo, hi) == 1:
-            return lo, hi
-        tol /= 2**8
-
-
 def _perron_by_sympy(s: Substitution, chi):
-    """(min poly, isolating interval) of the Perron root by sympy's root
-    isolation, for the inputs without a certificate; raises NotPisotError
-    when the root is not Pisot."""
-    from sympy import minimal_polynomial
+    """(min poly, isolating interval) of the Perron root, for the inputs
+    without a certificate; raises NotPisotError when it is not Pisot.
 
-    poly = _sympy_poly(chi)
-    perron = poly.real_roots(radicals=False)[-1]
-    mp = minimal_polynomial(perron, poly.gen, polys=True)
-    coeffs = [int(c) for c in reversed(mp.all_coeffs())]
-    interval = _isolate_root(coeffs, perron)
-    if not is_pisot(coeffs, interval):
+    The largest real root of squarefree(chi) is isolated by Sturm bisection
+    from the Cauchy bound down to width 2^-24, and its minimal polynomial is
+    the factor of chi in sympy's factor_list that has a root in that
+    interval; ``is_pisot`` decides."""
+    sq = squarefree(chi)
+    hi = 1 + max(abs(c) for c in sq)  # above every root of the monic sq
+    lo = -hi
+    while hi - lo > Fraction(1, 2**24) or count_roots(sq, lo, hi) != 1:
+        mid = (lo + hi) / 2
+        if count_roots(sq, mid, hi):
+            lo = mid
+        else:
+            hi = mid
+    for factor, _ in _sympy_poly(chi).factor_list()[1]:
+        coeffs = [int(c) for c in reversed(factor.all_coeffs())]
+        if count_roots(coeffs, lo, hi):
+            break
+    if not is_pisot(coeffs, (lo, hi)):
         raise NotPisotError(
-            f"Perron root of {s} (min poly {mp.as_expr()}) is not Pisot"
+            f"Perron root of {s} (min poly {factor.as_expr()}) is not Pisot"
         )
-    return coeffs, interval
+    return coeffs, (lo, hi)
 
 
 def perron_data(s: Substitution):

@@ -40,6 +40,8 @@ from .substitution import (
     power,
 )
 
+_TILE_CAP = 10**6
+
 
 @dataclass(frozen=True)
 class Patch:
@@ -139,9 +141,10 @@ class TilingSystem:
 
     # -- inflation and the fixed tiling ---------------------------------------
 
-    def inflate_patch(self, p: Patch, n: int = 1, tile_cap: int = 10**6) -> Patch:
+    def inflate_patch(self, p: Patch, n: int = 1) -> Patch:
         """sigma^n on the tiles of p: each time, a color-i tile at v becomes
-        the tiles of sigma(i) at beta v plus their prefix offsets."""
+        the tiles of sigma(i) at beta v plus their prefix offsets.  A patch
+        of more than _TILE_CAP tiles raises SubstitutionError."""
         if n < 0:
             raise ValueError("inflation level must be >= 0")
         tiles = p.tiles
@@ -152,11 +155,11 @@ class TilingSystem:
                 for bv in (self.times_beta(v),)
                 for c, off in self.prefix_offsets[color - 1]
             ]
-            if len(tiles) > tile_cap:
-                raise SubstitutionError(f"patch exceeds tile cap {tile_cap}")
+            if len(tiles) > _TILE_CAP:
+                raise SubstitutionError(f"patch exceeds tile cap {_TILE_CAP}")
         return Patch(tuple(tiles))
 
-    def central_patch(self, radius, tile_cap: int = 10**6) -> Patch:
+    def central_patch(self, radius) -> Patch:
         """A patch of the two-sided fixed point whose support covers [-radius, radius].
 
         Seeded by the pair a|b from fixed_point_seed and inflated by
@@ -178,7 +181,7 @@ class TilingSystem:
             return enclosed(den, tuple(map(add, t[1], lc[t[0] - 1])))
 
         while compare(start(patch.tiles[0]), left) > 0 or compare(end(patch.tiles[-1]), right) < 0:
-            patch = self.inflate_patch(patch, self.seed_power, tile_cap)
+            patch = self.inflate_patch(patch, self.seed_power)
         # The tiles run left to right without gaps, so the ones meeting the
         # window are one run: from the first ending at or right of -radius
         # to the last starting at or left of radius.

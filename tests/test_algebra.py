@@ -22,7 +22,7 @@ from pisotile.algebra import (
     pisot_certificate,
     schur_cohn,
 )
-from pisotile.substitution import matrix, perron_data
+from pisotile.substitution import NotPisotError, matrix, perron_data
 
 _X = Symbol("x")
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
@@ -109,12 +109,20 @@ def _seeded_substitutions(seed, count):
     return out
 
 
-def test_minimal_polynomial_and_pisot_match_sympy():
+def test_minimal_polynomial_and_pisot_match_sympy(monkeypatch):
     # For each distinct characteristic polynomial: the certified minimal
     # polynomial is sympy's minimal polynomial of the largest real root, that
     # root is Pisot by its numerical conjugates, and the interval holds it
-    # alone; without a certificate the root is not Pisot.  The gate agrees
-    # with sympy's irreducibility test.
+    # alone; without a certificate the root is not Pisot, and the fallback
+    # names sympy's minimal polynomial in its NotPisotError after passing
+    # is_pisot an interval that holds the largest real root alone.  The gate
+    # agrees with sympy's irreducibility test.
+    import pisotile.substitution as substitution
+
+    asked = []
+    true_is_pisot = substitution.is_pisot
+    monkeypatch.setattr(substitution, "is_pisot",
+                        lambda q, itv: asked.append((q, itv)) or true_is_pisot(q, itv))
     seen, verdicts = set(), set()
     for s in _bench_matrices() + _seeded_substitutions(8, 60):
         chi = tuple(char_poly(matrix(s)))
@@ -133,8 +141,13 @@ def test_minimal_polynomial_and_pisot_match_sympy():
         verdicts.add((pisot, poly.is_irreducible))
         if found:
             q, lo, hi = found
-            assert q == mp, chi
-            assert poly.count_roots(lo, hi) == 1 and poly.count_roots(hi, None) == 0
+        else:
+            with pytest.raises(NotPisotError) as err:
+                substitution._perron_by_sympy(s, list(chi))
+            assert f"(min poly {_poly(mp).as_expr()}) is not Pisot" in str(err.value)
+            q, (lo, hi) = asked.pop()
+        assert q == mp, chi
+        assert poly.count_roots(lo, hi) == 1 and poly.count_roots(hi, None) == 0
     assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
 
 

@@ -287,6 +287,26 @@ def test_verify_small_corpus(tmp_path, capsys):
     assert out.count("PASS") == 3
 
 
+def test_verify_continues_past_gate_and_cap_errors(tmp_path, capsys):
+    # A non-Pisot file between two good ones is reported on its own line and
+    # the file after it is still checked: exit 2.  A cap hit is reported the
+    # same way: exit 3 when nothing worse happened.
+    for f in (FIB, CORPUS / "s112.json"):
+        (tmp_path / f.name).write_text(f.read_text())
+    (tmp_path / "np.json").write_text(json.dumps({
+        "alphabet": ["1", "2"], "rules": {"1": ["1", "2"], "2": ["1", "1", "1"]},
+        "metadata": {"expected": {"overlap_coincidence": True}}}))
+    assert main(["verify", str(tmp_path)]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["fibonacci.json", "np.json", "s112.json"]
+    assert lines[0].endswith("PASS") and lines[2].endswith("PASS")
+    assert lines[1].startswith("np.json: GATE ERROR (Pisot gate failed: ")
+    (tmp_path / "np.json").unlink()
+    assert main(["verify", str(tmp_path), "--cap-classes", "2"]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 and all(": CAP EXHAUSTED (" in line for line in lines)
+
+
 def test_verify_empty_corpus(tmp_path, capsys):
     # A corpus path that exists but holds no *.json file is an input error,
     # not a clean run.

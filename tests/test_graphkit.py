@@ -17,43 +17,11 @@ from pisotile.graphkit import (
 
 def test_scc_trivia():
     g = Digraph(1, ())
-    comps, cond = scc(g)
-    assert comps == [[0]]
+    assert scc(g) == [[0]]
     g2 = Digraph(2, ((0, 1, 1), (1, 0, 1)))
-    comps2, _ = scc(g2)
-    assert sorted(comps2[0]) == [0, 1]
+    assert sorted(scc(g2)[0]) == [0, 1]
     path = Digraph(3, ((0, 1, 1), (1, 2, 1)))
-    comps3, cond3 = scc(path)
-    assert sorted(map(tuple, comps3)) == [(0,), (1,), (2,)]
-    # The condensation is acyclic: no component reaches itself via an edge.
-    assert all(u != v for u, v, _ in cond3.edges)
-
-
-def test_condensation_acyclic_random():
-    rng = random.Random(5)
-    for _ in range(50):
-        n = rng.randint(2, 10)
-        edges = tuple(
-            (rng.randrange(n), rng.randrange(n), 1) for _ in range(rng.randint(1, 3 * n))
-        )
-        comps, cond = scc(Digraph(n, edges))
-        k = len(comps)
-        adj = {u: set() for u in range(k)}
-        for u, v, _ in cond.edges:
-            adj[u].add(v)
-
-        def cyclic():
-            color = [0] * k
-            def dfs(u):
-                color[u] = 1
-                for v in adj[u]:
-                    if color[v] == 1 or (color[v] == 0 and dfs(v)):
-                        return True
-                color[u] = 2
-                return False
-            return any(color[u] == 0 and dfs(u) for u in range(k))
-
-        assert not cyclic()
+    assert scc(path) == [[2], [1], [0]]  # reverse topological order
 
 
 def test_reachability():

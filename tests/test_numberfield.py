@@ -12,9 +12,14 @@ from sympy import Poly, Symbol
 from conftest import CORPUS_RULES, CUBIC_RULES
 from oracles import RationalField
 from pisotile import NumberField, Substitution, fast_cmp, is_pisot, perron_data
-from pisotile.numberfield import _cubic_discriminant
 
 _X = Symbol("x")
+
+
+def _cubic_discriminant(coeffs):
+    """Discriminant of x^3 + b x^2 + c x + e, given as (e, c, b, 1)."""
+    e, c, b, _ = coeffs
+    return 18 * b * c * e - 4 * b**3 * e + b**2 * c**2 - 4 * c**3 - 27 * e**2
 
 GOLDEN = ((-1, -1, 1), (Fraction(1), Fraction(2)))
 CUBIC = ((-1, -1, -1, 1), (Fraction(1), Fraction(2)))
@@ -273,15 +278,43 @@ def test_is_pisot_cases():
     # The golden polynomial has a Pisot certificate, but the root in (-1, 0)
     # is its conjugate, and (2, 3) holds no root.
     assert not is_pisot((-1, -1, 1), (Fraction(-1), Fraction(0)))
+    # A negative root of modulus > 1 whose conjugates lie in the unit disk,
+    # and a reciprocal quadratic's root below 1: neither is > 1.
+    assert not is_pisot((-1, 0, 3, 1), (Fraction(-3), Fraction(-2)))
+    assert not is_pisot((1, -3, 1), (Fraction(0), Fraction(1)))
+    # 2 + 2 sqrt(2), on an interval reaching below 1 (no certificate path).
+    assert is_pisot((-4, -4, 1), (Fraction(9, 10), Fraction(5)))
     with pytest.raises(ValueError):
         is_pisot((-1, -1, 1), (Fraction(2), Fraction(3)))
 
 
+def _pisot_by_mpmath(roots, lo, hi):
+    """Whether the root in [lo, hi] among the numerical roots of a
+    polynomial is Pisot; every other root is asserted to be off |z| = 1."""
+    mid = (mpmath.mpf(lo.numerator) / lo.denominator + mpmath.mpf(hi.numerator) / hi.denominator) / 2
+    beta = min(roots, key=lambda r: abs(r - mid))
+    others = [abs(r) for r in roots if r is not beta]
+    assert all(abs(m - 1) > 1e-20 for m in others)
+    return beta.real > 1 and all(m < 1 for m in others)
+
+
+def _near_circle(rng):
+    """Irreducible quartics and quintics (x - a) c(x) + k, for c with every
+    root on |z| = 1: the roots of c move off the circle by about 1/a."""
+    out = []
+    for c in ((1, 0, 0, 1), (1, 1, 1, 1, 1)):
+        a = rng.randint(300, 900)
+        for k in (-1, 1, 2):
+            q = [x - a * y for x, y in zip((0, *c), (*c, 0))]
+            q[0] += k
+            out.append(tuple(q))
+    return out
+
+
 def test_is_pisot_matches_roots():
-    # Quadratics, and cubics with a complex pair, are decided from the norm
-    # alone, other cubics from their roots: every real root >= 1 of every
-    # irreducible monic quadratic and cubic with small coefficients against
-    # the moduli of its numerical roots.
+    # Every real root >= 1 of every irreducible monic quadratic and cubic
+    # with small coefficients against the moduli of its numerical roots,
+    # cubics with a complex pair and with three real roots alike.
     polys = [(a0, a1, 1) for a0 in range(-4, 5) for a1 in range(-4, 5)]
     polys += [(a0, a1, a2, 1) for a0 in range(-3, 4) for a1 in range(-3, 4)
               for a2 in range(-3, 4)]
@@ -295,15 +328,11 @@ def test_is_pisot_matches_roots():
             lo, hi = Fraction(int(a.p), int(a.q)), Fraction(int(b.p), int(b.q))
             if lo < 1:
                 continue
-            beta = min(roots, key=lambda r: abs(r - (mpmath.mpf(lo.numerator) / lo.denominator + mpmath.mpf(hi.numerator) / hi.denominator) / 2))
-            others = [abs(r) for r in roots if r is not beta]
-            assert all(abs(m - 1) > 1e-20 for m in others)
-            pisot = all(m < 1 for m in others)
+            pisot = _pisot_by_mpmath(roots, lo, hi)
             assert is_pisot(coeffs, (lo, hi)) == pisot, coeffs
             kind = len(coeffs) == 3 or _cubic_discriminant(coeffs) < 0
             checked.add((len(coeffs), kind, pisot))
-            # An isolating interval with |a_0| inside, where the norm test
-            # reads the sign of the polynomial at |a_0|.
+            # A wider isolating interval, with |a_0| inside.
             n = abs(coeffs[0])
             wide = (min(lo, n - Fraction(1, 2)), max(hi, n + Fraction(1, 2)))
             if kind and wide[0] >= 1 and poly.count_roots(*wide) == 1:
@@ -312,6 +341,55 @@ def test_is_pisot_matches_roots():
     assert checked == {(3, True, True), (3, True, False), (4, True, True),
                        (4, True, False), (4, False, True), (4, False, False),
                        ("wide", True), ("wide", False)}
+    # Seeded irreducible quartics and quintics, and ones with a conjugate
+    # within 10^-3 of |z| = 1, on every isolating interval sympy gives:
+    # negative roots, roots in (0, 1) and intervals reaching below 1 too.
+    # The coefficient of x^(d-1) ranges wider, so that some are Pisot.
+    rng = random.Random(17)
+    polys = [tuple(rng.randint(-2, 2) for _ in range(d - 1)) + (rng.randint(-8, 2), 1)
+             for d in (4, 5) * 8]
+    checked = set()
+    for coeffs in polys + _near_circle(rng):
+        poly = Poly(list(reversed(coeffs)), _X)
+        rev = tuple(reversed(coeffs))
+        if not poly.is_irreducible or coeffs in (rev, tuple(-c for c in rev)):
+            continue  # self-reciprocal ones may have roots on the circle
+        roots = mpmath.polyroots(list(reversed(coeffs)), extraprec=40)
+        near = min(abs(abs(r) - 1) for r in roots) < 1e-3
+        for (a, b), _ in poly.intervals():
+            lo, hi = Fraction(int(a.p), int(a.q)), Fraction(int(b.p), int(b.q))
+            pisot = _pisot_by_mpmath(roots, lo, hi)
+            assert is_pisot(coeffs, (lo, hi)) == pisot, (coeffs, lo, hi)
+            checked.add((len(coeffs) - 1, near, pisot))
+    assert checked == {(d, near, pisot) for d in (4, 5) for near in (False, True)
+                       for pisot in (False, True)}
+
+
+def test_is_pisot_float_roots_only_propose(monkeypatch):
+    # Float roots that lie -- all far from the unit circle, one on it,
+    # none at all, all a hair from it -- only move where the Schur-Cohn
+    # counts start, and the answer stays right.  Counts that never agree, as
+    # for roots on the circle, raise rather than guess.
+    import pisotile.algebra as algebra
+
+    with pytest.raises(ArithmeticError):
+        algebra.unit_disk_count((1, -1, -1, -1, 1))
+
+    lies = [
+        lambda zs: [z / abs(z) * 100 for z in zs],
+        lambda zs: [1 + 0j] + zs[1:],
+        lambda zs: None,
+        lambda zs: [complex(1 + 2.0**-50)] * len(zs),
+    ]
+    true_roots = algebra.roots
+    interval = (Fraction(9, 10), Fraction(1000))  # below 1: no certificate path
+    truth = {q: _pisot_by_mpmath(mpmath.polyroots(list(reversed(q)), extraprec=40), *interval)
+             for q in _near_circle(random.Random(3))}
+    assert set(truth.values()) == {True, False}
+    for lie in lies:
+        monkeypatch.setattr(algebra, "roots", lambda p, lie=lie: lie(true_roots(p)))
+        for coeffs, pisot in truth.items():
+            assert is_pisot(coeffs, interval) == pisot, coeffs
 
 
 def test_field_validation():
