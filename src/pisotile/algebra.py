@@ -9,21 +9,19 @@ with a nonzero last entry.  The module holds:
 - Sturm sequences over Q (``sturm``, ``count_roots``), which count and
   isolate real roots;
 - ``roots``: float approximations of the complex roots by the Aberth-Ehrlich
-  iteration.  They only propose candidates; nothing is decided from them;
-- ``schur_cohn``: an exact count of the zeros in a disk |z| < rho for a
-  rational rho, and ``unit_disk_count``, the count in |z| < 1 of a
-  polynomial with no zero on |z| = 1 from two agreeing counts;
-- ``pisot_certificate`` and ``perron_minimal_polynomial``, which build the
-  minimal polynomial of a Perron root from float roots and prove it
-  irreducible and Pisot with one Schur-Cohn count;
+  iteration.  They only propose centres; nothing is decided from them;
+- ``conjugate_disks``: proven, pairwise disjoint inclusion disks of the
+  roots, refined by exact Aberth-Ehrlich steps, and
+  ``perron_minimal_polynomial``, which finds from them the minimal
+  polynomial of a Perron root, proved irreducible, and whether it is Pisot;
 - ``hnf``: the Hermite normal form of an integer lattice;
 - ``mat_mul``, ``mat_vec`` and ``prime_factors``: integer matrix products
   and trial division.
 
 The algorithms are the standard ones of Cohen, *A Course in Computational
-Algebraic Number Theory* (GTM 138); the Schur-Cohn recursion is that of
-Marden, *Geometry of Polynomials*, and Henrici, *Applied and Computational
-Complex Analysis*, vol. 1, section 6.8.
+Algebraic Number Theory* (GTM 138); the inclusion disks are Henrici's,
+*Applied and Computational Complex Analysis*, vol. 1, about Aberth's
+approximations (Math. Comp. 27, 1973).
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from operator import mul
 
 # -- polynomials over Q ---------------------------------------------------------
@@ -208,150 +206,200 @@ def roots(p):
     return z
 
 
-# -- Schur-Cohn -----------------------------------------------------------------------
+# -- proven inclusion disks -----------------------------------------------------------
+
+_FIRST_BITS = 64  # the first grid, 2^-64, is finer than a float's 53 bits
+_MAX_BITS = 1 << 13
+_MAX_STEPS = 160
+_RESTART = 80
 
 
-def _inside_unit_disk(c):
-    """Zeros of the integer polynomial c (nonzero last entry) in |z| < 1, or
-    None when the recursion is singular.
-
-    With n = deg c and the Schur transform Tc = c_0 c - c_n c*, c*(z) =
-    z^n c(1/z), gamma = Tc(0) = c_0^2 - c_n^2, and no zeros on |z| = 1, Rouche
-    gives: c and Tc have equally many zeros in the disk if gamma > 0; c* and
-    Tc if gamma < 0, and c* has n minus that many of c.  A zero of c on the
-    circle is a zero of every transform, so a recursion that ends at a
-    nonzero constant with every gamma != 0 proves there is none."""
-    n = len(c) - 1
-    if n == 0:
-        return 0
-    gamma = c[0] * c[0] - c[n] * c[n]
-    if gamma == 0:
-        return None
-    t = _trim([c[0] * c[k] - c[n] * c[n - k] for k in range(n)])
-    g = math.gcd(*t)
-    inside = _inside_unit_disk([x // g for x in t])
-    if inside is None:
-        return None
-    return inside if gamma > 0 else n - inside
+def _geval(p, a, b, s):
+    """s^deg(p) p((a + b i) / s) as a Gaussian integer (re, im), for integers
+    a, b and s, by Horner's rule with the powers of s folded in."""
+    re, im, t = 0, 0, 1
+    for c in reversed(p):
+        re, im = re * a - im * b + c * t, re * b + im * a
+        t *= s
+    return re, im
 
 
-def schur_cohn(p, rho: Fraction):
-    """The number of zeros of the integer polynomial p in |z| < rho, for a
-    rational rho > 0, or None when the Schur-Cohn recursion on p(rho z) is
-    singular (always so when p has a zero on |z| = rho)."""
-    a, b = rho.numerator, rho.denominator
+def _disks(p, z, s):
+    """Disks (a, b, r) about the approximations z (Gaussian integers over
+    s), or None when they are not proven disjoint.  Centres within 1/sqrt(s)
+    of the axis move onto it; of the others, those above it stand for
+    themselves and their mirror images, and all must count deg p = n.
+
+    The disk of centre c = (a + b i) / s and radius r / s > n |p(c) / p'(c)|
+    holds a root (Henrici): were every root z_j farther, |sum 1 / (c - z_j)|
+    would be below |p'(c) / p(c)|.  n pairwise disjoint disks hold one root
+    each; one centred on the axis holds its root's mirror image, so a real
+    root."""
     n = len(p) - 1
-    return _inside_unit_disk([int(c) * a**k * b ** (n - k) for k, c in enumerate(p)])
-
-
-def unit_disk_count(p) -> int:
-    """The number of zeros of the integer polynomial p in |z| < 1, for p
-    with no zero on |z| = 1 (an irreducible p that is not self-reciprocal).
-
-    Equal Schur-Cohn counts in |z| < 1 - e and |z| < 1 + e prove that no
-    zero lies in 1 - e <= |z| < 1 + e, so either is the count.  e starts
-    below half the distance from 1 of the float root modulus nearest to it,
-    which only proposes it, and is halved until the counts agree; after 64
-    halvings without agreement this raises ArithmeticError rather than
-    guess."""
-    gap = min(abs(abs(z) - 1) for z in roots(p) or [0j])
-    start = max(1, 2 - math.frexp(gap)[1])  # 2^-start < gap, unless gap = 0
-    for k in range(start, start + 65):
-        e = Fraction(1, 2**k)
-        inside = schur_cohn(p, 1 - e)
-        if inside is not None and inside == schur_cohn(p, 1 + e):
-            return inside
-    raise ArithmeticError("Schur-Cohn counts at 1 - e and 1 + e never agreed")
-
-
-def pisot_certificate(q) -> bool:
-    """Whether the monic integer polynomial q provably has q(0) != 0 and all
-    roots but one in a disk |z| < rho, for a rational rho < 1 read off its
-    float roots.
-
-    The remaining root is then real (non-real roots pair up) and of modulus
-    > 1: for degree >= 2 the product of the moduli is |q(0)| >= 1, and for
-    degree 1 the root is -q(0), so |q(0)| > 1 is required.  A monic
-    integer factor of q without it would have all its roots in the unit disk
-    and a nonzero integer constant term of modulus below 1, so q is
-    irreducible, and that root, if positive, is a Pisot number."""
-    d = len(q) - 1
-    if q[0] == 0 or (d == 1 and abs(q[0]) == 1):
-        return False
-    zs = roots(q)
-    if zs is None:
-        return False
-    r = sorted(abs(z) for z in zs)[-2] if d > 1 else 0.0
-    if not r < 1 - 2.0**-30:
-        return False
-    k = math.ceil(math.log2(4 / (1 - r)))
-    rho = Fraction(math.ceil((1 + r) / 2 * 2**k), 2**k)
-    return schur_cohn(q, rho) == d - 1
-
-
-def _conjugate_units(zs, tol: float = 1e-8):
-    """The roots grouped into real singletons and complex-conjugate pairs,
-    or None if they do not pair up."""
-    real = [z for z in zs if abs(z.imag) <= tol * max(1.0, abs(z))]
-    upper = [z for z in zs if z not in real and z.imag > 0]
-    lower = [z for z in zs if z not in real and z.imag < 0]
-    if len(upper) != len(lower):
+    dp = derivative(p)
+    centres = [(a, 0 if abs(b) <= math.isqrt(s) else b) for a, b in z]
+    centres = [(a, b) for a, b in centres if b >= 0]
+    if len(centres) + sum(b > 0 for _, b in centres) != n:
         return None
-    units = [(z.real,) for z in real]
-    for z in upper:
-        w = min(lower, key=lambda w: abs(w - z.conjugate()))
-        lower.remove(w)
-        units.append((z, w))
+    units = []
+    for a, b in centres:
+        (pr, pi), (dr, di) = _geval(p, a, b, s), _geval(dp, a, b, s)
+        if not (dr or di):
+            return None
+        units.append((a, b, math.isqrt(n * n * (pr * pr + pi * pi) // (dr * dr + di * di)) + 1))
+    for i, (a, b, r) in enumerate(units):
+        if 0 < b <= r or any((a - c) ** 2 + (b - d) ** 2 <= (r + t) ** 2 for c, d, t in units[:i]):
+            return None
     return units
 
 
-def _rounded_product(rs, tol: float = 1e-6):
-    """The monic integer polynomial prod (x - r), if the float product rounds
-    to one."""
-    p = [1 + 0j]
-    for r in rs:
-        p = [0j] + p
-        for i in range(len(p) - 1):
-            p[i] -= r * p[i + 1]
-    out = [round(c.real) for c in p]
-    if all(abs(c - k) <= tol * (1 + abs(k)) for c, k in zip(p, out)):
-        return out
+def _aberth_step(p, z, s):
+    """(new approximations, their grid) after one exact Aberth-Ehrlich step
+    z_i - w_i / (1 - w_i sum_j 1 / (z_i - z_j)), w_i = p(z_i) / p'(z_i), on
+    the distinct approximations z over s.  The new grid is s^2 when every
+    step was below 1/sqrt(s), as near simple roots, where the iteration
+    converges cubically; else it stays s."""
+    dp = derivative(p)
+    steps = []
+    for a, b in z:
+        (pr, pi), (dr, di) = _geval(p, a, b, s), _geval(dp, a, b, s)
+        d2 = (dr * dr + di * di) * s or 1  # no step where p' = 0
+        wr, wi = Fraction(pr * dr + pi * di, d2), Fraction(pi * dr - pr * di, d2)
+        sr = si = 0
+        for c, d in z:
+            m = (a - c) ** 2 + (b - d) ** 2
+            if m:
+                sr, si = sr + Fraction((a - c) * s, m), si - Fraction((b - d) * s, m)
+        er, ei = 1 - wr * sr + wi * si, -(wr * si + wi * sr)
+        m = er * er + ei * ei
+        steps.append(((wr * er + wi * ei) / m, (wi * er - wr * ei) / m) if m else (wr, wi))
+    grid = s * s if all((x * x + y * y) * s <= 1 for x, y in steps) else s
+    return [(round((Fraction(a, s) - x) * grid), round((Fraction(b, s) - y) * grid))
+            for (a, b), (x, y) in zip(z, steps)], grid
+
+
+def conjugate_disks(p):
+    """Proven inclusion disks of the roots of the monic squarefree integer
+    polynomial p, ever finer: yields (s, units), each unit (a, b, r) with
+    b >= 0 the disk of centre (a + b i) / s and radius r / s, and for b > 0
+    its mirror image too; they hold one root each (``_disks``).
+
+    ``roots`` only proposes the first centres.  Exact Aberth-Ehrlich steps
+    refine them; they start from a circle of radius the Cauchy bound when
+    the proposals are missing or not distinct, or after _RESTART steps
+    without a proof (a start symmetric about the axis stays so, and cannot
+    reach real roots from a pair).  After _MAX_STEPS steps, or past a grid
+    of 2^-_MAX_BITS, this raises ArithmeticError rather than guess."""
+    n = len(p) - 1
+    s, proven = 1 << _FIRST_BITS, False
+    try:
+        z = [(round(w.real * s), round(w.imag * s)) for w in roots(p)]
+    except (TypeError, ValueError, OverflowError):
+        z = []
+    for step in range(_MAX_STEPS):
+        if len(set(z)) != n or step == _RESTART and not proven:
+            s, bound = 1 << _FIRST_BITS, 1 + max(map(abs, p))
+            z = [(round(math.cos(t) * s) * bound, round(math.sin(t) * s) * bound)
+                 for t in (2 * math.pi * k / n + 0.4 for k in range(n))]
+        units = _disks(p, z, s)
+        if units is not None:
+            proven = True
+            yield s, units
+        if s.bit_length() > _MAX_BITS:
+            break
+        z, s = _aberth_step(p, z, s)
+    raise ArithmeticError("the inclusion disks were not proven disjoint")
+
+
+def _pmul(f, g):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, x in enumerate(f):
+        for j, y in enumerate(g):
+            out[i + j] += x * y
+    return out
+
+
+def _split(units):
+    """(the right-most disk on the axis, the others); ValueError if none is."""
+    top = max((u for u in units if not u[1]), key=lambda u: u[0])
+    return top, [u for u in units if u is not top]
+
+
+def _minimal_factor(p, s, units):
+    """The minimal polynomial of the root beta in the right-most real disk
+    of the squarefree p, or None when the disks are too wide to find it.
+
+    Candidates are the products over beta and the conjugation-closed sets of
+    the other roots, smallest degree first.  For roots z_i in the disks of
+    centres c_i and radii r_i, each coefficient of prod (x - z_i) is that of
+    prod (x - c_i) up to that of prod (x + |c_i| + r_i) - prod (x + |c_i|).
+    A candidate is rejected when an enclosure holds no integer, or the one
+    integer polynomial does not divide p or change sign on beta's disk
+    (which holds no other root); it is undecided when one holds two.  The
+    first survivor vanishes at beta, and so would any factor of p of lower
+    degree, which would have survived before it; so it is irreducible."""
+    top, others = _split(units)
+    subsets = sorted((c for k in range(len(others) + 1) for c in combinations(others, k)),
+                     key=lambda c: sum(1 + (u[1] > 0) for u in c))
+    for subset in subsets:
+        centre = inner = outer = [1]
+        for a, b, r in (top, *subset):
+            m = math.isqrt(a * a + b * b) + 1 if b else abs(a)
+            centre = _pmul(centre, [a * a + b * b, -2 * a, 1] if b else [-a, 1])
+            for _ in range(2 if b else 1):
+                inner, outer = _pmul(inner, [m, 1]), _pmul(outer, [m + r, 1])
+        d = len(centre) - 1
+        ends = [(-((w - i - c) // s ** (d - j)), (c + w - i) // s ** (d - j))
+                for j, (c, i, w) in enumerate(zip(centre, inner, outer))]
+        if any(lo > hi for lo, hi in ends):
+            continue
+        if any(lo < hi for lo, hi in ends):
+            return None
+        q = [lo for lo, _ in ends]
+        a, _, r = top
+        if not pdivmod(p, q)[1] and _geval(q, a - r, 0, s)[0] * _geval(q, a + r, 0, s)[0] < 0:
+            return q
+    return None
+
+
+def _pisot(q, s, units):
+    """Whether the root beta of q in the right-most real disk is Pisot: True
+    when its disk lies right of 1 and every other disk in |z| < 1, False
+    when it lies left of 1 or another disk in |z| > 1, else None."""
+    (a, _, r), others = _split(units)
+    if a + r <= s or any(c * c + d * d >= (s + t) ** 2 for c, d, t in others):
+        return False
+    if a - r > s and all(t < s and c * c + d * d < (s - t) ** 2 for c, d, t in others):
+        return True
     return None
 
 
 def perron_minimal_polynomial(chi):
-    """(q, lo, hi) for beta the largest real root of the monic integer
-    polynomial chi, when a certificate is found: q is the minimal
-    polynomial of beta, proved irreducible and with beta Pisot by
-    ``pisot_certificate``, and [lo, hi], of width 2^-23, holds beta, no
-    other root of chi, and no root of chi lies above it.  None otherwise.
+    """(q, lo, hi, pisot) for beta the largest real root of the monic
+    integer polynomial chi: q is its minimal polynomial (``_minimal_factor``
+    on the disks of squarefree(chi), refined until it is found), [lo, hi]
+    the span on the axis of beta's disk there, which holds no other root,
+    and none lies above it; pisot is whether beta is Pisot, and then lo >= 1.
 
-    Candidates for q are the products over sets of float roots that contain
-    beta and round to monic integer polynomials, smallest degree first.  A
-    candidate is kept only if it divides chi exactly and changes sign across
-    [lo, hi], which a Sturm count isolates beta in."""
-    s = [int(c) for c in squarefree(chi)]
-    zs = roots(s)
-    units = _conjugate_units(zs) if zs else None
-    if not units or not any(len(u) == 1 for u in units):
-        return None
-    top = max((u for u in units if len(u) == 1), key=lambda u: u[0])
-    centre = Fraction(round(top[0] * 2**26), 2**26)
-    lo, hi = centre - Fraction(1, 2**24), centre + Fraction(1, 2**24)
-    chain = sturm(s)
-    v_lo, v_hi = (sign_changes(peval(q, x) for q in chain) for x in (lo, hi))
-    v_inf = sign_changes(q[-1] for q in chain)
-    if v_lo - v_hi != 1 or v_lo - v_inf != 1 or peval(s, lo) == 0 or peval(s, hi) == 0:
-        return None
-    others = [u for u in units if u is not top]
-    subsets = sorted((c for k in range(len(others) + 1) for c in combinations(others, k)),
-                     key=lambda c: sum(map(len, c)))
-    for subset in subsets:
-        q = _rounded_product([r for u in (top, *subset) for r in u])
-        if q is None or pdivmod(s, q)[1] or (peval(q, lo) > 0) == (peval(q, hi) > 0):
-            continue
-        return (q, lo, hi) if pisot_certificate(q) else None
-    return None
+    A rational beta is Pisot iff it is > 1, and a self-reciprocal q of
+    degree > 2 is not, its roots pairing up as z, 1/z.  No other q has a
+    root on |z| = 1 (it would be a common root with the reciprocal, as
+    1/z = conj(z)), so ``_pisot`` decides on q's own disks once they are
+    fine enough.  Raises ArithmeticError when they cannot be refined further."""
+    p = [int(c) for c in squarefree(chi)]
+    disks = conjugate_disks(p)
+    for s, units in disks:
+        q = _minimal_factor(p, s, units)
+        if q is not None:
+            break
+    (a, _, r), _ = _split(units)
+    lo, hi = Fraction(a - r, s), Fraction(a + r, s)
+    if len(q) == 2 or (len(q) > 3 and q == q[::-1]):
+        return q, lo, hi, q[0] < -1 and len(q) == 2
+    for s, units in chain([(s, units)], disks) if q == p else conjugate_disks(q):
+        pisot = _pisot(q, s, units)
+        if pisot is not None:
+            return q, max(lo, 1) if pisot else lo, hi, pisot
 
 
 # -- the Hermite normal form ---------------------------------------------------------

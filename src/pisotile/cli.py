@@ -83,8 +83,8 @@ def parse(source) -> tuple[Substitution, list[str], dict]:
     rules = data.get("rules")
     if not isinstance(alphabet, list) or not alphabet:
         raise ParseError("field 'alphabet' must be a nonempty list")
-    if any(isinstance(a, (list, dict)) for a in alphabet):
-        raise ParseError("letters must be strings or numbers")
+    if not all(isinstance(a, str) for a in alphabet):
+        raise ParseError("letters must be strings, as the keys of 'rules' are")
     if len(set(alphabet)) != len(alphabet):
         raise ParseError("duplicate letters in alphabet")
     if not isinstance(rules, dict):
@@ -98,7 +98,7 @@ def parse(source) -> tuple[Substitution, list[str], dict]:
         if not isinstance(word, list) or not word:
             raise ParseError(f"empty rule for letter {a!r}")
         for b in word:
-            if isinstance(b, (list, dict)) or b not in index:
+            if not isinstance(b, str) or b not in index:
                 raise ParseError(f"rule for {a!r} uses undeclared letter {b!r}")
         words.append(tuple(index[b] for b in word))
     extra = set(rules) - set(alphabet)

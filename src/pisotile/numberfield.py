@@ -14,10 +14,9 @@ the floats decide when they separate the two points; otherwise the exact
 sign of an integer vector decides, by refining a rational enclosure of beta
 until the evaluated enclosure of the value excludes 0.
 
-``is_pisot`` decides whether beta is a Pisot number with the algebra
-kernel: a Schur-Cohn certificate for "yes", and for "no" a Sturm count
-(beta > 1) and Schur-Cohn counts of the roots in the unit disk.  sympy only
-checks irreducibility, when no certificate is found.
+``is_pisot`` decides whether beta is a Pisot number, and the field checks
+that min_poly is irreducible, with the algebra kernel's proven inclusion
+disks of the conjugates (``perron_minimal_polynomial``).
 """
 
 from __future__ import annotations
@@ -26,8 +25,7 @@ import math
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .algebra import (adjugate, count_roots, derivative, mat_vec, peval, pisot_certificate,
-                      unit_disk_count)
+from .algebra import adjugate, count_roots, derivative, mat_vec, peval, perron_minimal_polynomial
 
 RationalLike = Union[int, Fraction]
 
@@ -63,14 +61,6 @@ def combine(x, y, sign: int = 1) -> tuple[int, tuple[int, ...]]:
 
 class FieldMismatchError(ValueError):
     """Raised when combining elements of different number fields."""
-
-
-def _sympy_poly(coeffs):
-    """coeffs (ascending) as a sympy Poly in x.  sympy is imported here, and
-    only when a certificate of the standard-library path fails."""
-    import sympy
-
-    return sympy.Poly(list(reversed(coeffs)), sympy.Symbol("x"))
 
 
 def _interval_mul(a, b):
@@ -111,10 +101,10 @@ class NumberField:
         lo, hi = Fraction(interval[0]), Fraction(interval[1])
         if lo < 1:
             raise ValueError("isolating interval must have lower bound >= 1")
-        if not (irreducible or pisot_certificate(coeffs) or _sympy_poly(coeffs).is_irreducible):
-            raise ValueError("min_poly is reducible over Q")
         if count_roots(coeffs, lo, hi) != 1:
             raise ValueError("interval does not isolate exactly one real root")
+        if not irreducible and perron_minimal_polynomial(coeffs)[0] != list(coeffs):
+            raise ValueError("min_poly is reducible over Q")
         self.min_poly = coeffs
         d = self.degree = len(coeffs) - 1
         # Nudge endpoints off the root so the interval carries a sign change.
@@ -561,37 +551,23 @@ def fast_cmp(a: AlgebraicReal, b: AlgebraicReal) -> int:
 # -- the Pisot test -----------------------------------------------------------
 
 
-def _is_reciprocal(coeffs: tuple[int, ...]) -> bool:
-    rev = tuple(reversed(coeffs))
-    return coeffs == rev or coeffs == tuple(-c for c in rev)
-
-
 def is_pisot(min_poly: Sequence[int], beta_interval: tuple[RationalLike, RationalLike]) -> bool:
     """True iff the root beta of min_poly in the interval is a Pisot number:
     real, > 1, and every other conjugate of modulus strictly below 1.
 
-    For an interval above 1, ``pisot_certificate`` proves this, and the
-    irreducibility of min_poly, without sympy.  Otherwise sympy checks
-    irreducibility, and the algebra kernel decides: a Sturm count on
-    [max(lo, 1), hi] that beta > 1; then a self-reciprocal min_poly, whose
-    roots pair up as r, 1/r, is Pisot iff its degree is 2; any other
-    irreducible min_poly has no root on |z| = 1 (such a root z would be a
-    common root with the reciprocal, as 1/z = conj(z)), so Schur-Cohn counts
-    (``unit_disk_count``) give the number of roots in |z| < 1, which is
-    degree - 1 iff beta is Pisot.
+    min_poly must be monic and irreducible, and the interval must isolate a
+    root, else ValueError.  ``perron_minimal_polynomial`` decides whether
+    the largest real root is Pisot; a Pisot root is the only one outside the
+    unit disk, so the root in the interval is Pisot iff that one is and a
+    Sturm count puts it above 1.
     """
-    coeffs = tuple(int(c) for c in min_poly)
+    coeffs = [int(c) for c in min_poly]
     if coeffs[-1] != 1:
         raise ValueError("min_poly must be monic")
     lo, hi = Fraction(beta_interval[0]), Fraction(beta_interval[1])
-    if lo >= 1 and pisot_certificate(coeffs) and count_roots(coeffs, lo, hi) == 1:
-        return True
-    if not _sympy_poly(coeffs).is_irreducible:
-        raise ValueError("min_poly must be irreducible")
     if count_roots(coeffs, lo, hi) != 1:
         raise ValueError("interval does not isolate a root")
-    if hi <= 1 or peval(coeffs, 1) == 0 or count_roots(coeffs, max(lo, 1), hi) != 1:
-        return False  # beta <= 1
-    if _is_reciprocal(coeffs):
-        return len(coeffs) == 3
-    return unit_disk_count(coeffs) == len(coeffs) - 2
+    q, _, _, pisot = perron_minimal_polynomial(coeffs)
+    if q != coeffs:
+        raise ValueError("min_poly must be irreducible")
+    return pisot and hi > 1 and peval(coeffs, 1) != 0 and count_roots(coeffs, max(lo, 1), hi) == 1

@@ -39,11 +39,8 @@ from operator import add, itemgetter, sub
 
 from .graphkit import Digraph, distances_to, scc, perron_equals
 from .numberfield import _U, AlgebraicReal, reduced
+from .substitution import CapExceededError
 from .tiling import ModuleVectors, Patch, TilingSystem
-
-
-class CapExceededError(RuntimeError):
-    """Closure grew past the configured vertex cap."""
 
 
 @dataclass(frozen=True)

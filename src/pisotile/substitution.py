@@ -6,19 +6,17 @@ primitivity / irreducibility / Pisot gates and the exact Perron data (the
 expansion factor beta as an algebraic number and the exact left-eigenvector
 interval lengths) that the tiling layer consumes.
 
-The minimal polynomial of beta comes from the algebra kernel's certificate.
-Without one, Sturm bisection isolates beta, sympy factors the characteristic
-polynomial, and ``is_pisot`` decides; sympy only factors and checks
-irreducibility.
+The minimal polynomial of beta, its isolating interval and the Pisot
+verdict all come from the algebra kernel's proven inclusion disks of the
+roots of the characteristic polynomial (``perron_minimal_polynomial``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .algebra import char_poly, count_roots, mat_mul, perron_minimal_polynomial, squarefree
-from .numberfield import AlgebraicReal, NumberField, _sympy_poly, is_pisot
+from .algebra import char_poly, mat_mul, perron_minimal_polynomial
+from .numberfield import AlgebraicReal, NumberField
 
 
 class SubstitutionError(ValueError):
@@ -27,6 +25,10 @@ class SubstitutionError(ValueError):
 
 class NotPisotError(SubstitutionError):
     """The Perron root of the substitution matrix is not a Pisot number."""
+
+
+class CapExceededError(RuntimeError):
+    """A word, patch or closure grew past its configured cap."""
 
 
 @dataclass(frozen=True)
@@ -87,15 +89,11 @@ def is_irreducible(s: Substitution, min_poly=None) -> bool:
     """Whether the characteristic polynomial of the substitution matrix is
     irreducible over Q: whether the minimal polynomial of the Perron root
     has degree m.  min_poly, when given, is that polynomial as already
-    proved (perron_data's field); else it is found here, and sympy decides
-    when no certificate is found."""
-    if min_poly is not None:
-        return len(min_poly) - 1 == s.m
-    chi = char_poly(matrix(s))
-    found = perron_minimal_polynomial(chi)
-    if found is not None:
-        return len(found[0]) - 1 == s.m
-    return _sympy_poly(chi).is_irreducible
+    proved (perron_data's field); else ``perron_minimal_polynomial`` finds
+    it here."""
+    if min_poly is None:
+        min_poly = perron_minimal_polynomial(char_poly(matrix(s)))[0]
+    return len(min_poly) - 1 == s.m
 
 
 _WORD_CAP = 10**6
@@ -103,43 +101,27 @@ _WORD_CAP = 10**6
 
 def power(s: Substitution, n: int) -> Substitution:
     """The substitution sigma^n (rules composed n times); a rule word longer
-    than _WORD_CAP raises SubstitutionError."""
+    than _WORD_CAP raises CapExceededError."""
     if n < 1:
         raise SubstitutionError("power requires n >= 1")
     rules = tuple((i + 1,) for i in range(s.m))
     for _ in range(n):
         rules = tuple(s.apply(w) for w in rules)
         if any(len(w) > _WORD_CAP for w in rules):
-            raise SubstitutionError(f"rule words exceed cap {_WORD_CAP}")
+            raise CapExceededError(f"rule words exceed cap {_WORD_CAP}")
     return Substitution(s.m, rules)
 
 
-def _perron_by_sympy(s: Substitution, chi):
-    """(min poly, isolating interval) of the Perron root, for the inputs
-    without a certificate; raises NotPisotError when it is not Pisot.
-
-    The largest real root of squarefree(chi) is isolated by Sturm bisection
-    from the Cauchy bound down to width 2^-24, and its minimal polynomial is
-    the factor of chi in sympy's factor_list that has a root in that
-    interval; ``is_pisot`` decides."""
-    sq = squarefree(chi)
-    hi = 1 + max(abs(c) for c in sq)  # above every root of the monic sq
-    lo = -hi
-    while hi - lo > Fraction(1, 2**24) or count_roots(sq, lo, hi) != 1:
-        mid = (lo + hi) / 2
-        if count_roots(sq, mid, hi):
-            lo = mid
-        else:
-            hi = mid
-    for factor, _ in _sympy_poly(chi).factor_list()[1]:
-        coeffs = [int(c) for c in reversed(factor.all_coeffs())]
-        if count_roots(coeffs, lo, hi):
-            break
-    if not is_pisot(coeffs, (lo, hi)):
-        raise NotPisotError(
-            f"Perron root of {s} (min poly {factor.as_expr()}) is not Pisot"
-        )
-    return coeffs, (lo, hi)
+def _expr(q) -> str:
+    """The monic integer polynomial q (ascending) as a Python expression in
+    x, highest power first, as in x**2 - x - 3 or x - 1."""
+    terms = []
+    for k in reversed(range(len(q))):
+        if q[k]:
+            power, c = ("", "x", f"x**{k}")[min(k, 2)], abs(q[k])
+            body = f"{c}*{power}" if c != 1 and power else power or str(c)
+            terms.append(("- " if q[k] < 0 else "+ ") + body)
+    return " ".join(terms)[2:]
 
 
 def perron_data(s: Substitution):
@@ -148,10 +130,8 @@ def perron_data(s: Substitution):
     beta is the Perron-Frobenius root of the substitution matrix, expressed
     in the number field of its minimal polynomial; lengths is the exact left
     eigenvector (l M = beta l) normalized so the minimum entry is 1.  The
-    minimal polynomial and the Pisot property come from
-    ``perron_minimal_polynomial``'s certificate, else from sympy; either way
-    the polynomial is proved irreducible here, once, and the field takes it
-    as such.
+    minimal polynomial, proved irreducible here once (the field takes it as
+    such), and the Pisot verdict come from ``perron_minimal_polynomial``.
 
     Raises NotPisotError when beta is not a Pisot number.
     """
@@ -159,12 +139,10 @@ def perron_data(s: Substitution):
     if not is_primitive(M):
         raise SubstitutionError("substitution matrix is not primitive")
     chi = char_poly(M)
-    found = perron_minimal_polynomial(chi)
-    if found is None:
-        coeffs, interval = _perron_by_sympy(s, chi)
-    else:
-        coeffs, interval = found[0], found[1:]
-    field = NumberField(coeffs, interval, irreducible=True)
+    q, lo, hi, pisot = perron_minimal_polynomial(chi)
+    if not pisot:
+        raise NotPisotError(f"Perron root of {s} (min poly {_expr(q)}) is not Pisot")
+    field = NumberField(q, (lo, hi), irreducible=True)
     beta = field.beta()
     lengths = _left_eigenvector(M, field, beta)
     return field, beta, lengths

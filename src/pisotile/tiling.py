@@ -33,8 +33,8 @@ from operator import add, neg
 from .algebra import adjugate, mat_mul, mat_vec
 from .numberfield import AlgebraicReal, NumberField, combine, reduced
 from .substitution import (
+    CapExceededError,
     Substitution,
-    SubstitutionError,
     fixed_point_seed,
     perron_data,
     power,
@@ -144,7 +144,7 @@ class TilingSystem:
     def inflate_patch(self, p: Patch, n: int = 1) -> Patch:
         """sigma^n on the tiles of p: each time, a color-i tile at v becomes
         the tiles of sigma(i) at beta v plus their prefix offsets.  A patch
-        of more than _TILE_CAP tiles raises SubstitutionError."""
+        of more than _TILE_CAP tiles raises CapExceededError."""
         if n < 0:
             raise ValueError("inflation level must be >= 0")
         tiles = p.tiles
@@ -156,7 +156,7 @@ class TilingSystem:
                 for c, off in self.prefix_offsets[color - 1]
             ]
             if len(tiles) > _TILE_CAP:
-                raise SubstitutionError(f"patch exceeds tile cap {_TILE_CAP}")
+                raise CapExceededError(f"patch exceeds tile cap {_TILE_CAP}")
         return Patch(tuple(tiles))
 
     def central_patch(self, radius) -> Patch:

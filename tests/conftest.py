@@ -32,6 +32,21 @@ CUBIC_RULES = {
     "1->231,2->323,3->13": (3, ((2, 3, 1), (3, 2, 3), (1, 3))),
 }
 
+
+
+def near_circle(rng):
+    """Irreducible quartics and quintics (x - a) c(x) + k, for c with every
+    root on |z| = 1: the roots of c move off the circle by about 1/a."""
+    out = []
+    for c in ((1, 0, 0, 1), (1, 1, 1, 1, 1)):
+        a = rng.randint(300, 900)
+        for k in (-1, 1, 2):
+            q = [x - a * y for x, y in zip((0, *c), (*c, 0))]
+            q[0] += k
+            out.append(tuple(q))
+    return out
+
+
 _cache: dict[str, dict] = {}
 
 

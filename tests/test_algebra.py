@@ -10,17 +10,17 @@ import pytest
 from sympy import Matrix, Poly, Symbol, minimal_polynomial
 from sympy.matrices.normalforms import hermite_normal_form
 
-from conftest import CORPUS_RULES, CUBIC_RULES
+from conftest import CORPUS_RULES, CUBIC_RULES, near_circle
 from oracles import perron_equals_reference
 from pisotile import NumberField, Substitution, is_irreducible, is_primitive, perron_equals
 from pisotile.algebra import (
     adjugate,
     char_poly,
+    conjugate_disks,
     count_roots,
     hnf,
     perron_minimal_polynomial,
-    pisot_certificate,
-    schur_cohn,
+    squarefree,
 )
 from pisotile.substitution import NotPisotError, matrix, perron_data
 
@@ -67,25 +67,6 @@ def test_count_roots_matches_sympy():
         assert count_roots(coeffs, *ends) == p.count_roots(*ends), (coeffs, ends)
 
 
-def test_schur_cohn_matches_root_moduli():
-    rng = random.Random(7)
-    counted = set()
-    for _ in range(150):
-        d = rng.randint(1, 5)
-        coeffs = [rng.randint(-4, 4) for _ in range(d)] + [rng.choice((1, 2, 3))]
-        rho = Fraction(rng.randint(1, 15), rng.choice((4, 8, 16)))
-        with mpmath.workdps(30):
-            moduli = [abs(r) for r in mpmath.polyroots(list(reversed(coeffs)), maxsteps=500, extraprec=200)]
-        count = schur_cohn(coeffs, rho)
-        if any(abs(m - mpmath.mpf(rho.numerator) / rho.denominator) < mpmath.mpf(10) ** -30 for m in moduli):
-            assert count is None
-            continue
-        if count is not None:
-            assert count == sum(m < mpmath.mpf(rho.numerator) / rho.denominator for m in moduli), (coeffs, rho)
-            counted.add(count)
-    assert counted >= {0, 1, 2, 3}
-
-
 def _bench_matrices():
     """The matrices of every bench input: the 2-letter pool, the corpus, the
     ROADMAP inputs and the cubic-closure inputs."""
@@ -109,20 +90,47 @@ def _seeded_substitutions(seed, count):
     return out
 
 
-def test_minimal_polynomial_and_pisot_match_sympy(monkeypatch):
-    # For each distinct characteristic polynomial: the certified minimal
-    # polynomial is sympy's minimal polynomial of the largest real root, that
-    # root is Pisot by its numerical conjugates, and the interval holds it
-    # alone; without a certificate the root is not Pisot, and the fallback
-    # names sympy's minimal polynomial in its NotPisotError after passing
-    # is_pisot an interval that holds the largest real root alone.  The gate
-    # agrees with sympy's irreducibility test.
-    import pisotile.substitution as substitution
+def test_conjugate_disks_hold_mpmath_roots(monkeypatch):
+    # The first and the next, finer disks of the squarefree characteristic
+    # polynomials of every bench input and of a quartic, and of polynomials
+    # with roots near |z| = 1, against mpmath's roots: each disk and its
+    # mirror image hold one root, a real one when centred on the axis, and
+    # every root is held once.  Likewise when the float roots lie: all
+    # pushed out to modulus 100, or sqrt(2) proposed twice as a pair.
+    import pisotile.algebra as algebra
 
-    asked = []
-    true_is_pisot = substitution.is_pisot
-    monkeypatch.setattr(substitution, "is_pisot",
-                        lambda q, itv: asked.append((q, itv)) or true_is_pisot(q, itv))
+    quartic = Substitution(4, ((1, 3, 4, 4), (2, 1, 2), (2, 2, 4, 1), (2,)))
+    polys = sorted({tuple(int(c) for c in squarefree(char_poly(matrix(s))))
+                    for s in _bench_matrices() + [quartic]} | set(near_circle(random.Random(3))))
+    true_roots = algebra.roots
+    runs = [(None, polys), (lambda zs: [z / abs(z) * 100 for z in zs], polys[::4]),
+            (lambda zs: [2**0.5 + 0.01j, 2**0.5 - 0.01j], [(-2, 0, 1)])]
+    kinds = set()
+    for lie, ps in runs:
+        monkeypatch.setattr(algebra, "roots", lambda p, lie=lie: (lie or list)(true_roots(p)))
+        for p in ps:
+            with mpmath.workdps(90):
+                zs = mpmath.polyroots(list(reversed(p)), maxsteps=800, extraprec=600)
+                for _, (s, units) in zip(range(2), conjugate_disks(list(p))):
+                    held = []
+                    for a, b, r in units:
+                        for c in {mpmath.mpc(a, b) / s, mpmath.mpc(a, -b) / s}:
+                            inside = [k for k, z in enumerate(zs) if abs(z - c) < mpmath.mpf(r) / s]
+                            assert len(inside) == 1, (p, a, b, r)
+                            assert b or abs(zs[inside[0]].imag) < mpmath.mpf(10) ** -80, p
+                            held += inside
+                    assert sorted(held) == list(range(len(zs))), p
+                    kinds.add((len(p) - 1, any(b for _, b, _ in units)))
+    assert {(2, False), (3, True), (4, True), (5, True)} <= kinds
+
+
+def test_minimal_polynomial_and_pisot_match_sympy():
+    # For each distinct characteristic polynomial: the minimal polynomial is
+    # sympy's minimal polynomial of the largest real root, the verdict is
+    # that of its numerical conjugates, the interval holds that root alone
+    # and no root lies above it, and the irreducibility gate agrees with
+    # sympy.  A non-Pisot Perron root is named in perron_data's
+    # NotPisotError by its minimal polynomial as sympy prints it.
     seen, verdicts = set(), set()
     for s in _bench_matrices() + _seeded_substitutions(8, 60):
         chi = tuple(char_poly(matrix(s)))
@@ -134,50 +142,59 @@ def test_minimal_polynomial_and_pisot_match_sympy(monkeypatch):
         mp = [int(c) for c in reversed(minimal_polynomial(beta, _X, polys=True).all_coeffs())]
         with mpmath.workdps(30):
             conj = sorted(abs(r) for r in mpmath.polyroots(list(reversed(mp)), maxsteps=500, extraprec=200))
-        pisot = len(mp) == 2 or conj[-2] < 1
-        found = perron_minimal_polynomial(list(chi))
-        assert (found is not None) == pisot, chi
+        pisot = len(mp) == 2 and mp[0] < -1 or len(mp) > 2 and conj[-2] < 1
+        q, lo, hi, verdict = perron_minimal_polynomial(list(chi))
+        assert (q, verdict) == (mp, pisot), chi
+        assert poly.count_roots(lo, hi) == 1 and poly.count_roots(hi, None) == 0, chi
         assert is_irreducible(s) == poly.is_irreducible, chi
-        verdicts.add((pisot, poly.is_irreducible))
-        if found:
-            q, lo, hi = found
-        else:
+        if not pisot:
             with pytest.raises(NotPisotError) as err:
-                substitution._perron_by_sympy(s, list(chi))
+                perron_data(s)
             assert f"(min poly {_poly(mp).as_expr()}) is not Pisot" in str(err.value)
-            q, (lo, hi) = asked.pop()
-        assert q == mp, chi
-        assert poly.count_roots(lo, hi) == 1 and poly.count_roots(hi, None) == 0
+        verdicts.add((pisot, poly.is_irreducible))
     assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
 
 
-def test_pisot_certificate_edge_cases():
-    assert pisot_certificate([-1, -1, 1])  # golden
-    assert pisot_certificate([-2, 1])  # rational root 2
-    assert not pisot_certificate([-1, 1])  # root 1 is not Pisot
-    assert not pisot_certificate([0, -2, 1])  # q(0) = 0: x (x - 2)
-    assert not pisot_certificate([1, -1, -1, -1, 1])  # Salem-type quartic: roots on |z| = 1
-    assert not pisot_certificate([-2, 0, 1])  # conjugate -sqrt(2)
-    assert not pisot_certificate([-1, 0, 0, 1])  # x^3 - 1: roots on the unit circle
-    assert not pisot_certificate([1, 0, 1])  # i and -i
+def test_pisot_edge_cases():
+    cases = [
+        ([-1, -1, 1], [-1, -1, 1], True),  # golden
+        ([-2, 1], [-2, 1], True),  # rational root 2
+        ([-1, 1], [-1, 1], False),  # root 1 is not Pisot
+        ([0, -2, 1], [-2, 1], True),  # x (x - 2): beta = 2
+        ([1, -1, -1, -1, 1], [1, -1, -1, -1, 1], False),  # Salem-type quartic: roots on |z| = 1
+        ([-2, 0, 1], [-2, 0, 1], False),  # conjugate -sqrt(2)
+        ([-1, 0, 0, 1], [-1, 1], False),  # x^3 - 1: beta = 1, the others on the unit circle
+        ([1, 3, 1], [1, 3, 1], False),  # self-reciprocal, beta = (-3 + sqrt(5)) / 2 < 1
+    ]
+    for chi, q, pisot in cases:
+        found = perron_minimal_polynomial(chi)
+        assert (found[0], found[3]) == (q, pisot), chi
+    with pytest.raises(ValueError):
+        perron_minimal_polynomial([1, 0, 1])  # i and -i: no real root
 
 
 def test_float_roots_only_propose(monkeypatch):
-    # Wrong float roots give no answer, never a wrong one: the Perron root
-    # left out (so -1 is proposed as the largest root), beta moved by 1e-3,
-    # and the conjugate -sqrt(2) proposed as 1/2.
+    # Wrong float roots cost refinement, never a wrong answer: the Perron
+    # root left out (so -1 is proposed as the largest root), beta moved by
+    # 1e-3, the conjugate -sqrt(2) proposed as 1/2, and +-sqrt(2) as +-1.2.
+    # The interval still holds beta.
     import pisotile.algebra as algebra
 
     true_roots = algebra.roots
     lies = [
-        ([-2, -1, 1], lambda zs: [z for z in zs if z.real < 0]),
-        ([-1, -1, -1, 1], lambda zs: [z + 1e-3 if abs(z.imag) < 1e-9 else z for z in zs]),
-        ([-2, 0, 1], lambda zs: [complex(2**0.5), 0.5 + 0j]),
+        ([-2, -1, 1], lambda zs: [z for z in zs if z.real < 0], [-2, 1], True),
+        ([-1, -1, -1, 1], lambda zs: [z + 1e-3 if abs(z.imag) < 1e-9 else z for z in zs],
+         [-1, -1, -1, 1], True),
+        ([-2, 0, 1], lambda zs: [complex(2**0.5), 0.5 + 0j], [-2, 0, 1], False),
+        # Disks at +-1.2 of radius 0.47 are proven, and beta's coefficient
+        # -1.2 +- 0.47 holds one integer, but x - 1 does not divide chi.
+        ([-2, 0, 1], lambda zs: [1.2 + 0j, -1.2 + 0j], [-2, 0, 1], False),
     ]
-    for chi, lie in lies:
+    for chi, lie, q, pisot in lies:
         monkeypatch.setattr(algebra, "roots", lambda p, lie=lie: lie(true_roots(p)))
-        assert algebra.perron_minimal_polynomial(chi) is None, chi
-    assert not algebra.pisot_certificate([-2, 0, 1])
+        found, lo, hi, verdict = algebra.perron_minimal_polynomial(chi)
+        assert (found, verdict) == (q, pisot), chi
+        assert _poly(chi).count_roots(lo, hi) == 1 and _poly(chi).count_roots(hi, None) == 0
 
 
 def test_hnf_same_lattice_as_sympy():

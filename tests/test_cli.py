@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from conftest import CUBIC_RULES
-from pisotile import cli, overlap
+from pisotile import cli, overlap, tiling
 from pisotile.cli import ParseError, main, parse
 
 CORPUS = Path(__file__).resolve().parents[1] / "src" / "pisotile" / "corpus"
@@ -44,6 +44,7 @@ def test_parse_letter_names():
         ({"alphabet": ["a"], "rules": {"a": ["b"]}}, "undeclared letter 'b'"),
         ({"alphabet": ["a"], "rules": {"a": ["a"], "b": ["a"]}}, "undeclared"),
         ([1, 2], "object"),
+        ({"alphabet": [1, 2], "rules": {"1": [1, 2], "2": [1]}}, "letters must be strings"),
     ],
 )
 def test_parse_errors(data, needle):
@@ -92,48 +93,40 @@ def test_gate_failure_exit_two(tmp_path, capsys):
 
 _NO_SYMPY_SCRIPT = """
 import contextlib, io, json, sys
+sys.modules["sympy"] = None  # every import of sympy now fails
 from pisotile.cli import main
 
-results = [["import", 0, "", "sympy" in sys.modules]]
+results = []
 for argv in json.loads(sys.argv[1]):
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        rc = main(argv)
-    results.append([argv, rc, err.getvalue(), "sympy" in sys.modules])
+        results.append([main(argv), err.getvalue()])
 print(json.dumps(results))
 """
 
 
-def test_default_path_leaves_sympy_unimported(tmp_path):
-    # sympy is imported only when a certificate fails.  In a fresh
-    # interpreter, importing the CLI, analyze on the corpus and on the
-    # cubic-closure inputs, and msc on the msc-deep inputs leave it out of
-    # sys.modules.  After them, a non-Pisot input (decided through sympy) and
-    # a non-primitive one still exit 2 with their messages.
-    def write(name, rules):
-        letters = [str(i + 1) for i in range(len(rules))]
-        f = tmp_path / f"{name}.json"
-        f.write_text(json.dumps({"alphabet": letters, "rules": {
-            a: [str(b) for b in w] for a, w in zip(letters, rules)}}))
-        return str(f)
+def _inline(rules) -> str:
+    letters = [str(i + 1) for i in range(len(rules))]
+    return json.dumps({"alphabet": letters, "rules": {
+        a: [str(b) for b in w] for a, w in zip(letters, rules)}})
 
-    corpus = sorted(str(f) for f in CORPUS.glob("*.json"))
-    cubics = [write(f"cubic{k}", rules) for k, (_, rules) in enumerate(CUBIC_RULES.values())]
-    msc = [(CORPUS / f"{name}.json", n) for name, n in (
-        ("tribonacci", 3), ("thue_morse", 3), ("fibonacci", 4), ("s112", 2))]
-    jobs = [["analyze", f] for f in corpus + cubics]
-    jobs += [["msc", str(f), "--map-level", str(n)] for f, n in msc]
-    jobs += [["analyze", write("np", ((1, 2), (1, 1, 1)))],
-             ["analyze", write("nprim", ((1,), (2, 1)))]]
+
+def test_runs_without_sympy():
+    # sympy is only a test oracle.  In a fresh interpreter where importing it
+    # fails, analyze decides fibonacci and thue_morse (whose characteristic
+    # polynomial x^2 - 2x is reducible), and a non-Pisot quartic, a non-Pisot
+    # quadratic and a non-primitive input exit 2 with their messages.
+    jobs = [["analyze", str(FIB)], ["analyze", str(TM)]]
+    jobs += [["analyze", _inline(rules)] for rules in (
+        ((1, 2), (3,), (4,), (1, 1, 1)), ((1, 2), (1, 1, 1)), ((1,), (2, 1)))]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(CORPUS.parents[1]), os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-c", _NO_SYMPY_SCRIPT, json.dumps(jobs)],
                           env=env, capture_output=True, text=True, timeout=300, check=True)
-    results = json.loads(proc.stdout)
-    assert len(corpus) == 5 and len(results) == 1 + 8 + 4 + 2
-    for argv, rc, err, sympy_loaded in results[:-2]:
-        assert (rc, err, sympy_loaded) == (0, "", False), argv
-    assert [r[1:3] for r in results[-2:]] == [
+    assert json.loads(proc.stdout) == [
+        [0, ""], [0, ""],
+        [2, "error: Pisot gate failed: Perron root of 1->12, 2->3, 3->4, 4->111 "
+            "(min poly x**4 - x**3 - 3) is not Pisot\n"],
         [2, "error: Pisot gate failed: Perron root of 1->12, 2->111 "
             "(min poly x**2 - x - 3) is not Pisot\n"],
         [2, "error: primitivity gate failed\n"],
@@ -164,6 +157,7 @@ def test_parse_failure_exit_two(tmp_path, capsys):
     ["analyze", '{"alphabet": ["1"], "rules": {"1": [[1]]}}'],
     ["overlaps", str(FIB), "--dot", str(CORPUS / "no-such-dir" / "g.dot")],
     ["verify", str(CORPUS / "no-such-dir")],  # a mistyped corpus path
+    ["analyze", '{"alphabet": [1, 2], "rules": {"1": [1, 2], "2": [1]}}'],  # numeric letters
 ])
 def test_input_errors_exit_two(argv, capsys):
     try:
@@ -174,9 +168,18 @@ def test_input_errors_exit_two(argv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_cap_failure_exit_three(capsys):
+def test_cap_failure_exit_three(monkeypatch, tmp_path, capsys):
     assert main(["analyze", str(FIB), "--cap-classes", "2"]) == 3
     assert "cap" in capsys.readouterr().err
+    # The word cap of sigma^n and the tile cap of a patch are caps too.
+    assert main(["msc", str(FIB), "--map-level", "30"]) == 3
+    assert capsys.readouterr().err == "cap exhausted: rule words exceed cap 1000000\n"
+    monkeypatch.setattr(tiling, "_TILE_CAP", 10)
+    assert main(["analyze", str(FIB)]) == 3
+    assert capsys.readouterr().err == "cap exhausted: patch exceeds tile cap 10\n"
+    (tmp_path / FIB.name).write_text(FIB.read_text())
+    assert main(["verify", str(tmp_path)]) == 3
+    assert capsys.readouterr().out == "fibonacci.json: CAP EXHAUSTED (patch exceeds tile cap 10)\n"
 
 
 def test_long_inline_json_is_parsed(capsys):
@@ -377,10 +380,7 @@ def _golden_run(argv, capsys):
     """(exit code, stdout) of a golden command, with the named input."""
     name = argv[1]
     if "->" in name:
-        rules = CUBIC_RULES[name][1]
-        letters = [str(i + 1) for i in range(len(rules))]
-        source = json.dumps({"alphabet": letters, "rules": {
-            a: [str(b) for b in w] for a, w in zip(letters, rules)}})
+        source = _inline(CUBIC_RULES[name][1])
     else:
         source = str(CORPUS / f"{name}.json")
     rc = main([argv[0], source, *argv[2:]])

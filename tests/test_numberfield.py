@@ -9,7 +9,7 @@ import pytest
 
 from sympy import Poly, Symbol
 
-from conftest import CORPUS_RULES, CUBIC_RULES
+from conftest import CORPUS_RULES, CUBIC_RULES, near_circle
 from oracles import RationalField
 from pisotile import NumberField, Substitution, fast_cmp, is_pisot, perron_data
 
@@ -275,14 +275,14 @@ def test_is_pisot_cases():
     assert not is_pisot((-3, -1, 1), (Fraction(2), Fraction(3)))  # conj < -1
     # Self-reciprocal of degree >= 3: roots pair (r, 1/r), never Pisot.
     assert not is_pisot((1, -1, -1, -1, 1), (Fraction(1), Fraction(2)))
-    # The golden polynomial has a Pisot certificate, but the root in (-1, 0)
-    # is its conjugate, and (2, 3) holds no root.
+    # The golden ratio is Pisot, but the root in (-1, 0) is its conjugate,
+    # and (2, 3) holds no root.
     assert not is_pisot((-1, -1, 1), (Fraction(-1), Fraction(0)))
     # A negative root of modulus > 1 whose conjugates lie in the unit disk,
     # and a reciprocal quadratic's root below 1: neither is > 1.
     assert not is_pisot((-1, 0, 3, 1), (Fraction(-3), Fraction(-2)))
     assert not is_pisot((1, -3, 1), (Fraction(0), Fraction(1)))
-    # 2 + 2 sqrt(2), on an interval reaching below 1 (no certificate path).
+    # 2 + 2 sqrt(2), on an interval reaching below 1.
     assert is_pisot((-4, -4, 1), (Fraction(9, 10), Fraction(5)))
     with pytest.raises(ValueError):
         is_pisot((-1, -1, 1), (Fraction(2), Fraction(3)))
@@ -296,19 +296,6 @@ def _pisot_by_mpmath(roots, lo, hi):
     others = [abs(r) for r in roots if r is not beta]
     assert all(abs(m - 1) > 1e-20 for m in others)
     return beta.real > 1 and all(m < 1 for m in others)
-
-
-def _near_circle(rng):
-    """Irreducible quartics and quintics (x - a) c(x) + k, for c with every
-    root on |z| = 1: the roots of c move off the circle by about 1/a."""
-    out = []
-    for c in ((1, 0, 0, 1), (1, 1, 1, 1, 1)):
-        a = rng.randint(300, 900)
-        for k in (-1, 1, 2):
-            q = [x - a * y for x, y in zip((0, *c), (*c, 0))]
-            q[0] += k
-            out.append(tuple(q))
-    return out
 
 
 def test_is_pisot_matches_roots():
@@ -349,7 +336,7 @@ def test_is_pisot_matches_roots():
     polys = [tuple(rng.randint(-2, 2) for _ in range(d - 1)) + (rng.randint(-8, 2), 1)
              for d in (4, 5) * 8]
     checked = set()
-    for coeffs in polys + _near_circle(rng):
+    for coeffs in polys + near_circle(rng):
         poly = Poly(list(reversed(coeffs)), _X)
         rev = tuple(reversed(coeffs))
         if not poly.is_irreducible or coeffs in (rev, tuple(-c for c in rev)):
@@ -367,13 +354,14 @@ def test_is_pisot_matches_roots():
 
 def test_is_pisot_float_roots_only_propose(monkeypatch):
     # Float roots that lie -- all far from the unit circle, one on it,
-    # none at all, all a hair from it -- only move where the Schur-Cohn
-    # counts start, and the answer stays right.  Counts that never agree, as
-    # for roots on the circle, raise rather than guess.
+    # none at all, all a hair from it -- only move where the exact Aberth
+    # steps start, and the answer stays right.  Disks that are never proven
+    # disjoint, as about a double root, raise rather than guess.
     import pisotile.algebra as algebra
 
     with pytest.raises(ArithmeticError):
-        algebra.unit_disk_count((1, -1, -1, -1, 1))
+        for _ in algebra.conjugate_disks((1, -2, 1)):
+            pass
 
     lies = [
         lambda zs: [z / abs(z) * 100 for z in zs],
@@ -382,9 +370,9 @@ def test_is_pisot_float_roots_only_propose(monkeypatch):
         lambda zs: [complex(1 + 2.0**-50)] * len(zs),
     ]
     true_roots = algebra.roots
-    interval = (Fraction(9, 10), Fraction(1000))  # below 1: no certificate path
+    interval = (Fraction(9, 10), Fraction(1000))  # reaches below 1
     truth = {q: _pisot_by_mpmath(mpmath.polyroots(list(reversed(q)), extraprec=40), *interval)
-             for q in _near_circle(random.Random(3))}
+             for q in near_circle(random.Random(3))}
     assert set(truth.values()) == {True, False}
     for lie in lies:
         monkeypatch.setattr(algebra, "roots", lambda p, lie=lie: lie(true_roots(p)))
