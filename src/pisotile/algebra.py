@@ -4,8 +4,9 @@ Polynomials are coefficient lists in ascending order (c_0, c_1, ..., c_n)
 with a nonzero last entry.  The module holds:
 
 - ``char_poly``: the characteristic polynomial of an integer matrix by
-  Berkowitz's division-free algorithm, and ``adjugate``, the adjugate and
-  determinant it gives by Cayley-Hamilton;
+  Berkowitz's division-free algorithm, ``adjugate_terms``, the integer
+  coefficients of adj(x I - M) it gives, and ``adjugate``, the adjugate
+  and determinant at x = 0;
 - Sturm sequences over Q (``sturm``, ``count_roots``), which count and
   isolate real roots;
 - ``roots``: float approximations of the complex roots by the Aberth-Ehrlich
@@ -16,7 +17,9 @@ with a nonzero last entry.  The module holds:
   polynomial of a Perron root, proved irreducible, and whether it is Pisot;
 - ``hnf``: the Hermite normal form of an integer lattice;
 - ``mat_mul``, ``mat_vec`` and ``prime_factors``: integer matrix products
-  and trial division.
+  and trial division;
+- ``CapExceededError``, raised by every cap and refinement limit of the
+  package.
 
 The algorithms are the standard ones of Cohen, *A Course in Computational
 Algebraic Number Theory* (GTM 138); the inclusion disks are Henrici's,
@@ -31,6 +34,12 @@ import math
 from fractions import Fraction
 from itertools import chain, combinations
 from operator import mul
+
+
+class CapExceededError(RuntimeError):
+    """A word, patch or closure grew past its configured cap, or a proof
+    needed more refinement steps than its limit."""
+
 
 # -- polynomials over Q ---------------------------------------------------------
 
@@ -122,20 +131,29 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
-def adjugate(M) -> tuple[list[list[int]], int]:
-    """(adj M, det M) of a square integer matrix, division-free: with
-    det(x I - M) = x^d + c_(d-1) x^(d-1) + ... + c_0, Cayley-Hamilton gives
-    M (M^(d-1) + c_(d-1) M^(d-2) + ... + c_1 I) = -c_0 I, so
-    det M = (-1)^d c_0 and adj M = (-1)^(d+1) (M^(d-1) + ... + c_1 I)."""
+def adjugate_terms(M, c) -> list[list[list[int]]]:
+    """The integer matrices B_(d-1), ..., B_0, in Horner order, with
+    adj(x I - M) = sum_k B_k x^k, for c = char_poly(M): comparing
+    coefficients in (x I - M) adj(x I - M) = det(x I - M) I gives
+    B_(d-1) = I and B_(k-1) = M B_k + c_k I."""
     d = len(M)
-    c = char_poly(M)
-    acc = [[int(i == j) for j in range(d)] for i in range(d)]
-    for k in range(d - 1, 0, -1):  # Horner in M
-        acc = mat_mul(acc, M)
+    B = [[int(i == j) for j in range(d)] for i in range(d)]
+    terms = [B]
+    for k in range(d - 1, 0, -1):
+        B = mat_mul(M, B)
         for i in range(d):
-            acc[i][i] += c[k]
-    sign = -1 if d % 2 == 0 else 1
-    return [[sign * x for x in row] for row in acc], -sign * c[0]
+            B[i][i] += c[k]
+        terms.append(B)
+    return terms
+
+
+def adjugate(M) -> tuple[list[list[int]], int]:
+    """(adj M, det M) of a square integer matrix, division-free: at x = 0,
+    adj(x I - M) = adj(-M) = (-1)^(d-1) adj M is B_0 of ``adjugate_terms``,
+    and det(x I - M) = (-1)^d det M is c_0."""
+    c = char_poly(M)
+    sign = -1 if len(M) % 2 == 0 else 1
+    return [[sign * x for x in row] for row in adjugate_terms(M, c)[-1]], -sign * c[0]
 
 
 # -- Sturm sequences ----------------------------------------------------------------
@@ -289,7 +307,7 @@ def conjugate_disks(p):
     the proposals are missing or not distinct, or after _RESTART steps
     without a proof (a start symmetric about the axis stays so, and cannot
     reach real roots from a pair).  After _MAX_STEPS steps, or past a grid
-    of 2^-_MAX_BITS, this raises ArithmeticError rather than guess."""
+    of 2^-_MAX_BITS, this raises CapExceededError rather than guess."""
     n = len(p) - 1
     s, proven = 1 << _FIRST_BITS, False
     try:
@@ -308,7 +326,7 @@ def conjugate_disks(p):
         if s.bit_length() > _MAX_BITS:
             break
         z, s = _aberth_step(p, z, s)
-    raise ArithmeticError("the inclusion disks were not proven disjoint")
+    raise CapExceededError("the inclusion disks were not proven disjoint")
 
 
 def _pmul(f, g):
@@ -385,7 +403,7 @@ def perron_minimal_polynomial(chi):
     degree > 2 is not, its roots pairing up as z, 1/z.  No other q has a
     root on |z| = 1 (it would be a common root with the reciprocal, as
     1/z = conj(z)), so ``_pisot`` decides on q's own disks once they are
-    fine enough.  Raises ArithmeticError when they cannot be refined further."""
+    fine enough.  Raises CapExceededError when they cannot be refined further."""
     p = [int(c) for c in squarefree(chi)]
     disks = conjugate_disks(p)
     for s, units in disks:

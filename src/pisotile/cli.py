@@ -153,8 +153,7 @@ def _vec(x) -> list[str]:
 
 
 def _graph_json(system, g) -> dict:
-    order = sorted(range(len(g.vertices)), key=lambda i: g.vertices[i].key())
-    rank = {v: r for r, v in enumerate(order)}
+    order, edges = g.canonical()
     return {
         "vertices": [
             {
@@ -165,10 +164,7 @@ def _graph_json(system, g) -> dict:
             }
             for i in order
         ],
-        "edges": [
-            [rank[u], rank[v], w]
-            for (u, v), w in sorted(g.edges.items(), key=lambda e: (rank[e[0][0]], rank[e[0][1]]))
-        ],
+        "edges": edges,
     }
 
 

@@ -127,9 +127,7 @@ def functional_cycles(succ: list[int]) -> list[tuple[int, ...]]:
             path.append(v)
             v = succ[v]
         if color[v] == 1:
-            cyc = path[path.index(v):]
-            k = cyc.index(min(cyc))
-            cycles.append(tuple(cyc[k:] + cyc[:k]))
+            cycles.append(canonical_cycle(path[path.index(v):]))
         for u in path:
             color[u] = 2
     return sorted(cycles)

@@ -33,13 +33,13 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from functools import cmp_to_key
+from functools import cached_property, cmp_to_key
 from math import lcm
 from operator import add, itemgetter, sub
 
+from .algebra import CapExceededError
 from .graphkit import Digraph, distances_to, scc, perron_equals
 from .numberfield import _U, AlgebraicReal, reduced
-from .substitution import CapExceededError
 from .tiling import ModuleVectors, Patch, TilingSystem
 
 
@@ -63,17 +63,54 @@ class OverlapClass:
 
 @dataclass
 class OverlapGraph:
+    """Overlap classes as vertices and the inflation edges between them.
+    Its analysis, the distances into the coincidences and the stuck
+    components, is made on first use and kept: a graph is not changed."""
+
     vertices: list[OverlapClass]
     edges: dict[tuple[int, int], int]  # (src index, dst index) -> multiplicity
 
-    def digraph(self) -> Digraph:
-        return Digraph(
-            len(self.vertices),
-            tuple((u, v, w) for (u, v), w in sorted(self.edges.items())),
-        )
+    @cached_property
+    def _digraph(self) -> Digraph:
+        return Digraph(len(self.vertices), tuple((u, v, w) for (u, v), w in self.edges.items()))
 
-    def coincidence_indices(self) -> list[int]:
-        return [i for i, c in enumerate(self.vertices) if c.is_coincidence]
+    @cached_property
+    def distances(self) -> dict[int, int]:
+        """Shortest path length into a coincidence for each vertex that
+        reaches one: one breadth-first search on the reverse graph."""
+        coincidences = [i for i, c in enumerate(self.vertices) if c.is_coincidence]
+        return distances_to(self._digraph, coincidences)
+
+    @cached_property
+    def stuck(self) -> list[tuple[list[int], list[list[int]]]]:
+        """(component, multiplicity matrix) for each nontrivial SCC none of
+        whose vertices reaches a coincidence, in Tarjan order; without a
+        Tarjan run when every vertex reaches one."""
+        dist = self.distances
+        if len(dist) == len(self.vertices):
+            return []
+        succ = self._digraph.successors()
+        out = []
+        for comp in scc(self._digraph):
+            if comp[0] in dist:  # one vertex reaches a coincidence iff all do
+                continue
+            idx = {v: k for k, v in enumerate(comp)}
+            mat = [[0] * len(comp) for _ in comp]
+            for u, row in zip(comp, mat):
+                for v, w in succ[u]:
+                    if v in idx:
+                        row[idx[v]] += w
+            if len(comp) > 1 or mat[0][0]:
+                out.append((comp, mat))
+        return out
+
+    def canonical(self) -> tuple[list[int], list[tuple[int, int, int]]]:
+        """The vertex indices sorted by OverlapClass.key, and the edges as
+        (rank of source, rank of target, multiplicity) in increasing order:
+        the vertex order of every output."""
+        order = sorted(range(len(self.vertices)), key=lambda i: self.vertices[i].key())
+        rank = {i: r for r, i in enumerate(order)}
+        return order, sorted((rank[u], rank[v], w) for (u, v), w in self.edges.items())
 
 
 class OverlapClosure:
@@ -363,43 +400,21 @@ def overlap_coincidence(g: OverlapGraph):
     """(verdict, certificate).
 
     verdict True: certificate maps each vertex index to its shortest path
-    length into a coincidence.  verdict False: certificate is the sorted list
-    of vertex indices from which no coincidence is reachable.
+    length into a coincidence (OverlapGraph.distances).  verdict False:
+    certificate is the sorted list of vertex indices from which no
+    coincidence is reachable.
     """
     if not g.vertices:
         raise ValueError("empty overlap graph")
-    dist = distances_to(g.digraph(), g.coincidence_indices())
+    dist = g.distances
     if len(dist) == len(g.vertices):
         return True, dist
-    return False, sorted(set(range(len(g.vertices))) - dist.keys())
+    return False, [i for i in range(len(g.vertices)) if i not in dist]
 
 
 def stuck_scc_indices(g: OverlapGraph) -> list[list[int]]:
     """Nontrivial SCCs none of whose vertices reach a coincidence."""
-    dg = g.digraph()
-    reach = distances_to(dg, g.coincidence_indices())
-    has_self = {(u, v) for (u, v) in g.edges}
-    out = []
-    for comp in scc(dg):
-        if any(v in reach for v in comp):
-            continue
-        nontrivial = len(comp) > 1 or (comp[0], comp[0]) in has_self
-        if nontrivial:
-            out.append(comp)
-    return out
-
-
-def stuck_scc_matrices(g: OverlapGraph) -> list[tuple[list[int], list[list[int]]]]:
-    """(component, multiplicity matrix) for each stuck SCC."""
-    out = []
-    for comp in stuck_scc_indices(g):
-        idx = {v: i for i, v in enumerate(comp)}
-        mat = [[0] * len(comp) for _ in comp]
-        for (u, v), w in g.edges.items():
-            if u in idx and v in idx:
-                mat[idx[u]][idx[v]] += w
-        out.append((comp, mat))
-    return out
+    return [comp for comp, _ in g.stuck]
 
 
 def expansive_sccs(system: TilingSystem, g: OverlapGraph):
@@ -407,7 +422,7 @@ def expansive_sccs(system: TilingSystem, g: OverlapGraph):
     multiplicity matrix equals beta (decided exactly)."""
     return [
         {"vertices": comp, "matrix": mat, "perron_is_expansion": perron_equals(mat, system.beta)}
-        for comp, mat in stuck_scc_matrices(g)
+        for comp, mat in g.stuck
     ]
 
 
@@ -422,11 +437,7 @@ def stable_overlap_graph(system: TilingSystem, cap: int = 10**4):
     yield identical closed vertex sets, at most _MAX_DOUBLINGS times.
     Returns (graph, radius_used).
     """
-    max_len = system.lengths[0]
-    for l in system.lengths[1:]:
-        if l > max_len:
-            max_len = l
-    radius = 8 * max_len
+    radius = 8 * max(system.lengths)
     prev_keys = None
     for _ in range(_MAX_DOUBLINGS + 1):
         patch = system.central_patch(radius)
@@ -452,25 +463,20 @@ def stable_overlap_graph(system: TilingSystem, cap: int = 10**4):
 
 
 def to_dot(g: OverlapGraph, reach_info=None) -> str:
-    """Deterministic DOT rendering; coincidence vertices are double-circled,
-    vertices that cannot reach a coincidence are shaded."""
-    ordering = sorted(range(len(g.vertices)), key=lambda i: g.vertices[i].key())
-    rank = {v: r for r, v in enumerate(ordering)}
-    stuck = set()
-    if reach_info is not None and isinstance(reach_info, list):
-        stuck = set(reach_info)
+    """Deterministic DOT rendering in the canonical vertex order;
+    coincidence vertices are double-circled, vertices that cannot reach a
+    coincidence are shaded."""
+    order, edges = g.canonical()
+    stuck = set(reach_info) if isinstance(reach_info, list) else set()
     lines = ["digraph overlaps {"]
-    for i in ordering:
+    for r, i in enumerate(order):
         c = g.vertices[i]
-        attrs = [f'label="{c.label()}"']
-        if c.is_coincidence:
-            attrs.append("shape=doublecircle")
-        else:
-            attrs.append("shape=circle")
+        shape = "doublecircle" if c.is_coincidence else "circle"
+        attrs = [f'label="{c.label()}"', f"shape={shape}"]
         if i in stuck:
             attrs.append('style=filled fillcolor=lightgray')
-        lines.append(f"  v{rank[i]} [{' '.join(attrs)}];")
-    for (u, v), w in sorted(g.edges.items(), key=lambda e: (rank[e[0][0]], rank[e[0][1]])):
-        lines.append(f'  v{rank[u]} -> v{rank[v]} [label="{w}"];')
+        lines.append(f"  v{r} [{' '.join(attrs)}];")
+    for u, v, w in edges:
+        lines.append(f'  v{u} -> v{v} [label="{w}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

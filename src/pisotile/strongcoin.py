@@ -29,7 +29,7 @@ from operator import sub
 from .algebra import adjugate, hnf, mat_mul, mat_vec, prime_factors
 from .graphkit import cycle_extension, Digraph
 from .numberfield import AlgebraicReal, combine
-from .overlap import OverlapClass, OverlapGraph, overlap_closure, stuck_scc_matrices
+from .overlap import OverlapClass, OverlapGraph, overlap_closure
 from .substitution import matrix, power, primitivity_exponent, return_words
 from .tiling import ControlPoints, TileMap, TilingSystem, solve_control_points
 
@@ -339,41 +339,50 @@ def compute_level_n(g: OverlapGraph) -> int:
     """Smallest n0 >= 1 such that every vertex of every coincidence-free SCC
     lies on a closed walk of length n0; 1 when no such component exists.
 
-    The search is a proof.  Let A be the adjacency matrix of a stuck SCC
-    with k vertices and period p.  Every closed walk in it has a length
-    divisible by p, so n0 is a multiple of L, the lcm of the periods, and
-    only multiples of L are tried.  A^p is, up to a permutation of the
-    vertices, block diagonal with p primitive blocks of at most k vertices,
-    and by Wielandt's theorem a primitive matrix with m vertices has a
-    positive r-th power for every r >= (m - 1)^2 + 1.  For n = t L the
-    power A^n = (A^p)^(n/p) has n/p >= t, so once t >= (k - 1)^2 + 1 its
-    diagonal is positive.  Hence the least n0 is t L for some
-    t <= (k - 1)^2 + 1, k the largest SCC size, and t = 1, 2, ... finds it.
+    The stuck SCCs and their matrices are the graph's own analysis
+    (OverlapGraph.stuck), held here as bitset rows.  The search is a proof.
+    Let A be the adjacency matrix of a stuck SCC with k vertices and period
+    p.  Every closed walk in it has a length divisible by p, so n0 is a
+    multiple of L, the lcm of the periods, and only multiples of L are
+    tried.  A^p is, up to a permutation of the vertices, block diagonal
+    with p primitive blocks of at most k vertices, and by Wielandt's
+    theorem a primitive matrix with m vertices has a positive r-th power
+    for every r >= (m - 1)^2 + 1.  For n = t L the power A^n = (A^p)^(n/p)
+    has n/p >= t, so once t >= (k - 1)^2 + 1 its diagonal is positive.
+    Hence the least n0 is t L for some t <= (k - 1)^2 + 1, k the largest
+    SCC size, and t = 1, 2, ... finds it.
     """
-    mats = [[[w > 0 for w in row] for row in mat] for _, mat in stuck_scc_matrices(g)]
+    mats = [[sum(1 << j for j, w in enumerate(row) if w) for row in mat] for _, mat in g.stuck]
     period = lcm(*map(_period, mats))
     steps = [_bool_pow(m, period) for m in mats]
     powers = steps
     for t in range(1, (max(map(len, mats), default=1) - 1) ** 2 + 2):
-        if all(all(p[i][i] for i in range(len(p))) for p in powers):
+        if all(all(row >> i & 1 for i, row in enumerate(p)) for p in powers):
             return t * period
         powers = [_bool_mul(p, m) for p, m in zip(powers, steps)]
     raise AssertionError("Wielandt's bound passed without a common closed-walk length")
 
 
+def _bits(row: int):
+    """The columns set in a bitset row, in increasing order."""
+    while row:
+        low = row & -row
+        yield low.bit_length() - 1
+        row ^= low
+
+
 def _period(a) -> int:
-    """The period of a strongly connected graph with boolean adjacency
-    matrix a: the gcd of level(u) + 1 - level(v) over its edges u -> v, the
-    levels being breadth-first distances from vertex 0."""
+    """The period of a strongly connected graph with bitset adjacency rows
+    a: the gcd of level(u) + 1 - level(v) over its edges u -> v, the levels
+    being breadth-first distances from vertex 0."""
     level = {0: 0}
     queue = [0]
     for u in queue:  # grows while it is read
-        for v, edge in enumerate(a[u]):
-            if edge and v not in level:
+        for v in _bits(a[u]):
+            if v not in level:
                 level[v] = level[u] + 1
                 queue.append(v)
-    return gcd(*(level[u] + 1 - level[v]
-                 for u, row in enumerate(a) for v, edge in enumerate(row) if edge))
+    return gcd(*(level[u] + 1 - level[v] for u, row in enumerate(a) for v in _bits(row)))
 
 
 def _bool_pow(a, e: int):
@@ -389,17 +398,14 @@ def _bool_pow(a, e: int):
 
 
 def _bool_mul(a, b):
-    n = len(a)
-    out = [[False] * n for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for k in range(n):
-            if ai[k]:
-                bk = b[k]
-                for j in range(n):
-                    if bk[j]:
-                        oi[j] = True
+    """The boolean product of square matrices held as bitset rows: row i
+    of ab is the OR of the rows b[k] for the bits k of a[i]."""
+    out = []
+    for row in a:
+        acc = 0
+        for k in _bits(row):
+            acc |= b[k]
+        out.append(acc)
     return out
 
 
@@ -441,8 +447,9 @@ def extract_witness(
     its self-equivalent descendant at the common closed-walk level n0, let
     those two subtile choices define self-loops on the two colors, extend to
     every other color by the cycle-extension lemma on the color graph, and
-    solve the control points.  The result is asserted admissible, in-module,
-    and failing strong coincidence for the returned pair.
+    solve the control points.  The result is asserted admissible, in the
+    translation module (group, built here when not given), and failing
+    strong coincidence for the returned pair.
     """
     cls = None
     for vi in scc:
@@ -455,6 +462,8 @@ def extract_witness(
             "rod-hypothesis violation: every class in the component has equal "
             "colors, so the proof's distinct-color pick is unavailable"
         )
+    if group is None:
+        group = group_G(system)
     n0 = compute_level_n(g)
     p_col, q_col = cls.color_u, cls.color_v
     shift = (cls.shift.den, cls.shift.v)
@@ -492,7 +501,7 @@ def extract_witness(
     diff = _difference(system, cp, p_col, q_col)
     if diff != shift:
         raise RuntimeError("extracted control points do not match the class shift")
-    if group is not None and not _family_in_group(cp, group):
+    if not _family_in_group(cp, group):
         raise RuntimeError("extracted witness is not in the translation module")
     rep = _pair_test(system, (p_col, q_col, *diff), cap_classes)
     if rep.ok:

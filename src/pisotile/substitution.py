@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import char_poly, mat_mul, perron_minimal_polynomial
-from .numberfield import AlgebraicReal, NumberField
+from .algebra import CapExceededError, adjugate_terms, char_poly, mat_mul, perron_minimal_polynomial
+from .numberfield import NumberField
 
 
 class SubstitutionError(ValueError):
@@ -25,10 +25,6 @@ class SubstitutionError(ValueError):
 
 class NotPisotError(SubstitutionError):
     """The Perron root of the substitution matrix is not a Pisot number."""
-
-
-class CapExceededError(RuntimeError):
-    """A word, patch or closure grew past its configured cap."""
 
 
 @dataclass(frozen=True)
@@ -143,63 +139,37 @@ def perron_data(s: Substitution):
     if not pisot:
         raise NotPisotError(f"Perron root of {s} (min poly {_expr(q)}) is not Pisot")
     field = NumberField(q, (lo, hi), irreducible=True)
-    beta = field.beta()
-    lengths = _left_eigenvector(M, field, beta)
-    return field, beta, lengths
+    return field, field.beta(), _left_eigenvector(M, chi, field)
 
 
-def _left_eigenvector(M, field: NumberField, beta: AlgebraicReal):
-    """Exact kernel vector of (M^T - beta I), normalized to min entry 1."""
+def _left_eigenvector(M, chi, field: NumberField):
+    """The left eigenvector l M = beta l, normalized to min entry 1: the
+    first nonzero row of adj(beta I - M).
+
+    adj(A) A = det(A) I vanishes at A = beta I - M, so each row of adj(A)
+    is a left eigenvector or zero, and beta, a simple root of chi, leaves
+    adj(A) of rank 1.  Its entries are sum_k B_k[i][j] beta^k for the
+    integer matrices B_k of ``adjugate_terms``, evaluated by Horner's rule
+    on integer power-basis vectors."""
     m = len(M)
-    A = [
-        [field.from_rational(M[j][i]) - (beta if i == j else 0) for j in range(m)]
-        for i in range(m)
-    ]
-    vec = _kernel_vector(A, field)
+    terms = adjugate_terms(M, chi)
+    for i in range(m):
+        vec = []
+        for j in range(m):
+            v = (0,) * field.degree
+            for B in terms:
+                v = field.times_beta(v)
+                v = (v[0] + B[i][j],) + v[1:]
+            vec.append(field.point(1, v))
+        if not all(x.is_zero() for x in vec):
+            break
     # Perron eigenvector: all entries share a sign; flip if negative.
     if any(v.sign() < 0 for v in vec):
         vec = [-v for v in vec]
     if any(v.sign() <= 0 for v in vec):
         raise SubstitutionError("left eigenvector is not strictly positive")
-    smallest = vec[0]
-    for v in vec[1:]:
-        if v < smallest:
-            smallest = v
+    smallest = min(vec)
     return [v / smallest for v in vec]
-
-
-def _kernel_vector(A, field: NumberField):
-    """A nonzero kernel vector of a square matrix over Q(beta), kernel dim 1."""
-    n = len(A)
-    rows = [row[:] for row in A]
-    pivot_cols = []
-    r = 0
-    for c in range(n):
-        pivot = None
-        for i in range(r, n):
-            if not rows[i][c].is_zero():
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [e * inv for e in rows[r]]
-        for i in range(n):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [e - f * p for e, p in zip(rows[i], rows[r])]
-        pivot_cols.append(c)
-        r += 1
-    free = [c for c in range(n) if c not in pivot_cols]
-    if not free:
-        raise SubstitutionError("matrix has trivial kernel")
-    fc = free[0]
-    vec = [field.zero()] * n
-    vec[fc] = field.one()
-    for row, pc in zip(rows, pivot_cols):
-        vec[pc] = -row[fc]
-    return vec
 
 
 def fixed_point_seed(s: Substitution) -> tuple[int, int, int]:

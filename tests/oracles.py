@@ -14,11 +14,17 @@ translation module from the return vectors of a central patch, and
 control_points_reference solves the control points in field elements.
 RationalField is the arithmetic of Q(beta) on vectors
 of Fractions, the reference for the library's integer vectors over a
-denominator.
+denominator.  stuck_reference and closed_walk_level find the stuck
+components of an overlap graph and the level n0 by brute force, and
+random_substitutions is the seeded input generator of the differential
+sweep, with the tests that say which oracle applies to an input
+(is_unimodular, first_letter_cycle_ok, column_check_applies).
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from fractions import Fraction
 
 
@@ -475,3 +481,145 @@ class RationalField:
             return 0.0
         return next(float((lo + hi) / 2) for lo, hi in self._enclosures(a)
                     if (lo > 0 or hi < 0) and hi - lo <= min(abs(lo), abs(hi)) / 2**60)
+
+
+# -- the stuck part of an overlap graph --------------------------------------------
+
+
+def stuck_reference(g) -> dict[tuple[int, ...], list[list[int]]]:
+    """{component: multiplicity matrix} for the stuck components of the
+    overlap graph g, by brute force.  A vertex is stuck iff a breadth-first
+    search from it meets no coincidence; two stuck vertices share a
+    component iff each reaches the other, and a component counts when it
+    has more than one vertex or a self-loop."""
+    n = len(g.vertices)
+    succ = [[] for _ in range(n)]
+    for u, v in g.edges:
+        succ[u].append(v)
+    reach = []
+    for start in range(n):
+        seen, queue = {start}, [start]
+        for u in queue:  # grows while it is read
+            for v in succ[u]:
+                if v not in seen:
+                    seen.add(v)
+                    queue.append(v)
+        reach.append(seen)
+    stuck = [v for v in range(n) if not any(g.vertices[u].is_coincidence for u in reach[v])]
+    comps = {tuple(u for u in stuck if u in reach[v] and v in reach[u]) for v in stuck}
+    return {
+        comp: [[g.edges.get((u, v), 0) for v in comp] for u in comp]
+        for comp in comps if len(comp) > 1 or (comp[0], comp[0]) in g.edges
+    }
+
+
+def _bool_product(a, b):
+    n = len(a)
+    return [[any(a[i][k] and b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+
+
+def closed_walk_level(g, n_max=10**4) -> int:
+    """The least n0 >= 1 with a closed walk of length n0 through every
+    vertex of every stuck component (stuck_reference), by trying n0 = 1,
+    2, ... on boolean matrix powers."""
+    mats = [[[w > 0 for w in row] for row in mat] for mat in stuck_reference(g).values()]
+    powers = mats
+    for n0 in range(1, n_max + 1):
+        if all(all(p[i][i] for i in range(len(p))) for p in powers):
+            return n0
+        powers = [_bool_product(p, a) for p, a in zip(powers, mats)]
+    raise AssertionError(f"no common closed-walk length up to {n_max}")
+
+
+# -- seeded inputs and which oracle applies ----------------------------------------
+
+
+def _letter_matrix(m, rules):
+    """M[i][j] = occurrences of letter i+1 in the rule of letter j+1."""
+    return [[rules[j].count(i + 1) for j in range(m)] for i in range(m)]
+
+
+def _is_primitive(m, rules) -> bool:
+    """Some power M^k, k <= (m-1)^2 + 1 (Wielandt), is positive."""
+    a = [[x > 0 for x in row] for row in _letter_matrix(m, rules)]
+    p = a
+    for _ in range((m - 1) ** 2 + 1):
+        if all(all(row) for row in p):
+            return True
+        p = _bool_product(p, a)
+    return False
+
+
+def random_substitutions(rng):
+    """Primitive substitutions (m, rules) on 2-3 letters without end: one
+    with rules of 1-3 random letters, then two with constant-length rules
+    of length 2-3, where overlap coincidence can fail, and again."""
+    for constant in itertools.cycle((False, True, True)):
+        while True:
+            m, q = rng.randint(2, 3), rng.randint(2, 3)
+            rules = tuple(tuple(rng.randint(1, m) for _ in range(q if constant else rng.randint(1, 3)))
+                          for _ in range(m))
+            if _is_primitive(m, rules):
+                yield m, rules
+                break
+
+
+def is_unimodular(m, rules) -> bool:
+    """|det M| = 1, by the Leibniz formula."""
+    M = _letter_matrix(m, rules)
+    det = 0
+    for perm in itertools.permutations(range(m)):
+        sign = (-1) ** sum(perm[i] > perm[j] for i in range(m) for j in range(i + 1, m))
+        term = sign
+        for i, j in enumerate(perm):
+            term *= M[i][j]
+        det += term
+    return abs(det) == 1
+
+
+def first_letter_cycle_ok(m, rules) -> bool:
+    """Whether the map a -> first letter of rule(a) has a cycle of length a
+    power of two: only then does balanced_pair_coincidence find the fixed
+    point of some sigma^(2^k) it seeds from."""
+    for a in range(1, m + 1):
+        path = [a]
+        while (b := rules[path[-1] - 1][0]) not in path:
+            path.append(b)
+        k = len(path) - path.index(b)
+        if k & (k - 1) == 0:
+            return True
+    return False
+
+
+def column_check_applies(m, rules, n_max=16, length=1000) -> bool:
+    """Whether dekking_column_check decides overlap coincidence: the rules
+    have constant length q, and a fixed point u of a power of them is
+    aperiodic and of height 1 (Dekking, Z. Wahrsch. 1978; with height
+    h > 1 his criterion is the column check of the pure base, and
+    1->232, 2->131, 3->313, with a 3 at every even position, has overlap
+    coincidence but no column coincidence).  By Morse and Hedlund u is
+    periodic iff p(n) <= n for some n, and h is the part prime to q of
+    the gcd of the positions k with u_k = u_0.  Both are read off a prefix
+    of u, which can only undercount factors and overcount the gcd, so this
+    errs towards False."""
+    q = len(rules[0])
+    if any(len(w) != q for w in rules):
+        return False
+    power = rules
+    for _ in range(m):
+        starts = [a for a in range(1, m + 1) if power[a - 1][0] == a]
+        if starts:
+            break
+        power = tuple(apply_rules(rules, w) for w in power)
+    else:
+        return False
+    u = (starts[0],)
+    while len(u) < length:
+        u = apply_rules(power, u)
+    u = u[:length]
+    if any(len({u[i:i + n] for i in range(len(u) - n)}) <= n for n in range(1, n_max + 1)):
+        return False
+    h = math.gcd(*(k for k, a in enumerate(u) if a == u[0]))
+    while h > 1 and math.gcd(h, q) > 1:
+        h //= math.gcd(h, q)
+    return h == 1

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from conftest import CUBIC_RULES
-from pisotile import cli, overlap, tiling
+from pisotile import algebra, cli, overlap, tiling
 from pisotile.cli import ParseError, main, parse
 
 CORPUS = Path(__file__).resolve().parents[1] / "src" / "pisotile" / "corpus"
@@ -19,6 +19,7 @@ CORPUS = Path(__file__).resolve().parents[1] / "src" / "pisotile" / "corpus"
 FIB = CORPUS / "fibonacci.json"
 TM = CORPUS / "thue_morse.json"
 PD = CORPUS / "period_doubling.json"
+TRIB = CORPUS / "tribonacci.json"
 
 
 def test_parse_fibonacci():
@@ -180,6 +181,17 @@ def test_cap_failure_exit_three(monkeypatch, tmp_path, capsys):
     (tmp_path / FIB.name).write_text(FIB.read_text())
     assert main(["verify", str(tmp_path)]) == 3
     assert capsys.readouterr().out == "fibonacci.json: CAP EXHAUSTED (patch exceeds tile cap 10)\n"
+    # The refinement limit of the inclusion disks that prove the Perron
+    # root's minimal polynomial: a cap, not a traceback, and verify goes on
+    # to the next file.
+    monkeypatch.setattr(algebra, "_MAX_STEPS", 0)
+    assert main(["analyze", str(TRIB)]) == 3
+    assert capsys.readouterr().err == "cap exhausted: the inclusion disks were not proven disjoint\n"
+    (tmp_path / TRIB.name).write_text(TRIB.read_text())
+    assert main(["verify", str(tmp_path)]) == 3
+    assert capsys.readouterr().out == "".join(
+        f"{name}: CAP EXHAUSTED (the inclusion disks were not proven disjoint)\n"
+        for name in ("fibonacci.json", "tribonacci.json"))
 
 
 def test_long_inline_json_is_parsed(capsys):
@@ -197,6 +209,24 @@ def test_long_inline_json_is_parsed(capsys):
         return out
 
     assert report(text) == report(str(FIB))
+
+
+def test_analyze_derives_the_stuck_part_once(monkeypatch, capsys):
+    # One distance search into the coincidences per analyze, and one Tarjan
+    # run, only when overlap coincidence fails: the verdict, the level n0,
+    # the stuck and expansive components and the witness share them.
+    counts = Counter()
+    for name in ("distances_to", "scc"):
+        def counting(*args, name=name, fn=getattr(overlap, name)):
+            counts[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(overlap, name, counting)
+    for f, expected in ((FIB, (1, 0)), (TM, (1, 1))):
+        counts.clear()
+        assert main(["analyze", str(f)]) == 0
+        assert (counts["distances_to"], counts["scc"]) == expected
+    capsys.readouterr()
 
 
 def test_analyze_inflates_each_class_once(monkeypatch, capsys):

@@ -356,10 +356,10 @@ def test_is_pisot_float_roots_only_propose(monkeypatch):
     # Float roots that lie -- all far from the unit circle, one on it,
     # none at all, all a hair from it -- only move where the exact Aberth
     # steps start, and the answer stays right.  Disks that are never proven
-    # disjoint, as about a double root, raise rather than guess.
+    # disjoint, as about a double root, raise the cap error rather than guess.
     import pisotile.algebra as algebra
 
-    with pytest.raises(ArithmeticError):
+    with pytest.raises(algebra.CapExceededError):
         for _ in algebra.conjugate_disks((1, -2, 1)):
             pass
 

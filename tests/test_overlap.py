@@ -224,7 +224,7 @@ def test_multiplicity_conservation(fib, tm):
 def test_absorbing_coincidences(fib, tm):
     for system in (fib, tm):
         g, _ = stable_overlap_graph(system)
-        coins = set(g.coincidence_indices())
+        coins = {i for i, c in enumerate(g.vertices) if c.is_coincidence}
         for (u, v), _ in g.edges.items():
             if u in coins:
                 assert v in coins

@@ -9,7 +9,13 @@ import pytest
 from sympy import Matrix, factorint
 
 from conftest import CORPUS_RULES, CUBIC_RULES
-from oracles import descendant_reference, group_G_reference, pair_closure
+from oracles import (
+    closed_walk_level,
+    descendant_reference,
+    group_G_reference,
+    pair_closure,
+    stuck_reference,
+)
 from pisotile import (
     CapExceededError,
     EnumerationCapError,
@@ -32,6 +38,7 @@ from pisotile import (
     strong_coincidence,
     stuck_scc_indices,
 )
+from pisotile import strongcoin
 from pisotile.strongcoin import _descendant, _pair_test
 from pisotile.substitution import matrix
 
@@ -162,21 +169,6 @@ def test_compute_level_n(fib, tm):
     assert compute_level_n(g3) == 3
 
 
-def _closed_walk_loop(g):
-    """The least n0 by trying n0 = 1, 2, ... on the boolean powers of every
-    stuck SCC's matrix: the search compute_level_n made before it was
-    bounded by periods and Wielandt's theorem."""
-    from pisotile.strongcoin import _bool_mul, stuck_scc_matrices
-
-    mats = [[[w > 0 for w in row] for row in mat] for _, mat in stuck_scc_matrices(g)]
-    powers = mats
-    for n0 in range(1, 10**4 + 1):
-        if all(all(p[i][i] for i in range(len(p))) for p in powers):
-            return n0
-        powers = [_bool_mul(p, m) for p, m in zip(powers, mats)]
-    raise AssertionError("no common closed-walk length up to 10^4")
-
-
 def _periodic_case(rng):
     """A random strongly connected graph whose period is a multiple of
     p = 2..4: a ring through n = p t vertices in layers k mod p, with more
@@ -192,17 +184,18 @@ def _periodic_case(rng):
 
 
 def test_level_search_equals_closed_walk_loop(fib):
-    # The period-and-Wielandt search against the plain loop: on the 2- and
-    # 3-cycles of test_compute_level_n, and on graphs made of several stuck
-    # SCCs (random_case of test_graphkit, and graphs of period 2-4), joined
-    # by one-way edges and a few vertices on no cycle.
+    # The period-and-Wielandt search against the plain loop of oracles.py,
+    # and the graph's stuck analysis against its brute-force reference: on
+    # the 2- and 3-cycles of test_compute_level_n, and on graphs made of
+    # several stuck SCCs (random_case of test_graphkit, and graphs of period
+    # 2-4), joined by one-way edges and a few vertices on no cycle.
     from test_graphkit import random_case
 
     one = fib.field.one()
-    assert _closed_walk_loop(_synthetic_graph(fib, [(0, 1), (1, 0)], [one, -one])) == 2
+    assert closed_walk_level(_synthetic_graph(fib, [(0, 1), (1, 0)], [one, -one])) == 2
     g3 = _synthetic_graph(fib, [(0, 1), (1, 2), (2, 0)], [one, -one, fib.beta])
-    assert compute_level_n(g3) == _closed_walk_loop(g3) == 3
-    rng = random.Random(31)
+    assert compute_level_n(g3) == closed_walk_level(g3) == 3
+    rng, pick = random.Random(31), random.Random(32)
     levels = set()
     for _ in range(60):
         edges, size = {}, 0
@@ -220,9 +213,15 @@ def test_level_search_equals_closed_walk_loop(fib):
             edges[(rng.choice(a), rng.choice(b))] = 1
         edges[(size, rng.randrange(size))] = 1  # a vertex on no cycle
         g = _synthetic_graph(fib, edges, [one] * (size + 1))
+        assert {tuple(comp): mat for comp, mat in g.stuck} == stuck_reference(g)
         n0 = compute_level_n(g)
-        assert n0 == _closed_walk_loop(g)
+        assert n0 == closed_walk_level(g)
         levels.add(n0)
+        # The same graph with a coincidence that one of its vertices reaches.
+        g = OverlapGraph(g.vertices + [OverlapClass(1, 1, fib.field.zero())],
+                         {**g.edges, (pick.randrange(size + 1), size + 1): 1})
+        assert {tuple(comp): mat for comp, mat in g.stuck} == stuck_reference(g)
+        assert len(g.distances) > 1
     assert len(levels) >= 4
 
 
@@ -269,6 +268,18 @@ def test_extract_witness_thue_morse(tm):
     assert not rep.ok
     failing = {(p.i, p.j) for p in rep.pairs if not p.ok}
     assert tuple(sorted(pair)) in {tuple(sorted(f)) for f in failing}
+
+
+def test_witness_is_checked_against_the_module(tm, monkeypatch):
+    # A witness outside the translation module is refused whether or not
+    # the caller hands in the module.
+    g, _ = stable_overlap_graph(tm)
+    comp = stuck_scc_indices(g)[0]
+    group = group_G(tm)
+    monkeypatch.setattr(strongcoin, "_family_in_group", lambda cp, group: False)
+    for kwargs in ({}, {"group": group}):
+        with pytest.raises(RuntimeError, match="not in the translation module"):
+            extract_witness(tm, g, comp, **kwargs)
 
 
 def test_descendant_matches_tile_scan():
