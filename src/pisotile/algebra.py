@@ -7,14 +7,16 @@ with a nonzero last entry.  The module holds:
   Berkowitz's division-free algorithm, ``adjugate_terms``, the integer
   coefficients of adj(x I - M) it gives, and ``adjugate``, the adjugate
   and determinant at x = 0;
-- Sturm sequences over Q (``sturm``, ``count_roots``), which count and
-  isolate real roots;
+- Sturm sequences over Q (``sturm``, ``sign_changes``), which count real
+  roots for the Perron comparisons of ``graphkit``;
 - ``roots``: float approximations of the complex roots by the Aberth-Ehrlich
   iteration.  They only propose centres; nothing is decided from them;
 - ``conjugate_disks``: proven, pairwise disjoint inclusion disks of the
   roots, refined by exact Aberth-Ehrlich steps, and
   ``perron_minimal_polynomial``, which finds from them the minimal
   polynomial of a Perron root, proved irreducible, and whether it is Pisot;
+  ``isolate``, ever narrower rational intervals about one real root, from
+  the same disks, which are the number field's enclosures of beta;
 - ``hnf``: the Hermite normal form of an integer lattice;
 - ``mat_mul``, ``mat_vec`` and ``prime_factors``: integer matrix products
   and trial division;
@@ -32,7 +34,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain, combinations, repeat
 from operator import mul
 
 
@@ -177,16 +179,6 @@ def sign_changes(values) -> int:
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def count_roots(p, lo, hi) -> int:
-    """The number of distinct real roots of p in [lo, hi], lo <= hi.
-
-    On a squarefree p, V(lo) - V(hi) counts the roots in (lo, hi], where V is
-    the number of sign changes of the Sturm sequence."""
-    chain = sturm(squarefree(p))
-    changes = [sign_changes(peval(q, x) for q in chain) for x in (lo, hi)]
-    return changes[0] - changes[1] + (peval(chain[0], lo) == 0)
-
-
 # -- float roots ----------------------------------------------------------------------
 
 _ABERTH_ITERATIONS = 200
@@ -274,26 +266,34 @@ def _disks(p, z, s):
 def _aberth_step(p, z, s):
     """(new approximations, their grid) after one exact Aberth-Ehrlich step
     z_i - w_i / (1 - w_i sum_j 1 / (z_i - z_j)), w_i = p(z_i) / p'(z_i), on
-    the distinct approximations z over s.  The new grid is s^2 when every
-    step was below 1/sqrt(s), as near simple roots, where the iteration
-    converges cubically; else it stays s."""
-    dp = derivative(p)
-    steps = []
+    the distinct approximations z over s, rounded half up.  The new grid is
+    s^2 when every step was below 1/sqrt(s), as near simple roots, where the
+    iteration converges cubically; else it stays s.
+
+    In Gaussian integers, with P = s^n p(z_i), D = s^(n-1) p'(z_i) and
+    sum_j 1 / (z_i - z_j) = s N / Q, the step X / (s Y) is P Q / (s E) for
+    E = D Q - P N, or P / (s D) when E = 0, and none where D = 0."""
+    dp, steps = derivative(p), []
     for a, b in z:
         (pr, pi), (dr, di) = _geval(p, a, b, s), _geval(dp, a, b, s)
-        d2 = (dr * dr + di * di) * s or 1  # no step where p' = 0
-        wr, wi = Fraction(pr * dr + pi * di, d2), Fraction(pi * dr - pr * di, d2)
-        sr = si = 0
+        nr, ni, q = 0, 0, 1
         for c, d in z:
             m = (a - c) ** 2 + (b - d) ** 2
             if m:
-                sr, si = sr + Fraction((a - c) * s, m), si - Fraction((b - d) * s, m)
-        er, ei = 1 - wr * sr + wi * si, -(wr * si + wi * sr)
-        m = er * er + ei * ei
-        steps.append(((wr * er + wi * ei) / m, (wi * er - wr * ei) / m) if m else (wr, wi))
-    grid = s * s if all((x * x + y * y) * s <= 1 for x, y in steps) else s
-    return [(round((Fraction(a, s) - x) * grid), round((Fraction(b, s) - y) * grid))
-            for (a, b), (x, y) in zip(z, steps)], grid
+                nr, ni, q = nr * m + (a - c) * q, ni * m - (b - d) * q, q * m
+        e = dr * q - pr * nr + pi * ni, di * q - pr * ni - pi * nr
+        if not (dr or di):
+            steps.append(((0, 0), (1, 0)))
+        else:
+            steps.append(((pr * q, pi * q), e) if any(e) else ((pr, pi), (dr, di)))
+    grid = s * s if all(xr * xr + xi * xi <= s * (yr * yr + yi * yi)
+                        for (xr, xi), (yr, yi) in steps) else s
+    out = []
+    for (a, b), ((xr, xi), (yr, yi)) in zip(z, steps):
+        m = yr * yr + yi * yi
+        out.append(((2 * grid * (a * m - xr * yr - xi * yi) + s * m) // (2 * s * m),
+                    (2 * grid * (b * m - xi * yr + xr * yi) + s * m) // (2 * s * m)))
+    return out, grid
 
 
 def conjugate_disks(p):
@@ -326,7 +326,36 @@ def conjugate_disks(p):
         if s.bit_length() > _MAX_BITS:
             break
         z, s = _aberth_step(p, z, s)
-    raise CapExceededError("the inclusion disks were not proven disjoint")
+    raise CapExceededError("the inclusion disks " + (
+        "reached their refinement limit" if proven else "were not proven disjoint"))
+
+
+def isolate(p, lo, hi):
+    """Ever narrower rational intervals within [lo, hi], each inside the one
+    before, about the one real root of the monic irreducible integer p in
+    [lo, hi]; ValueError when there is none or more than one.
+
+    Of degree 1 the root is exact.  Else each real root lies in its own disk
+    centred on the axis, as no other disk reaches it (``_disks``).  The
+    first interval is the span of the only axis disk to meet [lo, hi], once
+    it lies inside; each later one the span of the only one to meet the
+    interval before, cut to it."""
+    if len(p) == 2:
+        root = Fraction(-p[0], p[1])
+        if not lo <= root <= hi:
+            raise ValueError("the interval holds no root")
+        yield from repeat((root, root))
+    found = False
+    for s, units in conjugate_disks(p):
+        spans = [(Fraction(a - r, s), Fraction(a + r, s)) for a, b, r in units if not b]
+        meets = [(a, b) for a, b in spans if a <= hi and lo <= b]
+        inside = [(a, b) for a, b in meets if lo <= a and b <= hi]
+        if not meets or len(inside) > 1:
+            raise ValueError("the interval does not isolate one real root")
+        if len(meets) == 1 and (found or inside):
+            found = True
+            lo, hi = max(lo, meets[0][0]), min(hi, meets[0][1])
+            yield lo, hi
 
 
 def _pmul(f, g):

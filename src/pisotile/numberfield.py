@@ -14,9 +14,9 @@ the floats decide when they separate the two points; otherwise the exact
 sign of an integer vector decides, by refining a rational enclosure of beta
 until the evaluated enclosure of the value excludes 0.
 
-``is_pisot`` decides whether beta is a Pisot number, and the field checks
-that min_poly is irreducible, with the algebra kernel's proven inclusion
-disks of the conjugates (``perron_minimal_polynomial``).
+The algebra kernel's proven inclusion disks of the conjugates check and
+refine the enclosure of beta (``isolate``), decide ``is_pisot``, and prove
+min_poly irreducible (``perron_minimal_polynomial``).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import math
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .algebra import adjugate, count_roots, derivative, mat_vec, peval, perron_minimal_polynomial
+from .algebra import CapExceededError, adjugate, isolate, mat_vec, perron_minimal_polynomial
 
 RationalLike = Union[int, Fraction]
 
@@ -63,19 +63,19 @@ class FieldMismatchError(ValueError):
     """Raised when combining elements of different number fields."""
 
 
-def _interval_mul(a, b):
-    """Product of two rational intervals."""
-    products = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
-    return min(products), max(products)
-
-
 def _interval_poly_eval(coeffs, lo, hi):
-    """Enclosure of poly(x) for x in [lo, hi], ascending coefficients."""
-    acc = (0, 0)
+    """Enclosure of poly(x) for x in [lo, hi], integer coefficients in
+    ascending order, by interval Horner steps on integers over powers of t,
+    the common denominator of lo and hi."""
+    t = math.lcm(lo.denominator, hi.denominator)
+    a, b = lo.numerator * (t // lo.denominator), hi.numerator * (t // hi.denominator)
+    acc_lo = acc_hi = 0
+    scale = 1
     for c in reversed(coeffs):
-        acc = _interval_mul(acc, (lo, hi))
-        acc = (acc[0] + c, acc[1] + c)
-    return acc
+        products = (acc_lo * a, acc_lo * b, acc_hi * a, acc_hi * b)
+        acc_lo, acc_hi = min(products) + c * scale, max(products) + c * scale
+        scale *= t
+    return Fraction(acc_lo * t, scale), Fraction(acc_hi * t, scale)
 
 
 class NumberField:
@@ -83,10 +83,12 @@ class NumberField:
 
     ``min_poly`` is a monic integer polynomial (ascending coefficients,
     leading coefficient 1) irreducible over Q.  The isolating interval must
-    contain exactly one real root, with lower endpoint >= 1, and the
-    polynomial must change sign across it so bisection refinement works.
+    contain exactly one real root, with lower endpoint >= 1.
     ``irreducible=True`` states that the caller has proved min_poly
     irreducible (perron_data does), so that proof is not run again.
+
+    The enclosures of beta are the intervals of ``isolate``, in a list that
+    copies of the field share, each at its own place in it.
 
     ``beta_matrix`` is multiplication by beta on power-basis vectors, the
     integer companion matrix (column convention: beta * v = beta_matrix v),
@@ -101,21 +103,12 @@ class NumberField:
         lo, hi = Fraction(interval[0]), Fraction(interval[1])
         if lo < 1:
             raise ValueError("isolating interval must have lower bound >= 1")
-        if count_roots(coeffs, lo, hi) != 1:
-            raise ValueError("interval does not isolate exactly one real root")
         if not irreducible and perron_minimal_polynomial(coeffs)[0] != list(coeffs):
             raise ValueError("min_poly is reducible over Q")
         self.min_poly = coeffs
         d = self.degree = len(coeffs) - 1
-        # Nudge endpoints off the root so the interval carries a sign change.
-        while peval(coeffs, lo) == 0 or peval(coeffs, hi) == 0:
-            width = hi - lo
-            lo, hi = lo - width / 3, hi + width / 3
-            if count_roots(coeffs, lo, hi) != 1:
-                raise ValueError("cannot normalize isolating interval")
-        self._lo, self._hi = lo, hi
-        self._sign_lo = 1 if peval(coeffs, lo) > 0 else -1
-        self._newton(_TABLE_WIDTH)
+        self._source, self._spans, self._at = isolate(coeffs, lo, hi), [], -1
+        self.refine()  # the first span, or ValueError
         self.beta_matrix = tuple(
             tuple((1 if j == i - 1 else 0) - (coeffs[i] if j == d - 1 else 0) for j in range(d))
             for i in range(d)
@@ -138,46 +131,17 @@ class NumberField:
     def times_beta(self, v) -> tuple[int, ...]:
         return mat_vec(self.beta_matrix, v)
 
-    def _newton(self, width: Fraction) -> None:
-        """Narrow the isolating interval to ``width`` in one step, where it
-        can: float Newton iterations from its midpoint, one Newton step in
-        rationals, and the interval of that width centred on the result
-        rounded to a multiple of width/2.  It is kept only if it lies inside
-        the isolating interval and the polynomial changes sign across it;
-        otherwise ``refine`` bisects as before."""
-        p = self.min_poly
-        dp = derivative(p)
-        try:
-            fp, fdp = [float(c) for c in p], [float(c) for c in dp]
-            x = float((self._lo + self._hi) / 2)
-            for _ in range(8):
-                x -= peval(fp, x) / peval(fdp, x)
-            r = Fraction(x)
-            r -= peval(p, r) / peval(dp, r)
-        except (ZeroDivisionError, OverflowError, ValueError):
-            return  # a float overflowed or was not finite, or p'(x) = 0
-        half = width / 2
-        mid = round(r / half) * half
-        lo, hi = mid - half, mid + half
-        if self._lo <= lo and hi <= self._hi:
-            s_lo, s_hi = peval(p, lo), peval(p, hi)
-            if s_lo * s_hi < 0:
-                self._lo, self._hi, self._sign_lo = lo, hi, 1 if s_lo > 0 else -1
-
     def refine(self) -> None:
-        """Halve the isolating interval by one bisection step."""
-        mid = (self._lo + self._hi) / 2
-        val = peval(self.min_poly, mid)
-        if val == 0:
-            # mid is rational, impossible for irreducible degree >= 2;
-            # for degree 1 the root is exact and refinement keeps it interior.
-            width = (self._hi - self._lo) / 4
-            self._lo, self._hi = mid - width, mid + width
-            return
-        if (1 if val > 0 else -1) == self._sign_lo:
-            self._lo = mid
-        else:
-            self._hi = mid
+        """Move to the next, narrower enclosure of beta; CapExceededError
+        past the refinement limit of the inclusion disks."""
+        at = self._at + 1
+        if at == len(self._spans):
+            span = next(self._source, None)
+            if span is None:  # the disks raised the cap error before
+                raise CapExceededError("the inclusion disks reached their refinement limit")
+            self._spans.append(span)
+        self._at = at
+        self._lo, self._hi = self._spans[at]
 
     def enclosure(self, width: Fraction) -> tuple[Fraction, Fraction]:
         """Rational interval around beta of width at most ``width``."""
@@ -187,12 +151,10 @@ class NumberField:
 
     def value_enclosures(self, w):
         """Rational enclosures of sum_k w_k beta^k, endlessly, each
-        evaluated on an enclosure of beta half as wide as the one before."""
-        width = self._hi - self._lo
+        evaluated on the next enclosure of beta."""
         while True:
             yield _interval_poly_eval(w, self._lo, self._hi)
-            width /= 2
-            self.enclosure(width)
+            self.refine()
 
     def exact_sign(self, w) -> int:
         """The sign of sum_k w_k beta^k for an integer vector w: 0 iff w = 0
@@ -273,7 +235,7 @@ class IntEnclosure:
     vectors v and integers D >= 1, in O(d) float operations: the field's
     one table, fl(beta^k) with error bounds, serves every denominator.
 
-    With beta in [lo, hi] (width 2^-80, lo >= 1), beta^k lies in
+    With beta in [lo, hi] (width at most 2^-80, lo >= 1), beta^k lies in
     [lo^k, hi^k]; b_k is the float nearest the midpoint m_k of that
     interval, e_k the least float >= its half-width + |m_k - b_k|, and B_k
     the least float >= |b_k| + e_k, so |beta^k - b_k| <= e_k and
@@ -484,8 +446,8 @@ class AlgebraicReal:
         return self.field.compare(self.enclosed(), o.enclosed())
 
     def enclosures(self):
-        """Rational enclosures of the value, endlessly, each evaluated on an
-        enclosure of beta half as wide as the one before."""
+        """Rational enclosures of the value, endlessly, each evaluated on the
+        next enclosure of beta."""
         for lo, hi in self.field.value_enclosures(self.v):
             yield Fraction(lo, self.den), Fraction(hi, self.den)
 
@@ -558,16 +520,18 @@ def is_pisot(min_poly: Sequence[int], beta_interval: tuple[RationalLike, Rationa
     min_poly must be monic and irreducible, and the interval must isolate a
     root, else ValueError.  ``perron_minimal_polynomial`` decides whether
     the largest real root is Pisot; a Pisot root is the only one outside the
-    unit disk, so the root in the interval is Pisot iff that one is and a
-    Sturm count puts it above 1.
+    unit disk, so the root in the interval is Pisot iff that one is and the
+    root's enclosures (``isolate``) put it above 1.  Of degree >= 2 the root
+    is irrational, so they come to lie on one side of 1.
     """
     coeffs = [int(c) for c in min_poly]
     if coeffs[-1] != 1:
         raise ValueError("min_poly must be monic")
-    lo, hi = Fraction(beta_interval[0]), Fraction(beta_interval[1])
-    if count_roots(coeffs, lo, hi) != 1:
-        raise ValueError("interval does not isolate a root")
     q, _, _, pisot = perron_minimal_polynomial(coeffs)
     if q != coeffs:
         raise ValueError("min_poly must be irreducible")
-    return pisot and hi > 1 and peval(coeffs, 1) != 0 and count_roots(coeffs, max(lo, 1), hi) == 1
+    spans = isolate(coeffs, Fraction(beta_interval[0]), Fraction(beta_interval[1]))
+    lo, hi = next(spans)
+    while pisot and lo <= 1 < hi:
+        lo, hi = next(spans)
+    return pisot and lo > 1

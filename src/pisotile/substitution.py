@@ -176,17 +176,19 @@ def fixed_point_seed(s: Substitution) -> tuple[int, int, int]:
     """(k, left_letter, right_letter) seeding a two-sided fixed point of sigma^k.
 
     Picks the smallest k <= m*m such that some sigma^k(a) ends in a, some
-    sigma^k(b) starts with b, and the two-letter word ab is in the language
-    (legal_pairs).
+    sigma^k(b) starts with b (iterating the first- and last-letter maps),
+    and the two-letter word ab is in the language (legal_pairs).
     """
     M = matrix(s)
     if not is_primitive(M):
         raise SubstitutionError("fixed point seed requires primitivity")
     legal = legal_pairs(s)
+    first = last = range(1, s.m + 1)
     for k in range(1, s.m * s.m + 1):
-        sk = power(s, k)
-        enders = [a for a in range(1, s.m + 1) if sk.rules[a - 1][-1] == a]
-        starters = [b for b in range(1, s.m + 1) if sk.rules[b - 1][0] == b]
+        first = [s.rules[c - 1][0] for c in first]
+        last = [s.rules[c - 1][-1] for c in last]
+        enders = [a for a in range(1, s.m + 1) if last[a - 1] == a]
+        starters = [b for b in range(1, s.m + 1) if first[b - 1] == b]
         for a in enders:
             for b in starters:
                 if (a, b) in legal:

@@ -143,10 +143,16 @@ class TilingSystem:
 
     def inflate_patch(self, p: Patch, n: int = 1) -> Patch:
         """sigma^n on the tiles of p: each time, a color-i tile at v becomes
-        the tiles of sigma(i) at beta v plus their prefix offsets.  A patch
-        of more than _TILE_CAP tiles raises CapExceededError."""
+        the tiles of sigma(i) at beta v plus their prefix offsets.  A result
+        of more than _TILE_CAP tiles, counted first from |sigma^n(i)|,
+        raises CapExceededError before any is built."""
         if n < 0:
             raise ValueError("inflation level must be >= 0")
+        sizes = [1] * self.substitution.m
+        for _ in range(n):
+            sizes = [sum(sizes[c - 1] for c in word) for word in self.substitution.rules]
+        if sum(sizes[color - 1] for color, _ in p.tiles) > _TILE_CAP:
+            raise CapExceededError(f"patch exceeds tile cap {_TILE_CAP}")
         tiles = p.tiles
         for _ in range(n):
             tiles = [
@@ -155,8 +161,6 @@ class TilingSystem:
                 for bv in (self.times_beta(v),)
                 for c, off in self.prefix_offsets[color - 1]
             ]
-            if len(tiles) > _TILE_CAP:
-                raise CapExceededError(f"patch exceeds tile cap {_TILE_CAP}")
         return Patch(tuple(tiles))
 
     def central_patch(self, radius) -> Patch:

@@ -14,8 +14,10 @@ translation module from the return vectors of a central patch, and
 control_points_reference solves the control points in field elements.
 RationalField is the arithmetic of Q(beta) on vectors
 of Fractions, the reference for the library's integer vectors over a
-denominator.  stuck_reference and closed_walk_level find the stuck
-components of an overlap graph and the level n0 by brute force, and
+denominator.  fixed_point_seed_reference finds the seed of the two-sided
+fixed point from the words sigma^k(c).  stuck_reference and
+closed_walk_level find the stuck components of an overlap graph and the
+level n0 by brute force, and
 random_substitutions is the seeded input generator of the differential
 sweep, with the tests that say which oracle applies to an input
 (is_unimodular, first_letter_cycle_ok, column_check_applies).
@@ -33,6 +35,20 @@ def apply_rules(rules, word):
     for a in word:
         out.extend(rules[a - 1])
     return tuple(out)
+
+
+def fixed_point_seed_reference(m, rules, legal):
+    """(k, a, b) for the least k <= m*m with sigma^k(a) ending in a,
+    sigma^k(b) starting with b and ab in the set of legal pairs, read off
+    the words sigma^k(c) themselves."""
+    words = [(c,) for c in range(1, m + 1)]
+    for k in range(1, m * m + 1):
+        words = [apply_rules(rules, w) for w in words]
+        for a in range(1, m + 1):
+            for b in range(1, m + 1):
+                if words[a - 1][-1] == a and words[b - 1][0] == b and (a, b) in legal:
+                    return k, a, b
+    return None
 
 
 def _abelian(m, word):

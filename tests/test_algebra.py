@@ -1,6 +1,7 @@
 """The standard-library algebra kernel against sympy and mpmath as oracles."""
 
 import json
+import math
 import pathlib
 import random
 from fractions import Fraction
@@ -17,8 +18,8 @@ from pisotile.algebra import (
     adjugate,
     char_poly,
     conjugate_disks,
-    count_roots,
     hnf,
+    isolate,
     perron_minimal_polynomial,
     squarefree,
 )
@@ -53,18 +54,38 @@ def test_adjugate_matches_sympy():
         assert det == Matrix(M).det() and Matrix(adj) == Matrix(M).adjugate(), M
 
 
-def test_count_roots_matches_sympy():
-    # Products of small factors, so that roots repeat and endpoints can be
-    # rational roots; intervals with random rational ends.
+def test_isolate_matches_sympy():
+    # Random monic irreducible polynomials of degree 1-5 on intervals with
+    # random rational ends, some of them points; the points 2 and 3 for
+    # x - 2 and x - 3; and ends within 2^-70 of sqrt 2, where the first
+    # disks straddle them: ValueError exactly when sympy counts other than
+    # one real root in [lo, hi]; else each of the first intervals lies
+    # inside the one before and holds that root alone.
     rng = random.Random(6)
-    factors = [[-1, 1], [2, 1], [-2, 0, 1], [-1, -1, 1], [1, 0, 1], [-1, -1, 0, 1], [3, -4, 1]]
-    for _ in range(120):
-        p = _poly([1])
-        for f in rng.sample(factors, rng.randint(1, 3)):
-            p = p * _poly(f) ** rng.randint(1, 2)
-        coeffs = [int(c) for c in reversed(p.all_coeffs())]
+    below = Fraction(math.isqrt(2 << 140), 1 << 70)  # sqrt 2 - 2^-70 < below < sqrt 2
+    cases = [([-2, 1], [Fraction(2)] * 2), ([-3, 1], [Fraction(3)] * 2),
+             ([-2, 0, 1], [1, below]), ([-2, 0, 1], [below, 2]), ([-2, 0, 1], [below] * 2)]
+    while len(cases) < 150:
+        coeffs = [rng.randint(-6, 6) for _ in range(rng.randint(1, 5))] + [1]
         ends = sorted(Fraction(rng.randint(-12, 12), rng.choice((1, 2, 3, 4))) for _ in range(2))
-        assert count_roots(coeffs, *ends) == p.count_roots(*ends), (coeffs, ends)
+        if _poly(coeffs).is_irreducible:
+            cases.append((coeffs, ends[:1] * 2 if len(cases) % 10 == 0 else ends))
+    outcomes = set()
+    for coeffs, ends in cases:
+        p = _poly(coeffs)
+        count = p.count_roots(*ends)
+        spans = isolate(coeffs, *ends)
+        if count != 1:
+            with pytest.raises(ValueError):
+                next(spans)
+        else:
+            outer = ends
+            for lo, hi in (next(spans) for _ in range(3)):
+                assert outer[0] <= lo <= hi <= outer[1] and p.count_roots(lo, hi) == 1, (coeffs, ends)
+                outer = lo, hi
+        outcomes.add((len(coeffs) - 1 > 1, count, ends[0] == ends[1]))
+    assert {(False, 1, True), (True, 0, True), (True, 1, False), (True, 2, False),
+            (True, 0, False), (False, 1, False), (False, 0, False)} <= outcomes
 
 
 def _bench_matrices():
@@ -244,14 +265,13 @@ def test_perron_equals_matches_reference():
 
 
 @pytest.mark.parametrize("degree", [3, 4])
-def test_newton_step_and_bisection_fallback(degree):
+def test_field_enclosures_of_hard_roots(degree):
     # x^d - 2 (a x - 1)^2, moved right by 2: irreducible (Eisenstein at 2),
     # with two real roots about a^-(d+2)/2 apart near 2 + 1/a, where floats
-    # cannot place either root and the exact bisection must.  On x^3 - 6x^2
-    # + 1 in [1, 6], float Newton from 3.5 runs to the root near -0.395.  Two
-    # corpus fields take the Newton step.  Every enclosure of width 2^-80
-    # lies in its isolating interval, holds the right root and carries a
-    # sign change.
+    # cannot place either root.  Also x^3 - 6x^2 + 1 in [1, 6], where float
+    # Newton from 3.5 runs to the root near -0.395, and two corpus fields.
+    # Refined to width 2^-300, every enclosure lies inside the one before
+    # and in the isolating interval, and holds the right root by mpmath.
     a = 10**4
     p = Poly(_X**degree - 2 * (a * _X - 1) ** 2, _X).compose(Poly(_X - 2, _X))
     cases = [([int(c) for c in reversed(p.all_coeffs())], (_fraction(lo), _fraction(hi)))
@@ -260,17 +280,17 @@ def test_newton_step_and_bisection_fallback(degree):
     cases += [(list(f.min_poly), (f._lo, f._hi)) for f in (
         perron_data(Substitution(*rules))[0]
         for rules in (CORPUS_RULES["tribonacci"], CUBIC_RULES["1->2,2->3,3->12"]))]
-    newton = []
+    assert len(cases) == 5
     for coeffs, (lo, hi) in cases:
         field = NumberField(coeffs, (lo, hi))
-        newton.append(field._hi - field._lo == Fraction(1, 2**80))
-        flo, fhi = field.enclosure(Fraction(1, 2**80))
-        assert lo <= flo < fhi <= hi and fhi - flo <= Fraction(1, 2**80)
-        values = [sum(c * x**k for k, c in enumerate(coeffs)) for x in (flo, fhi)]
-        assert values[0] * values[1] < 0
-        with mpmath.workdps(60):
-            mpf = [mpmath.mpf(x.numerator) / x.denominator for x in (lo, flo, fhi, hi)]
-            inside = [mpmath.re(r) for r in mpmath.polyroots(list(reversed(coeffs)), maxsteps=500, extraprec=600)
-                      if abs(mpmath.im(r)) < mpmath.mpf(10) ** -40 and mpf[0] <= mpmath.re(r) <= mpf[3]]
-            assert len(inside) == 1 and mpf[1] <= inside[0] <= mpf[2]
-    assert newton == [False, False, False, True, True]
+        enclosures = [(lo, hi), (field._lo, field._hi)]
+        while enclosures[-1][1] - enclosures[-1][0] > Fraction(1, 2**300):
+            field.refine()
+            enclosures.append((field._lo, field._hi))
+        for (olo, ohi), (ilo, ihi) in zip(enclosures, enclosures[1:]):
+            assert olo <= ilo < ihi <= ohi
+        with mpmath.workdps(200):
+            ends = [[mpmath.mpf(x.numerator) / x.denominator for x in e] for e in enclosures]
+            inside = [mpmath.re(r) for r in mpmath.polyroots(list(reversed(coeffs)), maxsteps=500, extraprec=1000)
+                      if abs(mpmath.im(r)) < mpmath.mpf(10) ** -150 and ends[0][0] <= mpmath.re(r) <= ends[0][1]]
+            assert len(inside) == 1 and all(lo <= inside[0] <= hi for lo, hi in ends)

@@ -194,6 +194,17 @@ def test_cap_failure_exit_three(monkeypatch, tmp_path, capsys):
         for name in ("fibonacci.json", "tribonacci.json"))
 
 
+def test_deep_seed_exits_early(capsys):
+    # 1->4433, 2->1141, 3->2224, 4->3231 seeds its fixed point at k = 12:
+    # msc at level 1 decides without the 4^12-letter words, and analyze
+    # stops at the tile cap before it builds the patch.
+    quartic = _inline(((4, 4, 3, 3), (1, 1, 4, 1), (2, 2, 2, 4), (3, 2, 3, 1)))
+    assert main(["msc", quartic, "--map-level", "1"]) == 0
+    capsys.readouterr()
+    assert main(["analyze", quartic]) == 3
+    assert capsys.readouterr().err == "cap exhausted: patch exceeds tile cap 1000000\n"
+
+
 def test_long_inline_json_is_parsed(capsys):
     # Inline JSON longer than a file name may be: parsed, not looked up as
     # a path, with the report of the corpus file.

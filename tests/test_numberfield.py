@@ -1,7 +1,13 @@
 """Exact arithmetic in the field of the expansion factor."""
 
+import copy
+import json
 import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -385,6 +391,66 @@ def test_field_validation():
         NumberField((-1, 0, 1), (Fraction(1), Fraction(2)))  # x^2-1 reducible
     with pytest.raises(ValueError):
         NumberField((-1, -1, 1), (Fraction(0), Fraction(1, 2)))  # no root inside
+
+
+_POINT_FIELDS = """
+from fractions import Fraction
+from pisotile import NumberField
+for beta in (2, 3):
+    field = NumberField((-beta, 1), (beta, beta))
+    assert field.enclosure(Fraction(1, 2**100)) == (beta, beta)
+    assert field.exact_sign((1,)) == 1
+"""
+
+
+def test_degree_one_field_on_a_point_interval():
+    # The interval [beta, beta] of x - beta is its exact root, and the field
+    # returns at once; in a subprocess, so that a hang fails at the timeout.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(pathlib.Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]))
+    subprocess.run([sys.executable, "-c", _POINT_FIELDS], env=env, timeout=10, check=True)
+
+
+def test_copies_refine_on_their_own():
+    # 40 copies of one field refined in turn to 2^-400 share the disks'
+    # spans but not their place in them: none runs out of disks, each
+    # copy's enclosures are nested and alike, and the original stays put.
+    field = NumberField(*CUBIC)
+    start = field._lo, field._hi
+    copies = [copy.copy(field) for _ in range(40)]
+    seen = [[(c._lo, c._hi)] for c in copies]
+    while any(hi - lo > Fraction(1, 2**400) for lo, hi in (s[-1] for s in seen)):
+        for c, s in zip(copies, seen):
+            c.refine()
+            s.append((c._lo, c._hi))
+    for s in seen:
+        assert s == seen[0]
+        assert all(olo <= ilo < ihi <= ohi for (olo, ohi), (ilo, ihi) in zip(s, s[1:]))
+    assert (field._lo, field._hi) == start
+    assert field.enclosure(Fraction(1, 2**400)) == seen[0][-1]
+
+
+def test_refinement_limit_is_a_cap(monkeypatch):
+    # F_1901 - F_1900 beta = beta^-1900 > 0 needs beta to about 2^-2640:
+    # past a grid of 2^-1024 the disks raise the cap error, again on the
+    # next call (never StopIteration), and within 2^-8192 the sign is found.
+    # analyze exits 3 when the field cannot reach its first 2^-80.
+    from pisotile import algebra
+    from pisotile.cli import main
+
+    fib = [0, 1]
+    while len(fib) < 1902:
+        fib.append(fib[-1] + fib[-2])
+    w = (fib[1901], -fib[1900])
+    assert NumberField(*GOLDEN).exact_sign(w) == 1
+    monkeypatch.setattr(algebra, "_MAX_BITS", 1024)
+    field = NumberField(*GOLDEN)
+    for _ in range(2):
+        with pytest.raises(algebra.CapExceededError):
+            field.exact_sign(w)
+    monkeypatch.setattr(algebra, "_MAX_BITS", 64)
+    golden = json.dumps({"alphabet": ["1", "2"], "rules": {"1": ["1", "2"], "2": ["1"]}})
+    assert main(["analyze", golden]) == 3
 
 
 def test_interval_refinement(golden):

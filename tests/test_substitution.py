@@ -1,5 +1,6 @@
 """Substitution combinatorics, gates, and Perron data."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,8 @@ from pisotile import (
     perron_data,
     power,
 )
-from pisotile.substitution import char_poly, matrix, return_words
+from oracles import fixed_point_seed_reference, random_substitutions
+from pisotile.substitution import char_poly, legal_pairs, matrix, return_words
 
 FIB = Substitution(2, ((1, 2), (1,)))
 TM = Substitution(2, ((1, 2), (2, 1)))
@@ -127,6 +129,17 @@ def test_fixed_point_seed():
         assert any(
             (a, b) in tuple(zip(w, w[1:])) for w in big.rules
         )
+
+
+def test_fixed_point_seed_matches_words():
+    # The first- and last-letter maps give the seed of the words sigma^k(c)
+    # on the sweep's inputs.  A constant-length quartic needs k = 12,
+    # words of 4^12 letters, which the maps never build.
+    inputs = random_substitutions(random.Random(4))
+    for m, rules in (next(inputs) for _ in range(90)):
+        s = Substitution(m, rules)
+        assert fixed_point_seed(s) == fixed_point_seed_reference(m, rules, legal_pairs(s)), rules
+    assert fixed_point_seed(Substitution(4, ((4, 4, 3, 3), (1, 1, 4, 1), (2, 2, 2, 4), (3, 2, 3, 1)))) == (12, 1, 1)
 
 
 def test_dekking_column_check():

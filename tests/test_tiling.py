@@ -14,12 +14,14 @@ from oracles import (
     tiles_disjoint,
 )
 from pisotile import (
+    CapExceededError,
     Patch,
     Substitution,
     TileMap,
     TilingSystem,
     solve_control_points,
 )
+from pisotile import tiling
 from pisotile.strongcoin import enumerate_tile_maps
 from pisotile.tiling import TileMapError, _targets
 
@@ -57,6 +59,18 @@ def test_inflate_zero_level(fib):
     assert fib.inflate_patch(p, 0) == p
     with pytest.raises(ValueError):
         fib.inflate_patch(p, -1)
+
+
+def test_inflate_patch_cap_before_building(fib, monkeypatch):
+    # sigma^4(12) = 12112121 12112 has 13 tiles: the cap 12 is found from
+    # the letter counts before any tile moves, and the cap 13 lets it through.
+    p = Patch(((1, (0, 0)), (2, fib.coords(fib.beta))))
+    monkeypatch.setattr(tiling, "_TILE_CAP", 13)
+    assert len(fib.inflate_patch(p, 4).tiles) == 13
+    monkeypatch.setattr(tiling, "_TILE_CAP", 12)
+    monkeypatch.setattr(fib, "times_beta", None)
+    with pytest.raises(CapExceededError, match="patch exceeds tile cap 12"):
+        fib.inflate_patch(p, 4)
 
 
 def _measure(system, p):
