@@ -268,7 +268,7 @@ class IntEnclosure:
        err >= (1 - u)^4 n k / Df + 3.5 (1 - u) eta >= n K' / Df + 2 eta.
 
     A coordinate, D or a result that overflows a float makes the enclosure
-    abstain: err is inf.
+    abstain: err is inf, which by 4. needs n sum B_k > 2^1023.
     """
 
     def __init__(self, field: NumberField):
@@ -286,13 +286,14 @@ class IntEnclosure:
         k = ((1 + u) * sum(Fraction(e) for _, e, _ in table)
              + (Fraction(101, 100) * d + 2) * u * big_b + 2 * d * eta)
         k = (1 + u) * k + Fraction(203, 100) * u * big_b
-        self._b = tuple(b for b, _, _ in table)
+        self.powers = tuple(b for b, _, _ in table)  # the b_k
         self._k = _float_up(k * (1 + 5 * u))
+        self._n_max = int(2**1023 / big_b)
 
     def bound(self, n: int, den: int = 1) -> float:
-        """An error bound valid for every vector over den with max |v_k| <= n."""
+        """An error bound for every vector over den with max |v_k| <= n (inf if one may abstain)."""
         try:
-            err = n * self._k / float(den) + _TINY
+            err = n * self._k / float(den) + _TINY if n <= self._n_max else math.inf
         except OverflowError:
             return math.inf
         return err
@@ -301,7 +302,7 @@ class IntEnclosure:
         """(mid, err) with |sum v_k beta^k / den - mid| <= err."""
         mid = 0.0
         try:
-            for c, b in zip(v, self._b):
+            for c, b in zip(v, self.powers):
                 mid += c * b
             n = max(map(abs, v))
             if not n:

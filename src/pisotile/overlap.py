@@ -35,7 +35,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, cmp_to_key
 from math import lcm
-from operator import add, itemgetter, sub
+from operator import add, itemgetter, neg, sub
 
 from .algebra import CapExceededError
 from .graphkit import Digraph, distances_to, scc, perron_equals
@@ -328,13 +328,14 @@ def seed_overlaps(system: TilingSystem, patch: Patch, ys: ModuleVectors) -> list
     given return vectors: every (color(U), color(V), s) with
     s = (pos(V) - pos(U)) - y and -l_v < s < l_u.
 
-    Works on integer coordinates (TilingSystem.coords).  For each color pair
-    and each distinct position difference, a float window picks the ys that
-    can give an overlap; the window's slack covers the proven errors of the
-    floats and the roundings that form its ends, so it never drops one.
-    Each distinct candidate shift is then decided by NumberField.compare,
-    exactly whenever the floats do not separate it from the window's ends,
-    so the result is identical to the all-pairs exact scan.
+    Works on integer coordinates (TilingSystem.coords).  ys is symmetric:
+    for d = pos(V) - pos(U), d - y = s is -d - (-y) = -s, and -l_u < -s < l_v
+    is -l_v < s < l_u, so the classes of (cv, cu) mirror those of (cu, cv).
+    Each distinct d of a color pair takes one float window of the ys that
+    can give an overlap, whose slack covers the proven errors of the floats
+    (one bound for every d) and the roundings that form its ends, so it never
+    drops one; each distinct candidate s takes one exact NumberField.compare
+    test, and adds (cu, cv, s) and (cv, cu, -s) if it passes.
     """
     by_color, norm = system.patch_coords(patch)
     if ys.packing.bound < 2 * norm + ys.coord_bound:  # room for every shift
@@ -343,40 +344,34 @@ def seed_overlaps(system: TilingSystem, patch: Patch, ys: ModuleVectors) -> list
     packed = {c: [pack(v) for v in vs] for c, vs in by_color.items()}
     field, den = system.field, system.den
     enclose, enclosed, compare = field.floats, field.enclosed, field.compare
-    yf, yp = ys.floats, ys.packed
+    value, yf, yp = ys.packing.midpoints(enclose, den), ys.floats, ys.packed
     colors = sorted(packed)
     classes: dict[tuple, OverlapClass] = {}
     for n, cu in enumerate(colors):
         for cv in colors[n:]:
             (flu, elu), (flv, elv) = (enclose(system.length_coords[c - 1], den) for c in (cu, cv))
-            # Distinct values d of pos(V) - pos(U) for one pair of colors, the
-            # largest structure here.  The pair (cv, cu) sees each d as -d,
-            # so for one color each pair of tiles is taken once.
+            # The distinct d of one pair of colors, the largest structure here.
             pus = packed[cu]
             ds: set[int] = set()
             for k, pv in enumerate(packed[cv]):
                 ds.update(map(pv.__sub__, pus[:k + 1] if cu == cv else pus))
-            fwd: set[int] = set()
-            back = fwd if cu == cv else set()
-            errs, lens = ys.err + elu + elv, flu + flv
+            # An overlap needs fd - l_u - (e_d + e_y + e_lu) < fy < fd + l_v
+            # + (e_d + e_y + e_lv); doubling the errors and the 4u term cover
+            # the roundings in forming the slack and the window's ends.
+            errs, lens = 2 * (enclose.bound(2 * norm, den) + ys.err + elu + elv), flu + flv
+            shifts: set[int] = set()
             for dv in ds:
-                fd, ed = enclose(unpack(dv), den)
-                # An overlap needs fd - l_u - (ed + e_y + e_lu) < fy < fd + l_v
-                # + (ed + e_y + e_lv) (for -d: -fd - l_v ... -fd + l_u);
-                # doubling the errors and the 4u term cover the roundings in
-                # forming the slack and the window's ends.
-                slack = 2 * (ed + errs) + 4 * _U * (abs(fd) + lens)
+                fd = value(dv)
+                slack = errs + 4 * _U * (abs(fd) + lens)
                 i = bisect_left(yf, fd - flu - slack)
-                fwd.update(map(dv.__sub__, yp[i:bisect_right(yf, fd + flv + slack, i)]))
-                i = bisect_left(yf, -fd - flv - slack)
-                back.update(map((-dv).__sub__, yp[i:bisect_right(yf, -fd + flu + slack, i)]))
+                shifts.update(map(dv.__sub__, yp[i:bisect_right(yf, fd + flv + slack, i)]))
             del ds
-            for a, b, shifts in ((cu, cv, fwd),) if cu == cv else ((cu, cv, fwd), (cv, cu, back)):
-                lo, hi = (-system.length(b)).enclosed(), system.length(a).enclosed()
-                for sv in shifts:
-                    x = enclosed(den, unpack(sv))
-                    if compare(x, lo) > 0 and compare(x, hi) < 0:
-                        classes[(a, b, x[1])] = OverlapClass(a, b, system.point(x[1]))
+            lo, hi = (-system.length(cv)).enclosed(), system.length(cu).enclosed()
+            for sv in shifts:
+                x = enclosed(den, unpack(sv))
+                if compare(x, lo) > 0 and compare(x, hi) < 0:
+                    for a, b, v in ((cu, cv, x[1]), (cv, cu, tuple(map(neg, x[1])))):
+                        classes[(a, b, v)] = OverlapClass(a, b, system.point(v))
     return [classes[k] for k in sorted(classes)]
 
 

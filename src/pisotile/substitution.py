@@ -168,8 +168,8 @@ def _left_eigenvector(M, chi, field: NumberField):
         vec = [-v for v in vec]
     if any(v.sign() <= 0 for v in vec):
         raise SubstitutionError("left eigenvector is not strictly positive")
-    smallest = min(vec)
-    return [v / smallest for v in vec]
+    scale = min(vec).inverse()
+    return [v * scale for v in vec]
 
 
 def fixed_point_seed(s: Substitution) -> tuple[int, int, int]:

@@ -27,11 +27,12 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
-from math import lcm
+from itertools import chain
+from math import inf, lcm
 from operator import add, neg
 
 from .algebra import adjugate, mat_mul, mat_vec
-from .numberfield import AlgebraicReal, NumberField, combine, reduced
+from .numberfield import AlgebraicReal, IntEnclosure, NumberField, combine, reduced
 from .substitution import (
     CapExceededError,
     Substitution,
@@ -198,7 +199,8 @@ class TilingSystem:
 
     def return_vectors(self, p: Patch) -> ModuleVectors:
         """All differences pos(V) - pos(U) over same-colored tile pairs of p,
-        as integer vectors, deduplicated exactly as packed ints.
+        as ModuleVectors of the positive ones (V right of U: tiles run left to
+        right), deduplicated exactly as packed ints.
 
         The packing leaves room for the seeding shifts of the same patch,
         (pos(V) - pos(U)) - y, whose coordinates are at most twice as large.
@@ -208,12 +210,11 @@ class TilingSystem:
         seen: set[int] = set()
         for vs in by_color.values():
             packed = [packing.pack(v) for v in vs]
-            for k, pv in enumerate(packed):  # each pair once, and 0
-                seen.update(map(pv.__sub__, packed[:k + 1]))
-        seen.update([-y for y in seen])
-        distinct = list(seen)
+            for k, pv in enumerate(packed):
+                seen.update(map(pv.__sub__, packed[:k]))
+        half = list(seen)
         del seen  # the set's table is as large again as the list
-        return ModuleVectors(self, packing, distinct, 2 * norm)
+        return ModuleVectors(self, packing, half, 2 * norm)
 
     def patch_coords(self, p: Patch) -> tuple[dict[int, list[tuple[int, ...]]], int]:
         """Integer coordinates of the tile positions of p, by color, and the
@@ -246,39 +247,57 @@ class Packing:
         q, mask, half = p + self._bias, self._mask, self._half
         return tuple([((q >> s) & mask) - half for s in self._shifts])
 
+    def midpoints(self, floats: IntEnclosure, den: int):
+        """p -> floats(unpack(p), den)[0] bit for bit: the same float operations
+        in the same order, on the digits of p (0.0 where floats abstains)."""
+        terms = tuple(zip(self._shifts, floats.powers))
+        bias, mask, half = self._bias, self._mask, self._half
+
+        def mid(p: int, df=float(den)) -> float:
+            q, m = p + bias, 0.0
+            try:
+                for s, b in terms:
+                    m += (((q >> s) & mask) - half) * b
+            except OverflowError:
+                return 0.0
+            return m / df if -inf < m < inf else 0.0
+        return mid
+
 
 class ModuleVectors(Sequence):
-    """A set of points of L as integer vectors over den, held compactly:
-    packed ints in increasing order of value (an array('q') when they fit
-    in 64 bits), their float midpoints in an array('d'), one error bound
-    ``err`` valid for every midpoint, and ``coord_bound`` >= every
-    |coordinate|.  Items are the vectors."""
+    """A set Y = -Y of points of L, 0 included, as integer vectors over den,
+    held compactly: packed ints in increasing order of value (an array('q')
+    when they fit in 64 bits), their float midpoints in an array('d'), one
+    error bound ``err`` valid for every midpoint, and ``coord_bound`` >=
+    every |coordinate|.  Items are the vectors.  The arrays are -half
+    reversed, 0, half, for the y > 0 sorted by their floats (Packing.midpoints,
+    IntEnclosure's bit for bit; rounding is symmetric, so -y has -that).  A
+    y > 0 with a negative float has y <= err, and gets 0.0, also within err."""
 
-    def __init__(self, system: TilingSystem, packing: Packing, packed: list[int],
-                 coord_bound: int):
-        """packed: distinct packed vectors, a list that is sorted in place."""
-        enclose, unpack, den = system.field.floats, packing.unpack, system.den
-
-        def value(p):
-            return enclose(unpack(p), den)[0]
-
-        # Computing the midpoints twice keeps no (midpoint, int) pairs alive.
-        packed.sort(key=value)
-        self.floats = array("d", map(value, packed))
+    def __init__(self, system: TilingSystem, packing: Packing, half: list[int], coord_bound: int):
+        """half: the distinct packed y > 0, a list that is sorted in place."""
+        value = packing.midpoints(system.field.floats, system.den)
+        half.sort(key=value)  # computed twice, so that no (midpoint, int) pair is kept
+        floats = array("d", map(value, half))
+        for i in range(bisect_left(floats, 0.0)):
+            floats[i] = 0.0
+        self.floats = array("d", chain(map(neg, reversed(floats)), [0.0], floats))
         try:
-            self.packed = array("q", packed)
+            self.packed = array("q", chain(map(neg, reversed(half)), [0], half))
         except OverflowError:
-            self.packed = packed
+            self.packed = [*map(neg, reversed(half)), 0, *half]
         self.packing, self.coord_bound = packing, coord_bound
-        self.err = system.field.floats.bound(coord_bound, den)
+        self.err = system.field.floats.bound(coord_bound, system.den)
 
     @classmethod
     def of(cls, system: TilingSystem, vectors, bound: int = 0) -> ModuleVectors:
-        """From integer vectors, packed with room for coordinates up to bound."""
+        """These vectors, their negatives and 0, packed with room for coordinates
+        up to bound; of v and -v the one positive by exact sign, as floats may err."""
         vectors = [tuple(v) for v in vectors]
         norm = max((abs(c) for v in vectors for c in v), default=0)
         packing = Packing(system.field.degree, max(bound, norm))
-        return cls(system, packing, list({packing.pack(v) for v in vectors}), norm)
+        half = {packing.pack(v) * s for v in vectors if (s := system.point(v).sign())}
+        return cls(system, packing, list(half), norm)
 
     def __len__(self) -> int:
         return len(self.packed)

@@ -78,6 +78,29 @@ MUTATIONS = [
           "if 0 < b <= r:"),),
         ("tests/test_algebra.py::test_conjugate_disks_hold_mpmath_roots",),
     ),
+    # -- overlap seeding --
+    Mutation(
+        "seed_overlaps: the mirrored class keeps s instead of -s",
+        "src/pisotile/overlap.py",
+        (("(cv, cu, tuple(map(neg, x[1])))", "(cv, cu, x[1])"),),
+        ("tests/test_overlap.py::test_seed_symmetry",
+         "tests/test_overlap.py::test_seeds_equal_two_window_seeding[1->1112,2->12-rules1]"),
+    ),
+    Mutation(
+        "seed_overlaps: the window slack drops the difference's float error",
+        "src/pisotile/overlap.py",
+        (("errs, lens = 2 * (enclose.bound(2 * norm, den) + ys.err + elu + elv)",
+          "errs, lens = 2 * (ys.err + elu + elv)"),),
+        ("tests/test_overlap.py::test_seed_overlaps_near_edge_differences[2-rules0]",
+         "tests/test_overlap.py::test_seed_overlaps_near_edge_differences[3-rules1]"),
+    ),
+    Mutation(
+        "Packing.midpoints: the digits read without the packing bias",
+        "src/pisotile/tiling.py",
+        (("            q, m = p + bias, 0.0\n", "            q, m = p, 0.0\n"),),
+        ("tests/test_tiling.py::test_module_vector_floats_are_enclosure_midpoints[rules0]",
+         "tests/test_tiling.py::test_module_vector_floats_are_enclosure_midpoints[rules3]"),
+    ),
     # -- the stuck part, the Perron lengths and the witness --
     Mutation(
         "OverlapGraph.stuck: trivial components kept",

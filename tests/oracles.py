@@ -12,6 +12,8 @@ on it; perron_equals_reference decides the Perron comparison
 with sympy's factorization and root isolation; group_G_reference builds the
 translation module from the return vectors of a central patch, and
 control_points_reference solves the control points in field elements.
+seed_overlaps_two_windows seeds overlaps with two float windows per
+position difference, the reference for the library's mirrored seeding.
 RationalField is the arithmetic of Q(beta) on vectors
 of Fractions, the reference for the library's integer vectors over a
 denominator.  fixed_point_seed_reference finds the seed of the two-sided
@@ -326,6 +328,54 @@ def group_G_reference(system):
 
     patch = system.central_patch(system.field.from_rational(8) * max(system.lengths, key=float))
     return GroupG(system, system.return_vectors(patch))
+
+
+def seed_overlaps_two_windows(system, patch, ys):
+    """Overlap seeding without the symmetry of ys: for each color pair and
+    each distinct difference d, one float window of ys for the classes
+    (cu, cv, d - y) and one for (cv, cu, -d - y), both with d's own float
+    error, and every candidate of both decided by NumberField.compare.  The
+    reference for overlap.seed_overlaps, which takes one window per d and
+    mirrors its classes."""
+    from bisect import bisect_left, bisect_right
+
+    from pisotile import ModuleVectors, OverlapClass
+    from pisotile.numberfield import _U
+
+    by_color, norm = system.patch_coords(patch)
+    if ys.packing.bound < 2 * norm + ys.coord_bound:
+        ys = ModuleVectors.of(system, ys, 2 * norm + ys.coord_bound)
+    pack, unpack = ys.packing.pack, ys.packing.unpack
+    packed = {c: [pack(v) for v in vs] for c, vs in by_color.items()}
+    field, den = system.field, system.den
+    enclose, enclosed, compare = field.floats, field.enclosed, field.compare
+    yf, yp = ys.floats, ys.packed
+    colors = sorted(packed)
+    classes = {}
+    for n, cu in enumerate(colors):
+        for cv in colors[n:]:
+            (flu, elu), (flv, elv) = (enclose(system.length_coords[c - 1], den) for c in (cu, cv))
+            pus = packed[cu]
+            ds = set()
+            for k, pv in enumerate(packed[cv]):
+                ds.update(map(pv.__sub__, pus[:k + 1] if cu == cv else pus))
+            fwd = set()
+            back = fwd if cu == cv else set()
+            errs, lens = ys.err + elu + elv, flu + flv
+            for dv in ds:
+                fd, ed = enclose(unpack(dv), den)
+                slack = 2 * (ed + errs) + 4 * _U * (abs(fd) + lens)
+                i = bisect_left(yf, fd - flu - slack)
+                fwd.update(map(dv.__sub__, yp[i:bisect_right(yf, fd + flv + slack, i)]))
+                i = bisect_left(yf, -fd - flv - slack)
+                back.update(map((-dv).__sub__, yp[i:bisect_right(yf, -fd + flu + slack, i)]))
+            for a, b, shifts in ((cu, cv, fwd),) if cu == cv else ((cu, cv, fwd), (cv, cu, back)):
+                lo, hi = (-system.length(b)).enclosed(), system.length(a).enclosed()
+                for sv in shifts:
+                    x = enclosed(den, unpack(sv))
+                    if compare(x, lo) > 0 and compare(x, hi) < 0:
+                        classes[(a, b, x[1])] = OverlapClass(a, b, system.point(x[1]))
+    return [classes[k] for k in sorted(classes)]
 
 
 def tile_map_targets(system, tm):

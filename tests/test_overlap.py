@@ -2,17 +2,19 @@
 
 from fractions import Fraction
 
+import itertools
 import math
 
 import mpmath
 import pytest
 
 from conftest import CORPUS_RULES, CUBIC_RULES
-from oracles import field_tiles, inflate_children, inflate_tiles
+from oracles import field_tiles, inflate_children, inflate_tiles, seed_overlaps_two_windows
 from pisotile import (
     CapExceededError,
     ModuleVectors,
     OverlapClass,
+    Patch,
     Substitution,
     TilingSystem,
     build_graph,
@@ -82,9 +84,10 @@ def test_seed_symmetry(fib):
 def _scan_all_pairs(system, patch, ys):
     """Overlap-class keys of every (tile U, tile V, y) of the patch, each
     decided by an exact zero test and an mpmath sign with 60 digits beyond
-    the size of the coordinates of y."""
+    the size of the coordinates of the positions and of y."""
     ys = [system.point(y) for y in ys]
-    digits = max(len(str(abs(c.numerator))) for y in ys for c in y.coeffs)
+    tiles = field_tiles(system, patch)
+    digits = max(len(str(abs(c.numerator))) for y in ys + [p for _, p in tiles] for c in y.coeffs)
     with mpmath.workdps(60 + digits):
         poly = [mpmath.mpf(c) for c in reversed(system.field.min_poly)]
         root = mpmath.findroot(lambda x: mpmath.polyval(poly, x), float(system.beta))
@@ -97,7 +100,6 @@ def _scan_all_pairs(system, patch, ys):
             return not x.is_zero() and value(x) > 0
 
         keys = set()
-        tiles = field_tiles(system, patch)
         for cu, pu in tiles:
             for cv, pv in tiles:
                 for y in ys:
@@ -153,12 +155,72 @@ def test_seed_overlaps_equals_all_pairs_scan(m, rules):
         for edge in (-system.length(cu), system.length(cv)):
             w = system.coords(pv - pu + edge)
             near += [tuple(a - b for a, b in zip(w, eps)), tuple(a + b for a, b in zip(w, eps))]
+    # ModuleVectors holds a symmetric set with 0, so the scan sees the same.
+    near += [tuple(-c for c in v) for v in near] + [(0,) * system.field.degree]
     # Apart, so that the return vectors keep their own tight float window.
     expected = [_scan_all_pairs(system, patch, vs) for vs in (ys, near)]
     for vs, keys in zip((ys, near), expected):
         assert {c.key() for c in seed_overlaps(system, patch, ModuleVectors.of(system, vs))} == keys
     seeds = seed_overlaps(system, patch, ModuleVectors.of(system, ys + near))
     assert {c.key() for c in seeds} == expected[0] | expected[1]
+
+
+@pytest.mark.parametrize("m, rules", [(2, ((1, 2), (1,))), (3, ((1, 2), (1, 3), (1,)))])
+def test_seed_overlaps_near_edge_differences(m, rules):
+    # Tile pairs whose difference lies within 2^-60 of an end of the overlap
+    # window, with a float midpoint more than 10 off, and y = 0 only: only
+    # the differences' own error bound keeps their float windows wide enough.
+    system = TilingSystem(Substitution(m, rules))
+    eps, zero = _tiny_module_point(system), (0,) * system.field.degree
+    tiles = [(a, zero) for a in range(1, m + 1)]
+    for a, b in itertools.product(range(1, m + 1), repeat=2):
+        for edge, sign in itertools.product((-system.length(b), system.length(a)), (-1, 1)):
+            w = system.coords(edge)
+            near = (tuple(x + sign * k * e for x, e in zip(w, eps)) for k in range(1, 1000))
+            tiles.append((b, next(v for v in near
+                                  if abs(system.field.floats(v, system.den)[0] - float(edge)) > 10)))
+    patch = Patch(tuple(tiles))
+    expected = _scan_all_pairs(system, patch, [zero])
+    assert sum(max(map(abs, shift)) > 2**40 for _, _, shift in expected) >= m * m  # near an edge
+    seeds = seed_overlaps(system, patch, ModuleVectors.of(system, [zero]))
+    assert {c.key() for c in seeds} == expected
+
+
+def test_module_vectors_of_symmetric_closure(fib):
+    # An asymmetric input, with or without 0 and with a pair +-v given twice,
+    # holds exactly its symmetric closure with 0.  The positive one of each
+    # pair is chosen exactly, also for a v > 0 with a negative float midpoint,
+    # which is read as 0.0 so that the floats still increase.
+    eps = _tiny_module_point(fib)
+    far = next(v for k in range(-1000, 1000) for v in [tuple(k * c for c in eps)]
+               if fib.point(v).sign() > 0 and fib.field.floats(v, fib.den)[0] < 0)
+    vs = [(1, 0), (0, -2), (3, -5), eps, far]
+    closure = {*vs, *(tuple(-c for c in v) for v in vs), (0, 0)}
+    for given in (vs, vs + [(0, 0)], vs + [tuple(-c for c in vs[0])]):
+        ys = ModuleVectors.of(fib, given)
+        assert len(ys) == len(closure) and set(ys) == closure
+        assert all(x <= y for x, y in zip(ys.floats, ys.floats[1:]))
+        assert all(fib.point(ys[i]).sign() > 0 for i in range(len(ys) // 2 + 1, len(ys)))
+
+
+@pytest.mark.parametrize("name, rules", [
+    ("1->2,2->3,3->12", CUBIC_RULES["1->2,2->3,3->12"]),
+    ("1->1112,2->12", (2, ((1, 1, 1, 2), (1, 2)))),
+])
+def test_seeds_equal_two_window_seeding(name, rules):
+    # At every radius of the doubling up to the stable one, the mirrored
+    # seeding equals the union of the two windows per difference.
+    system = TilingSystem(Substitution(*rules))
+    _, last = stable_overlap_graph(system)
+    radius = 8 * max(system.lengths)
+    while True:
+        patch = system.central_patch(radius)
+        ys = system.return_vectors(patch)
+        assert list(map(class_key, seed_overlaps(system, patch, ys))) == list(
+            map(class_key, seed_overlaps_two_windows(system, patch, ys)))
+        if radius == last:
+            break
+        radius = 2 * radius
 
 
 def test_fibonacci_graph(fib):

@@ -1,8 +1,10 @@
 """Suspension tiling geometry: inflation, central patches, control points."""
 
+import itertools
 import math
 import random
 
+import mpmath
 import pytest
 
 from conftest import CORPUS_RULES, CUBIC_RULES
@@ -15,6 +17,7 @@ from oracles import (
 )
 from pisotile import (
     CapExceededError,
+    ModuleVectors,
     Patch,
     Substitution,
     TileMap,
@@ -165,6 +168,32 @@ def test_return_vectors_negation_closure(fib):
         assert tuple(-c for c in y) in keys
     # The squared expansion beta^2 = beta + 1 appears as a same-color gap.
     assert fib.coords(fib.beta + fib.field.one()) in keys
+
+
+@pytest.mark.parametrize("rules", [*CUBIC_RULES.values(), (2, ((1, 1, 1, 2), (1, 2)))])
+def test_module_vector_floats_are_enclosure_midpoints(rules):
+    # Each float of ModuleVectors, the mirrored half's too, is IntEnclosure's
+    # midpoint bit for bit and within err of a 60-digit value: on return
+    # vectors, and on vectors at the packing's coordinate bound.  Y = -Y holds
+    # 0 in the middle, and the floats increase.
+    system = TilingSystem(Substitution(*rules))
+    patch = system.central_patch(system.field.from_rational(16) * max(system.lengths, key=float))
+    ys = system.return_vectors(patch)
+    b, d = ys.packing.bound, system.field.degree
+    corners = [v for v in itertools.product((-b, 0, b), repeat=d) if any(v)]
+    with mpmath.workdps(60 + len(str(b))):
+        poly = [mpmath.mpf(c) for c in reversed(system.field.min_poly)]
+        root = mpmath.findroot(lambda x: mpmath.polyval(poly, x), float(system.beta))
+        for vs in (ys, ModuleVectors.of(system, corners, b)):
+            n = len(vs)
+            assert len(vs.floats) == n and n % 2 and vs[n // 2] == (0,) * d
+            assert all(x <= y for x, y in zip(vs.floats, vs.floats[1:]))
+            for i, v in enumerate(vs):
+                assert vs[n - 1 - i] == tuple(-c for c in v)
+                mid, err = system.field.floats(v, system.den)
+                assert vs.floats[i].hex() == mid.hex() and err <= vs.err
+                value = sum(c * root**k for k, c in enumerate(v)) / system.den
+                assert abs(value - vs.floats[i]) <= vs.err
 
 
 def test_tile_map_targets(fib):
