@@ -3,7 +3,7 @@ overlap coincidence on the suspension tiling, strong coincidence over
 admissible control-point families, and the equivalence between the two.
 """
 
-from .numberfield import AlgebraicReal, NumberField, fast_cmp, is_pisot
+from .numberfield import AlgebraicReal, NumberField, fast_cmp
 from .substitution import (
     NotPisotError,
     Substitution,

@@ -14,9 +14,10 @@ with a nonzero last entry.  The module holds:
 - ``conjugate_disks``: proven, pairwise disjoint inclusion disks of the
   roots, refined by exact Aberth-Ehrlich steps, and
   ``perron_minimal_polynomial``, which finds from them the minimal
-  polynomial of a Perron root, proved irreducible, and whether it is Pisot;
-  ``isolate``, ever narrower rational intervals about one real root, from
-  the same disks, which are the number field's enclosures of beta;
+  polynomial of a Perron root, proved irreducible, and whether it is Pisot,
+  and hands on the stream of disks that proved it; ``isolate``, ever
+  narrower rational intervals about one real root, from that stream, which
+  are the number field's enclosures of beta;
 - ``hnf``: the Hermite normal form of an integer lattice;
 - ``mat_mul``, ``mat_vec`` and ``prime_factors``: integer matrix products
   and trial division;
@@ -304,18 +305,20 @@ def conjugate_disks(p):
 
     ``roots`` only proposes the first centres.  Exact Aberth-Ehrlich steps
     refine them; they start from a circle of radius the Cauchy bound when
-    the proposals are missing or not distinct, or after _RESTART steps
-    without a proof (a start symmetric about the axis stays so, and cannot
-    reach real roots from a pair).  After _MAX_STEPS steps, or past a grid
-    of 2^-_MAX_BITS, this raises CapExceededError rather than guess."""
+    the proposals are missing or not distinct, and once more without a
+    proof after _RESTART steps or past a grid of 2^-_MAX_BITS, whichever
+    comes first (a start symmetric about the axis stays so, and cannot
+    reach real roots from a pair; one on a critical point does not move).
+    After _MAX_STEPS steps, or past that grid with a proof or after the
+    restart, this raises CapExceededError rather than guess."""
     n = len(p) - 1
-    s, proven = 1 << _FIRST_BITS, False
+    s, proven, restart = 1 << _FIRST_BITS, False, _RESTART
     try:
         z = [(round(w.real * s), round(w.imag * s)) for w in roots(p)]
     except (TypeError, ValueError, OverflowError):
         z = []
     for step in range(_MAX_STEPS):
-        if len(set(z)) != n or step == _RESTART and not proven:
+        if len(set(z)) != n or step == restart and not proven:
             s, bound = 1 << _FIRST_BITS, 1 + max(map(abs, p))
             z = [(round(math.cos(t) * s) * bound, round(math.sin(t) * s) * bound)
                  for t in (2 * math.pi * k / n + 0.4 for k in range(n))]
@@ -324,29 +327,34 @@ def conjugate_disks(p):
             proven = True
             yield s, units
         if s.bit_length() > _MAX_BITS:
-            break
+            if proven or step >= restart:
+                break
+            z, restart = [], step + 1
+            continue
         z, s = _aberth_step(p, z, s)
     raise CapExceededError("the inclusion disks " + (
         "reached their refinement limit" if proven else "were not proven disjoint"))
 
 
-def isolate(p, lo, hi):
+def isolate(p, lo, hi, disks):
     """Ever narrower rational intervals within [lo, hi], each inside the one
     before, about the one real root of the monic irreducible integer p in
     [lo, hi]; ValueError when there is none or more than one.
 
-    Of degree 1 the root is exact.  Else each real root lies in its own disk
-    centred on the axis, as no other disk reaches it (``_disks``).  The
-    first interval is the span of the only axis disk to meet [lo, hi], once
-    it lies inside; each later one the span of the only one to meet the
-    interval before, cut to it."""
+    Of degree 1 the root is exact, and disks is not read.  Else disks is a
+    stream of ``conjugate_disks(p)``, at any point of it, such as the one
+    that proved p irreducible (``perron_minimal_polynomial``), and each real
+    root lies in its own disk centred on the axis, as no other disk reaches
+    it (``_disks``).  The first interval is the span of the only axis disk
+    to meet [lo, hi], once it lies inside; each later one the span of the
+    only one to meet the interval before, cut to it."""
     if len(p) == 2:
         root = Fraction(-p[0], p[1])
         if not lo <= root <= hi:
             raise ValueError("the interval holds no root")
         yield from repeat((root, root))
     found = False
-    for s, units in conjugate_disks(p):
+    for s, units in disks:
         spans = [(Fraction(a - r, s), Fraction(a + r, s)) for a, b, r in units if not b]
         meets = [(a, b) for a, b in spans if a <= hi and lo <= b]
         inside = [(a, b) for a, b in meets if lo <= a and b <= hi]
@@ -422,11 +430,14 @@ def _pisot(q, s, units):
 
 
 def perron_minimal_polynomial(chi):
-    """(q, lo, hi, pisot) for beta the largest real root of the monic
+    """(q, lo, hi, pisot, disks) for beta the largest real root of the monic
     integer polynomial chi: q is its minimal polynomial (``_minimal_factor``
     on the disks of squarefree(chi), refined until it is found), [lo, hi]
     the span on the axis of beta's disk there, which holds no other root,
     and none lies above it; pisot is whether beta is Pisot, and then lo >= 1.
+    disks is the stream of ``conjugate_disks(q)`` that proved q or decided
+    the verdict, where it stopped, for ``isolate`` to go on with: that of
+    squarefree(chi) when it is q, and None of degree 1.
 
     A rational beta is Pisot iff it is > 1, and a self-reciprocal q of
     degree > 2 is not, its roots pairing up as z, 1/z.  No other q has a
@@ -441,12 +452,15 @@ def perron_minimal_polynomial(chi):
             break
     (a, _, r), _ = _split(units)
     lo, hi = Fraction(a - r, s), Fraction(a + r, s)
-    if len(q) == 2 or (len(q) > 3 and q == q[::-1]):
-        return q, lo, hi, q[0] < -1 and len(q) == 2
-    for s, units in chain([(s, units)], disks) if q == p else conjugate_disks(q):
+    if len(q) == 2:
+        return q, lo, hi, q[0] < -1, None
+    proved = chain([(s, units)], disks) if q == p else conjugate_disks(q)
+    if len(q) > 3 and q == q[::-1]:
+        return q, lo, hi, False, proved
+    for s, units in proved:
         pisot = _pisot(q, s, units)
         if pisot is not None:
-            return q, max(lo, 1) if pisot else lo, hi, pisot
+            return q, max(lo, 1) if pisot else lo, hi, pisot, proved
 
 
 # -- the Hermite normal form ---------------------------------------------------------

@@ -24,7 +24,6 @@ from .overlap import (
     to_dot,
 )
 from .strongcoin import (
-    EnumerationCapError,
     RodHypothesisError,
     StrongCoincidenceReport,
     compute_level_n,
@@ -382,7 +381,7 @@ def cmd_verify(args) -> int:
         except SubstitutionError as e:
             errors += 1
             print(f"{f.name}: GATE ERROR ({e})")
-        except (CapExceededError, EnumerationCapError) as e:
+        except CapExceededError as e:
             caps += 1
             print(f"{f.name}: CAP EXHAUSTED ({e})")
     if failures:
@@ -454,10 +453,10 @@ def main(argv=None) -> int:
     except VerdictMismatch as e:
         print(f"verdict mismatch: {e}", file=sys.stderr)
         return 1
-    except (ParseError, SubstitutionError, NotPisotError, TileMapError) as e:
+    except (ParseError, SubstitutionError, TileMapError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (CapExceededError, EnumerationCapError) as e:
+    except CapExceededError as e:
         print(f"cap exhausted: {e}", file=sys.stderr)
         return 3
 

@@ -112,33 +112,6 @@ def is_strongly_connected(g: Digraph) -> bool:
     return len(scc(g)) == 1
 
 
-def functional_cycles(succ: list[int]) -> list[tuple[int, ...]]:
-    """Cycles of an out-degree-1 graph, each rotated to start at its minimum."""
-    n = len(succ)
-    color = [0] * n  # 0 unvisited, 1 in progress, 2 done
-    cycles = []
-    for start in range(n):
-        if color[start]:
-            continue
-        path = []
-        v = start
-        while color[v] == 0:
-            color[v] = 1
-            path.append(v)
-            v = succ[v]
-        if color[v] == 1:
-            cycles.append(canonical_cycle(path[path.index(v):]))
-        for u in path:
-            color[u] = 2
-    return sorted(cycles)
-
-
-def canonical_cycle(cycle) -> tuple[int, ...]:
-    cyc = list(cycle)
-    k = cyc.index(min(cyc))
-    return tuple(cyc[k:] + cyc[:k])
-
-
 def cycle_extension(g: Digraph, cycles) -> Digraph:
     """Out-degree-1 subgraph of a strongly connected g whose cycle set is exactly
     ``cycles`` (vertex-disjoint simple cycles of g).

@@ -14,9 +14,9 @@ the floats decide when they separate the two points; otherwise the exact
 sign of an integer vector decides, by refining a rational enclosure of beta
 until the evaluated enclosure of the value excludes 0.
 
-The algebra kernel's proven inclusion disks of the conjugates check and
-refine the enclosure of beta (``isolate``), decide ``is_pisot``, and prove
-min_poly irreducible (``perron_minimal_polynomial``).
+The algebra kernel's proven inclusion disks of the conjugates prove
+min_poly irreducible (``perron_minimal_polynomial``), and the same stream
+of disks goes on to check and refine the enclosure of beta (``isolate``).
 """
 
 from __future__ import annotations
@@ -83,12 +83,15 @@ class NumberField:
 
     ``min_poly`` is a monic integer polynomial (ascending coefficients,
     leading coefficient 1) irreducible over Q.  The isolating interval must
-    contain exactly one real root, with lower endpoint >= 1.
-    ``irreducible=True`` states that the caller has proved min_poly
-    irreducible (perron_data does), so that proof is not run again.
+    contain exactly one real root, with lower endpoint >= 1.  ``disks`` is
+    the stream of inclusion disks that proved min_poly irreducible, as
+    ``perron_minimal_polynomial`` hands it on (perron_data passes it).
+    Without it, a field of degree >= 2 runs that proof itself and keeps its
+    stream.
 
-    The enclosures of beta are the intervals of ``isolate``, in a list that
-    copies of the field share, each at its own place in it.
+    The enclosures of beta are the intervals that ``isolate`` refines from
+    that stream, in a list that copies of the field share, each at its own
+    place in it.
 
     ``beta_matrix`` is multiplication by beta on power-basis vectors, the
     integer companion matrix (column convention: beta * v = beta_matrix v),
@@ -96,18 +99,20 @@ class NumberField:
     """
 
     def __init__(self, min_poly: Sequence[int], interval: tuple[RationalLike, RationalLike],
-                 irreducible: bool = False):
+                 disks=None):
         coeffs = tuple(int(c) for c in min_poly)
         if len(coeffs) < 2 or coeffs[-1] != 1:
             raise ValueError("min_poly must be monic of degree >= 1")
         lo, hi = Fraction(interval[0]), Fraction(interval[1])
         if lo < 1:
             raise ValueError("isolating interval must have lower bound >= 1")
-        if not irreducible and perron_minimal_polynomial(coeffs)[0] != list(coeffs):
-            raise ValueError("min_poly is reducible over Q")
+        if disks is None and len(coeffs) > 2:
+            q, _, _, _, disks = perron_minimal_polynomial(coeffs)
+            if q != list(coeffs):
+                raise ValueError("min_poly is reducible over Q")
         self.min_poly = coeffs
         d = self.degree = len(coeffs) - 1
-        self._source, self._spans, self._at = isolate(coeffs, lo, hi), [], -1
+        self._source, self._spans, self._at = isolate(coeffs, lo, hi, disks), [], -1
         self.refine()  # the first span, or ValueError
         self.beta_matrix = tuple(
             tuple((1 if j == i - 1 else 0) - (coeffs[i] if j == d - 1 else 0) for j in range(d))
@@ -509,30 +514,3 @@ def fast_cmp(a: AlgebraicReal, b: AlgebraicReal) -> int:
     """sign(a - b) from the cached enclosures of a and b when they separate
     the values, else exactly (NumberField.compare)."""
     return a.field.compare(a._point or a.enclosed(), b._point or b.enclosed())
-
-
-# -- the Pisot test -----------------------------------------------------------
-
-
-def is_pisot(min_poly: Sequence[int], beta_interval: tuple[RationalLike, RationalLike]) -> bool:
-    """True iff the root beta of min_poly in the interval is a Pisot number:
-    real, > 1, and every other conjugate of modulus strictly below 1.
-
-    min_poly must be monic and irreducible, and the interval must isolate a
-    root, else ValueError.  ``perron_minimal_polynomial`` decides whether
-    the largest real root is Pisot; a Pisot root is the only one outside the
-    unit disk, so the root in the interval is Pisot iff that one is and the
-    root's enclosures (``isolate``) put it above 1.  Of degree >= 2 the root
-    is irrational, so they come to lie on one side of 1.
-    """
-    coeffs = [int(c) for c in min_poly]
-    if coeffs[-1] != 1:
-        raise ValueError("min_poly must be monic")
-    q, _, _, pisot = perron_minimal_polynomial(coeffs)
-    if q != coeffs:
-        raise ValueError("min_poly must be irreducible")
-    spans = isolate(coeffs, Fraction(beta_interval[0]), Fraction(beta_interval[1]))
-    lo, hi = next(spans)
-    while pisot and lo <= 1 < hi:
-        lo, hi = next(spans)
-    return pisot and lo > 1

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from math import gcd, lcm
 from operator import sub
 
-from .algebra import adjugate, hnf, mat_mul, mat_vec, prime_factors
+from .algebra import CapExceededError, adjugate, hnf, mat_mul, mat_vec, prime_factors
 from .graphkit import cycle_extension, Digraph
 from .numberfield import AlgebraicReal, combine
 from .overlap import OverlapClass, OverlapGraph, overlap_closure
@@ -34,7 +34,7 @@ from .substitution import matrix, power, primitivity_exponent, return_words
 from .tiling import ControlPoints, TileMap, TilingSystem, solve_control_points
 
 
-class EnumerationCapError(RuntimeError):
+class EnumerationCapError(CapExceededError):
     """Tile-map enumeration would exceed the configured cap."""
 
 

@@ -8,7 +8,8 @@ interval lengths) that the tiling layer consumes.
 
 The minimal polynomial of beta, its isolating interval and the Pisot
 verdict all come from the algebra kernel's proven inclusion disks of the
-roots of the characteristic polynomial (``perron_minimal_polynomial``).
+roots of the characteristic polynomial (``perron_minimal_polynomial``), and
+the number field refines beta from the same stream of disks.
 """
 
 from __future__ import annotations
@@ -126,8 +127,9 @@ def perron_data(s: Substitution):
     beta is the Perron-Frobenius root of the substitution matrix, expressed
     in the number field of its minimal polynomial; lengths is the exact left
     eigenvector (l M = beta l) normalized so the minimum entry is 1.  The
-    minimal polynomial, proved irreducible here once (the field takes it as
-    such), and the Pisot verdict come from ``perron_minimal_polynomial``.
+    minimal polynomial, proved irreducible here once, and the Pisot verdict
+    come from ``perron_minimal_polynomial``; the field refines beta from
+    the stream of disks that proved them.
 
     Raises NotPisotError when beta is not a Pisot number.
     """
@@ -135,10 +137,10 @@ def perron_data(s: Substitution):
     if not is_primitive(M):
         raise SubstitutionError("substitution matrix is not primitive")
     chi = char_poly(M)
-    q, lo, hi, pisot = perron_minimal_polynomial(chi)
+    q, lo, hi, pisot, disks = perron_minimal_polynomial(chi)
     if not pisot:
         raise NotPisotError(f"Perron root of {s} (min poly {_expr(q)}) is not Pisot")
-    field = NumberField(q, (lo, hi), irreducible=True)
+    field = NumberField(q, (lo, hi), disks)
     return field, field.beta(), _left_eigenvector(M, chi, field)
 
 

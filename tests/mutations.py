@@ -49,6 +49,13 @@ MUTATIONS = [
         ("tests/test_numberfield.py::test_copies_refine_on_their_own",),
     ),
     Mutation(
+        "isolate: a handed stream of disks ignored for one of its own",
+        "src/pisotile/algebra.py",
+        (("    found = False\n    for s, units in disks:\n",
+          "    found = False\n    for s, units in conjugate_disks(p):\n"),),
+        ("tests/test_algebra.py::test_one_disk_stream_per_root",),
+    ),
+    Mutation(
         "isolate: a degree-1 root not checked against the interval",
         "src/pisotile/algebra.py",
         (("        if not lo <= root <= hi:\n"
@@ -62,14 +69,20 @@ MUTATIONS = [
         (("        if 0 < b <= r or any(", "        if any("),),
         ("tests/test_algebra.py::test_conjugate_disks_hold_mpmath_roots",
          "tests/test_algebra.py::test_float_roots_only_propose",
-         "tests/test_numberfield.py::test_is_pisot_float_roots_only_propose"),
+         "tests/test_algebra.py::test_pisot_verdict_float_roots_only_propose"),
     ),
     Mutation(
         "_minimal_factor: no exact-division check",
         "src/pisotile/algebra.py",
         (("        if not pdivmod(p, q)[1] and _geval(", "        if _geval("),),
         ("tests/test_algebra.py::test_float_roots_only_propose",
-         "tests/test_numberfield.py::test_is_pisot_float_roots_only_propose"),
+         "tests/test_algebra.py::test_pisot_verdict_float_roots_only_propose"),
+    ),
+    Mutation(
+        "conjugate_disks: no restart past the grid limit without a proof",
+        "src/pisotile/algebra.py",
+        (("            if proven or step >= restart:\n", "            if True:\n"),),
+        ("tests/test_algebra.py::test_pisot_verdict_float_roots_only_propose",),
     ),
     Mutation(
         "_disks: overlapping disks accepted",

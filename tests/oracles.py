@@ -19,7 +19,8 @@ of Fractions, the reference for the library's integer vectors over a
 denominator.  fixed_point_seed_reference finds the seed of the two-sided
 fixed point from the words sigma^k(c).  stuck_reference and
 closed_walk_level find the stuck components of an overlap graph and the
-level n0 by brute force, and
+level n0 by brute force, functional_cycles and canonical_cycle the cycles
+of an out-degree-1 graph, and
 random_substitutions is the seeded input generator of the differential
 sweep, with the tests that say which oracle applies to an input
 (is_unimodular, first_letter_cycle_ok, column_check_applies).
@@ -595,6 +596,37 @@ def closed_walk_level(g, n_max=10**4) -> int:
             return n0
         powers = [_bool_product(p, a) for p, a in zip(powers, mats)]
     raise AssertionError(f"no common closed-walk length up to {n_max}")
+
+
+# -- the cycles of a functional graph ---------------------------------------------
+
+
+def functional_cycles(succ: list[int]) -> list[tuple[int, ...]]:
+    """Cycles of an out-degree-1 graph, each rotated to start at its minimum
+    (the oracle of cycle_extension's cycle set)."""
+    n = len(succ)
+    color = [0] * n  # 0 unvisited, 1 in progress, 2 done
+    cycles = []
+    for start in range(n):
+        if color[start]:
+            continue
+        path = []
+        v = start
+        while color[v] == 0:
+            color[v] = 1
+            path.append(v)
+            v = succ[v]
+        if color[v] == 1:
+            cycles.append(canonical_cycle(path[path.index(v):]))
+        for u in path:
+            color[u] = 2
+    return sorted(cycles)
+
+
+def canonical_cycle(cycle) -> tuple[int, ...]:
+    cyc = list(cycle)
+    k = cyc.index(min(cyc))
+    return tuple(cyc[k:] + cyc[:k])
 
 
 # -- seeded inputs and which oracle applies ----------------------------------------

@@ -16,7 +16,9 @@ import pytest
 
 from oracles import (
     balanced_pair_coincidence,
+    canonical_cycle,
     field_tiles,
+    functional_cycles,
     inflate_tiles,
     tile_map_targets,
     word_strong_coincidence_all,
@@ -28,6 +30,7 @@ from pisotile import (
     TileMap,
     TilingSystem,
     compute_level_n,
+    cycle_extension,
     dekking_column_check,
     extract_witness,
     group_G,
@@ -44,7 +47,6 @@ from pisotile.strongcoin import _family_in_group, enumerate_tile_maps
 from conftest import CORPUS_RULES
 
 from test_graphkit import _succ_array, random_case
-from pisotile.graphkit import canonical_cycle, cycle_extension, functional_cycles
 
 
 # One verdict line per acceptance criterion, echoed in the terminal summary

@@ -74,7 +74,7 @@ def test_isolate_matches_sympy():
     for coeffs, ends in cases:
         p = _poly(coeffs)
         count = p.count_roots(*ends)
-        spans = isolate(coeffs, *ends)
+        spans = isolate(coeffs, *ends, conjugate_disks(coeffs))
         if count != 1:
             with pytest.raises(ValueError):
                 next(spans)
@@ -164,7 +164,7 @@ def test_minimal_polynomial_and_pisot_match_sympy():
         with mpmath.workdps(30):
             conj = sorted(abs(r) for r in mpmath.polyroots(list(reversed(mp)), maxsteps=500, extraprec=200))
         pisot = len(mp) == 2 and mp[0] < -1 or len(mp) > 2 and conj[-2] < 1
-        q, lo, hi, verdict = perron_minimal_polynomial(list(chi))
+        q, lo, hi, verdict, _ = perron_minimal_polynomial(list(chi))
         assert (q, verdict) == (mp, pisot), chi
         assert poly.count_roots(lo, hi) == 1 and poly.count_roots(hi, None) == 0, chi
         assert is_irreducible(s) == poly.is_irreducible, chi
@@ -188,8 +188,10 @@ def test_pisot_edge_cases():
         ([1, 3, 1], [1, 3, 1], False),  # self-reciprocal, beta = (-3 + sqrt(5)) / 2 < 1
     ]
     for chi, q, pisot in cases:
-        found = perron_minimal_polynomial(chi)
-        assert (found[0], found[3]) == (q, pisot), chi
+        found, lo, hi, verdict, disks = perron_minimal_polynomial(chi)
+        assert (found, verdict) == (q, pisot), chi
+        assert _poly(chi).count_roots(lo, hi) == 1 and _poly(chi).count_roots(hi, None) == 0, chi
+        assert (disks is None) == (len(q) == 2) and (lo >= 1 or not pisot), chi
     with pytest.raises(ValueError):
         perron_minimal_polynomial([1, 0, 1])  # i and -i: no real root
 
@@ -213,9 +215,150 @@ def test_float_roots_only_propose(monkeypatch):
     ]
     for chi, lie, q, pisot in lies:
         monkeypatch.setattr(algebra, "roots", lambda p, lie=lie: lie(true_roots(p)))
-        found, lo, hi, verdict = algebra.perron_minimal_polynomial(chi)
+        found, lo, hi, verdict, _ = algebra.perron_minimal_polynomial(chi)
         assert (found, verdict) == (q, pisot), chi
         assert _poly(chi).count_roots(lo, hi) == 1 and _poly(chi).count_roots(hi, None) == 0
+
+
+def _perron_pisot_by_mpmath(coeffs):
+    """(lo, hi, pisot) for the largest real root of the irreducible coeffs:
+    sympy's isolating interval of it, and whether it is Pisot by the moduli
+    of the numerical roots, every other one asserted to be off |z| = 1."""
+    (a, b), _ = _poly(coeffs).intervals()[-1]
+    lo, hi = _fraction(a), _fraction(b)
+    roots = mpmath.polyroots(list(reversed(coeffs)), maxsteps=200, extraprec=100)
+    mid = (mpmath.mpf(lo.numerator) / lo.denominator + mpmath.mpf(hi.numerator) / hi.denominator) / 2
+    beta = min(roots, key=lambda r: abs(r - mid))
+    others = [abs(r) for r in roots if r is not beta]
+    assert all(abs(m - 1) > 1e-20 for m in others), coeffs
+    return lo, hi, beta.real > 1 and all(m < 1 for m in others)
+
+
+def _beta_substitution(coeffs):
+    """The substitution i -> 1^(a_i) (i + 1), d -> 1^(a_d), whose matrix has
+    characteristic polynomial coeffs = x^d - a_1 x^(d-1) - ... - a_d, for
+    a_1, a_d >= 1 and a_i >= 0 (else None): it is primitive."""
+    d, a = len(coeffs) - 1, [-c for c in reversed(coeffs[:-1])]
+    if min(a) < 0 or not a[0] or not a[-1]:
+        return None
+    return Substitution(d, tuple((1,) * a[i] + ((i + 2,) if i < d - 1 else ()) for i in range(d)))
+
+
+def test_perron_pisot_matches_roots():
+    # The largest real root of every irreducible monic quadratic and cubic
+    # with small coefficients, with a complex pair and with three real roots
+    # alike, and of seeded quartics and quintics and ones with a conjugate
+    # within 10^-3 of |z| = 1, against the moduli of its numerical roots:
+    # the verdict, and a span that holds that root alone, inside sympy's
+    # interval of it when Pisot (then from 1 up).  Where the polynomial is
+    # that of a beta-substitution, perron_data's gate says the same, and
+    # its field encloses the root.
+    polys = [(a0, a1, 1) for a0 in range(-4, 5) for a1 in range(-4, 5)]
+    polys += [(a0, a1, a2, 1) for a0 in range(-3, 4) for a1 in range(-3, 4)
+              for a2 in range(-3, 4)]
+    rng = random.Random(17)
+    polys += [tuple(rng.randint(-2, 2) for _ in range(d - 1)) + (rng.randint(-8, 2), 1)
+              for d in (4, 5) * 8]
+    polys += near_circle(rng)
+    checked, gated = set(), set()
+    for coeffs in polys:
+        poly = _poly(coeffs)
+        rev = coeffs[::-1]
+        if not poly.is_irreducible or not poly.count_roots():
+            continue
+        if len(coeffs) > 3 and coeffs in (rev, tuple(-c for c in rev)):
+            continue  # self-reciprocal ones may have roots on the circle
+        lo, hi, pisot = _perron_pisot_by_mpmath(coeffs)
+        q, qlo, qhi, verdict, _ = perron_minimal_polynomial(list(coeffs))
+        assert (q, verdict) == (list(coeffs), pisot), coeffs
+        assert poly.count_roots(qlo, qhi) == 1 and poly.count_roots(qhi, None) == 0, coeffs
+        assert qlo >= 1 or not pisot, coeffs
+        d = len(coeffs) - 1
+        disc = poly.discriminant()
+        checked.add((d, d == 2 or d == 3 and disc < 0, pisot) if d < 4 else (d, pisot))
+        s = _beta_substitution(coeffs)
+        if s is None:
+            continue
+        if not pisot:
+            with pytest.raises(NotPisotError):
+                perron_data(s)
+        else:
+            field = perron_data(s)[0]
+            flo, fhi = field.enclosure(Fraction(1, 2**100))
+            assert field.min_poly == coeffs and lo <= fhi and flo <= hi, coeffs
+            assert poly.count_roots(flo, fhi) == 1, coeffs
+        gated.add((d, pisot))
+    assert checked == {(2, True, True), (2, True, False), (3, True, True), (3, True, False),
+                       (3, False, True), (3, False, False), (4, True), (4, False),
+                       (5, True), (5, False)}
+    assert gated == {(2, True), (2, False), (3, True), (3, False), (4, False), (5, True), (5, False)}
+
+
+def test_pisot_verdict_float_roots_only_propose(monkeypatch):
+    # Float roots that lie -- all far from the unit circle, one on it (at
+    # 1, a critical point of the Tribonacci and Thue-Morse polynomials,
+    # where the step does not move it), none at all, all a hair from it --
+    # only move where the exact Aberth steps start: the minimal polynomial and the Pisot verdict of polynomials
+    # with conjugates near |z| = 1 stay right, and so do perron_data's
+    # field, lengths and enclosures of beta (above 1, where only beta is
+    # among the roots of a Pisot number's minimal polynomial) on corpus,
+    # cubic and reducible inputs.  Disks that are never proven disjoint, as about a double
+    # root, raise the cap error rather than guess.
+    import pisotile.algebra as algebra
+
+    with pytest.raises(algebra.CapExceededError):
+        for _ in algebra.conjugate_disks((1, -2, 1)):
+            pass
+
+    lies = [
+        lambda zs: [z / abs(z) * 100 if z else 100j for z in zs],
+        lambda zs: [1 + 0j] + zs[1:],
+        lambda zs: None,
+        lambda zs: [complex(1 + 2.0**-50)] * len(zs),
+    ]
+    truth = {q: _perron_pisot_by_mpmath(q)[2] for q in near_circle(random.Random(3))}
+    assert set(truth.values()) == {True, False}
+    rule_sets = [CORPUS_RULES[n][1] for n in ("fibonacci", "tribonacci", "thue_morse")]
+    rule_sets += [CUBIC_RULES["1->2,2->3,3->12"][1], ((1, 2), (3,), (4,), (5,), (1,))]
+    substitutions = [Substitution(len(r), r) for r in rule_sets]
+    fields = {}
+    for s in substitutions:
+        field, _, lengths = perron_data(s)
+        fields[s] = field.min_poly, [x.coeffs for x in lengths]
+    true_roots = algebra.roots
+    for lie in lies:
+        monkeypatch.setattr(algebra, "roots", lambda p, lie=lie: lie(true_roots(p)))
+        for coeffs, pisot in truth.items():
+            q, _, _, verdict, _ = perron_minimal_polynomial(list(coeffs))
+            assert (q, verdict) == (list(coeffs), pisot), coeffs
+        for s in substitutions:
+            field, _, lengths = perron_data(s)
+            assert (field.min_poly, [x.coeffs for x in lengths]) == fields[s], s
+            lo, hi = field.enclosure(Fraction(1, 2**100))
+            assert lo >= 1 and _poly(field.min_poly).count_roots(lo, hi) == 1, s
+
+
+def test_one_disk_stream_per_root(monkeypatch):
+    # The disks that prove beta's minimal polynomial go on to refine the
+    # field's enclosures of it, to 2^-300: perron_data starts
+    # conjugate_disks once for an irreducible chi, once more for the
+    # minimal polynomial of a reducible one, (x^2 - x + 1)(x^3 - x - 1),
+    # and once when it has degree 1 (Thue-Morse); a field built on its own
+    # starts it once, for the proof of its irreducibility.
+    import pisotile.algebra as algebra
+
+    starts = []
+    conjugate_disks = algebra.conjugate_disks
+    monkeypatch.setattr(algebra, "conjugate_disks",
+                        lambda p: starts.append(tuple(p)) or conjugate_disks(p))
+    cases = [(CORPUS_RULES[n][1], 1) for n in ("fibonacci", "tribonacci", "thue_morse")]
+    cases.append((((1, 2), (3,), (4,), (5,), (1,)), 2))
+    builds = [(lambda r=rules: perron_data(Substitution(len(r), r))[0], count) for rules, count in cases]
+    builds.append((lambda: NumberField((-1, -1, 1), (1, 2)), 1))
+    for build, count in builds:
+        starts.clear()
+        build().enclosure(Fraction(1, 2**300))
+        assert len(starts) == count, starts
 
 
 def test_hnf_same_lattice_as_sympy():

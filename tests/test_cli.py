@@ -323,6 +323,18 @@ def test_oracle_dekking_command(capsys):
     assert main(["oracle-dekking", str(FIB)]) == 2  # not constant length
 
 
+def test_map_cap_exits_three(tmp_path, capsys):
+    # The tile-map cap of the MSC enumeration is a cap like the others:
+    # main exits 3, and verify reports it on the file's own line.
+    assert main(["analyze", str(FIB), "--cap-maps", "1"]) == 3
+    assert capsys.readouterr().err == (
+        "cap exhausted: 2 tile maps at level 1 exceed cap 1; lower the level\n")
+    (tmp_path / FIB.name).write_text(FIB.read_text())
+    assert main(["verify", str(tmp_path), "--cap-maps", "1"]) == 3
+    assert capsys.readouterr().out == (
+        "fibonacci.json: CAP EXHAUSTED (2 tile maps at level 1 exceed cap 1; lower the level)\n")
+
+
 def test_verify_small_corpus(tmp_path, capsys):
     for f in (FIB, TM, PD):
         (tmp_path / f.name).write_text(f.read_text())

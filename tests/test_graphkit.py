@@ -6,13 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import canonical_cycle, functional_cycles
 from pisotile import Digraph, NumberField, cycle_extension, perron_equals, scc
-from pisotile.graphkit import (
-    canonical_cycle,
-    distances_to,
-    functional_cycles,
-    is_strongly_connected,
-)
+from pisotile.graphkit import distances_to, is_strongly_connected
 
 
 def test_scc_trivia():

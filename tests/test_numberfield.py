@@ -13,19 +13,10 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from sympy import Poly, Symbol
-
-from conftest import CORPUS_RULES, CUBIC_RULES, near_circle
+from conftest import CORPUS_RULES, CUBIC_RULES
 from oracles import RationalField
-from pisotile import NumberField, Substitution, fast_cmp, is_pisot, perron_data
-
-_X = Symbol("x")
-
-
-def _cubic_discriminant(coeffs):
-    """Discriminant of x^3 + b x^2 + c x + e, given as (e, c, b, 1)."""
-    e, c, b, _ = coeffs
-    return 18 * b * c * e - 4 * b**3 * e + b**2 * c**2 - 4 * c**3 - 27 * e**2
+from pisotile import NumberField, Substitution, fast_cmp, perron_data
+from pisotile.algebra import perron_minimal_polynomial
 
 GOLDEN = ((-1, -1, 1), (Fraction(1), Fraction(2)))
 CUBIC = ((-1, -1, -1, 1), (Fraction(1), Fraction(2)))
@@ -272,118 +263,36 @@ def test_float_and_hash(golden):
 
 
 def test_is_pisot_cases():
-    half = (Fraction(1), Fraction(2))
-    assert is_pisot((-1, -1, 1), half)  # golden
-    assert is_pisot((-1, -1, -1, 1), half)  # tribonacci cubic
-    assert is_pisot((1, -3, 1), (Fraction(2), Fraction(3)))  # (3+sqrt5)/2
-    assert is_pisot((-2, 1), half)  # rational beta = 2
-    assert not is_pisot((-1, 1), (Fraction(1, 2), Fraction(3, 2)))  # beta = 1
-    assert not is_pisot((-3, -1, 1), (Fraction(2), Fraction(3)))  # conj < -1
-    # Self-reciprocal of degree >= 3: roots pair (r, 1/r), never Pisot.
-    assert not is_pisot((1, -1, -1, -1, 1), (Fraction(1), Fraction(2)))
-    # The golden ratio is Pisot, but the root in (-1, 0) is its conjugate,
-    # and (2, 3) holds no root.
-    assert not is_pisot((-1, -1, 1), (Fraction(-1), Fraction(0)))
-    # A negative root of modulus > 1 whose conjugates lie in the unit disk,
-    # and a reciprocal quadratic's root below 1: neither is > 1.
-    assert not is_pisot((-1, 0, 3, 1), (Fraction(-3), Fraction(-2)))
-    assert not is_pisot((1, -3, 1), (Fraction(0), Fraction(1)))
-    # 2 + 2 sqrt(2), on an interval reaching below 1.
-    assert is_pisot((-4, -4, 1), (Fraction(9, 10), Fraction(5)))
-    with pytest.raises(ValueError):
-        is_pisot((-1, -1, 1), (Fraction(2), Fraction(3)))
-
-
-def _pisot_by_mpmath(roots, lo, hi):
-    """Whether the root in [lo, hi] among the numerical roots of a
-    polynomial is Pisot; every other root is asserted to be off |z| = 1."""
-    mid = (mpmath.mpf(lo.numerator) / lo.denominator + mpmath.mpf(hi.numerator) / hi.denominator) / 2
-    beta = min(roots, key=lambda r: abs(r - mid))
-    others = [abs(r) for r in roots if r is not beta]
-    assert all(abs(m - 1) > 1e-20 for m in others)
-    return beta.real > 1 and all(m < 1 for m in others)
-
-
-def test_is_pisot_matches_roots():
-    # Every real root >= 1 of every irreducible monic quadratic and cubic
-    # with small coefficients against the moduli of its numerical roots,
-    # cubics with a complex pair and with three real roots alike.
-    polys = [(a0, a1, 1) for a0 in range(-4, 5) for a1 in range(-4, 5)]
-    polys += [(a0, a1, a2, 1) for a0 in range(-3, 4) for a1 in range(-3, 4)
-              for a2 in range(-3, 4)]
-    checked = set()
-    for coeffs in polys:
-        poly = Poly(list(reversed(coeffs)), _X)
-        if not poly.is_irreducible:
-            continue
-        roots = mpmath.polyroots(list(reversed(coeffs)), extraprec=100)
-        for (a, b), _ in poly.intervals():
-            lo, hi = Fraction(int(a.p), int(a.q)), Fraction(int(b.p), int(b.q))
-            if lo < 1:
-                continue
-            pisot = _pisot_by_mpmath(roots, lo, hi)
-            assert is_pisot(coeffs, (lo, hi)) == pisot, coeffs
-            kind = len(coeffs) == 3 or _cubic_discriminant(coeffs) < 0
-            checked.add((len(coeffs), kind, pisot))
-            # A wider isolating interval, with |a_0| inside.
-            n = abs(coeffs[0])
-            wide = (min(lo, n - Fraction(1, 2)), max(hi, n + Fraction(1, 2)))
-            if kind and wide[0] >= 1 and poly.count_roots(*wide) == 1:
-                assert is_pisot(coeffs, wide) == pisot, coeffs
-                checked.add(("wide", pisot))
-    assert checked == {(3, True, True), (3, True, False), (4, True, True),
-                       (4, True, False), (4, False, True), (4, False, False),
-                       ("wide", True), ("wide", False)}
-    # Seeded irreducible quartics and quintics, and ones with a conjugate
-    # within 10^-3 of |z| = 1, on every isolating interval sympy gives:
-    # negative roots, roots in (0, 1) and intervals reaching below 1 too.
-    # The coefficient of x^(d-1) ranges wider, so that some are Pisot.
-    rng = random.Random(17)
-    polys = [tuple(rng.randint(-2, 2) for _ in range(d - 1)) + (rng.randint(-8, 2), 1)
-             for d in (4, 5) * 8]
-    checked = set()
-    for coeffs in polys + near_circle(rng):
-        poly = Poly(list(reversed(coeffs)), _X)
-        rev = tuple(reversed(coeffs))
-        if not poly.is_irreducible or coeffs in (rev, tuple(-c for c in rev)):
-            continue  # self-reciprocal ones may have roots on the circle
-        roots = mpmath.polyroots(list(reversed(coeffs)), extraprec=40)
-        near = min(abs(abs(r) - 1) for r in roots) < 1e-3
-        for (a, b), _ in poly.intervals():
-            lo, hi = Fraction(int(a.p), int(a.q)), Fraction(int(b.p), int(b.q))
-            pisot = _pisot_by_mpmath(roots, lo, hi)
-            assert is_pisot(coeffs, (lo, hi)) == pisot, (coeffs, lo, hi)
-            checked.add((len(coeffs) - 1, near, pisot))
-    assert checked == {(d, near, pisot) for d in (4, 5) for near in (False, True)
-                       for pisot in (False, True)}
-
-
-def test_is_pisot_float_roots_only_propose(monkeypatch):
-    # Float roots that lie -- all far from the unit circle, one on it,
-    # none at all, all a hair from it -- only move where the exact Aberth
-    # steps start, and the answer stays right.  Disks that are never proven
-    # disjoint, as about a double root, raise the cap error rather than guess.
-    import pisotile.algebra as algebra
-
-    with pytest.raises(algebra.CapExceededError):
-        for _ in algebra.conjugate_disks((1, -2, 1)):
-            pass
-
-    lies = [
-        lambda zs: [z / abs(z) * 100 for z in zs],
-        lambda zs: [1 + 0j] + zs[1:],
-        lambda zs: None,
-        lambda zs: [complex(1 + 2.0**-50)] * len(zs),
+    # The Pisot gate on the largest real root, and, when Pisot, the field
+    # built on the span it returns with its disk stream: that field's beta
+    # is the root.
+    cases = [
+        ((-1, -1, 1), True),  # golden
+        ((-1, -1, -1, 1), True),  # tribonacci cubic
+        ((1, -3, 1), True),  # (3+sqrt5)/2
+        ((-4, -4, 1), True),  # 2 + 2 sqrt(2), not a unit
+        ((-2, 1), True),  # rational beta = 2
+        ((-1, 1), False),  # beta = 1
+        ((-3, -1, 1), False),  # conjugate (1 - sqrt13)/2 < -1
+        # Self-reciprocal of degree >= 3: roots pair (r, 1/r), never Pisot.
+        ((1, -1, -1, -1, 1), False),
+        # The largest real root lies in (0, 1); the negative one below -1
+        # has its conjugates in the unit disk, but is not > 1.
+        ((-1, 0, 3, 1), False),
     ]
-    true_roots = algebra.roots
-    interval = (Fraction(9, 10), Fraction(1000))  # reaches below 1
-    truth = {q: _pisot_by_mpmath(mpmath.polyroots(list(reversed(q)), extraprec=40), *interval)
-             for q in near_circle(random.Random(3))}
-    assert set(truth.values()) == {True, False}
-    for lie in lies:
-        monkeypatch.setattr(algebra, "roots", lambda p, lie=lie: lie(true_roots(p)))
-        for coeffs, pisot in truth.items():
-            assert is_pisot(coeffs, interval) == pisot, coeffs
+    for coeffs, pisot in cases:
+        q, lo, hi, verdict, disks = perron_minimal_polynomial(list(coeffs))
+        assert (tuple(q), verdict) == (coeffs, pisot), coeffs
+        if not pisot:
+            continue
+        assert lo >= 1, coeffs
+        beta = max(r.real for r in mpmath.polyroots(list(reversed(coeffs)), extraprec=40)
+                   if abs(r.imag) < 1e-20)
+        field = NumberField(q, (lo, hi), disks)
+        assert abs(float(field.beta()) - float(beta)) < 1e-12, coeffs
+    # The golden polynomial has no root in (2, 3).
+    with pytest.raises(ValueError):
+        NumberField((-1, -1, 1), (Fraction(2), Fraction(3)))
 
 
 def test_field_validation():
