@@ -112,23 +112,31 @@ def parse(source) -> tuple[Substitution, list[str], dict]:
 _SPECIAL_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _write_json(x, nl: str = "\n") -> str:
+def _write_json(x, nl: str = "\n", written: dict | None = None) -> str:
     """json.dumps(x, indent=2, sort_keys=True), byte for byte: with indent,
     the json module runs its pure-Python encoder, which is slower than this
-    one recursive function.  nl is the line break and indent before x."""
+    one recursive function.  nl is the line break and indent before x.
+    written keeps the text of each list and dict by (id, nl) for the length
+    of one call, so that an object met again is written once."""
     if isinstance(x, str):
         return _quote(x)
-    if isinstance(x, dict):
+    if isinstance(x, (dict, list, tuple)):
         if not x:
-            return "{}"
-        inner = nl + "  "
-        return "{" + inner + ("," + inner).join([
-            _quote(k) + ": " + _write_json(v, inner) for k, v in sorted(x.items())]) + nl + "}"
-    if isinstance(x, (list, tuple)):
-        if not x:
-            return "[]"
-        inner = nl + "  "
-        return "[" + inner + ("," + inner).join([_write_json(v, inner) for v in x]) + nl + "]"
+            return "{}" if isinstance(x, dict) else "[]"
+        if written is None:
+            written = {}
+        text = written.get((id(x), nl))
+        if text is None:
+            inner = nl + "  "
+            if isinstance(x, dict):
+                text = "{" + inner + ("," + inner).join([
+                    _quote(k) + ": " + _write_json(v, inner, written)
+                    for k, v in sorted(x.items())]) + nl + "}"
+            else:
+                text = "[" + inner + ("," + inner).join([
+                    _write_json(v, inner, written) for v in x]) + nl + "]"
+            written[id(x), nl] = text
+        return text
     if x is None:
         return "null"
     if x is True:

@@ -9,10 +9,12 @@ property of the return vectors, enforced here by a vertex cap).  Overlap
 coincidence holds iff every vertex reaches a coincidence vertex.
 
 Each TilingSystem keeps one grow-only OverlapClosure: every class met so far,
-inflated at most once.  The overlap graph is the part of it reachable from
-the seeds, and a strong coincidence pair test is a breadth-first search in
-it for the nearest coincidence, so the graph and the pair tests share their
-inflations.
+with one inflation per mirror pair {(i, j, t), (j, i, -t)}: mirroring is an
+isomorphism of the overlap graph, so the orientation met second takes the
+mirrored children of the first.  The overlap graph is the part of the
+closure reachable from the seeds, and a strong coincidence pair test is a
+breadth-first search in it for the nearest coincidence, so the graph and the
+pair tests share their inflations.
 
 The closure holds a class (i, j, t) as the key (i, j, D, v) of its shift
 t = sum_k v_k beta^k / D, the (D, v) of the field element.  beta is an
@@ -22,7 +24,8 @@ depends only on where x = beta t lies among the thresholds u_s - w_t of
 the color pair (subtile bounds of sigma(i) minus those of sigma(j)): each
 color pair's thresholds are sorted once, exactly, and each open gap and
 each threshold (where tiles only touch) lists its children, so a class
-costs one binary search with NumberField.compare.  Distances to a
+costs one binary search on the thresholds' floats and NumberField.compare
+against the two thresholds beside its place.  Distances to a
 coincidence are kept for every class a search settles, and later searches
 stop at them.  Shifts become field elements only for the classes that
 leave the closure: graph vertices, labels, certificates and JSON.
@@ -37,7 +40,7 @@ from functools import cached_property, cmp_to_key
 from math import lcm
 from operator import add, itemgetter, neg, sub
 
-from .algebra import CapExceededError
+from .algebra import CapExceededError, mat_vec
 from .graphkit import Digraph, distances_to, scc, perron_equals
 from .numberfield import _U, AlgebraicReal, reduced
 from .tiling import ModuleVectors, Patch, TilingSystem
@@ -155,16 +158,45 @@ class OverlapClosure:
         return c
 
     def successors(self, i: int) -> tuple[tuple[int, int], ...]:
-        """(child id, multiplicity) pairs of class i, inflating it on first use."""
+        """(child id, multiplicity) pairs of class i, made on first use: the
+        mirrored successors of its mirror class when that one has them,
+        else by inflating it."""
         out = self.children[i]
         if out is None:
-            out = tuple((self._id(child), mult) for child, mult in self._inflate(self.keys[i]))
-            self.children[i] = out
+            m = self._index.get(self._mirror(i))
+            if m is not None and self.children[m] is not None:
+                kids = self._mirrored(m)
+            else:
+                kids = self._inflate(self.keys[i])
+            out = self.children[i] = tuple((self._id(child), mult) for child, mult in kids)
         return out
 
-    def _table(self, i: int, j: int) -> tuple[list, list]:
+    def _mirror(self, i: int) -> tuple:
+        """The key (j, i, D, -v) of the mirror of class i = (i, j, D, v)."""
+        a, b, den, v = self.keys[i]
+        return b, a, den, tuple(map(neg, v))
+
+    def _mirrored(self, m: int) -> list[tuple[tuple, int]]:
+        """(child key, multiplicity) pairs of the mirror (j, i, -t) of the
+        inflated class m = (i, j, t), in the order _inflate gives them.
+
+        A color-j tile at 0 and a color-i tile at -t are the tiles of m
+        moved by -t, so they inflate to the subtile pairs of m moved by
+        -beta t, each now seen from its color-j side: each child (a, b, s)
+        of m becomes (b, a, -s) with its multiplicity.
+        _inflate orders children by colors and then by their unreduced
+        coordinates over one denominator, and negation reverses that order
+        within a color pair: the mirror's order is m's reversed, stably
+        sorted by the new colors."""
+        keys = self.keys
+        kids = [((b, a, den, tuple(map(neg, v))), mult)
+                for k, mult in reversed(self.children[m]) for a, b, den, v in (keys[k],)]
+        kids.sort(key=lambda kid: kid[0][:2])
+        return kids
+
+    def _table(self, i: int, j: int) -> tuple[list, list, list]:
         """The inflation table of the color pair (i, j), built on first use:
-        (thresholds, spans).
+        (thresholds, spans, mids).
 
         With u_0 .. u_p the bounds of sigma(i) at 0 and w_0 .. w_q those of
         sigma(j) (where each subtile starts, then where the last one ends),
@@ -177,7 +209,8 @@ class OverlapClosure:
         last), cell 2k + 1 the point thresholds[k] itself.  Each subtile
         pair overlaps on one run of cells, which leaves out the two
         thresholds where the tiles only touch: spans lists (first cell,
-        last cell, (a, b, w_t - u_s)) per pair."""
+        last cell, (a, b, w_t - u_s)) per pair, and mids the thresholds'
+        float midpoints."""
         table = self._tables.get((i, j))
         if table is None:
             system = self.system
@@ -194,7 +227,7 @@ class OverlapClosure:
                  (a, b, tuple(map(sub, ws[t], us[s]))))
                 for s, a in enumerate(rules[i - 1]) for t, b in enumerate(rules[j - 1])
             ]
-            table = self._tables[(i, j)] = (thresholds, spans)
+            table = self._tables[(i, j)] = (thresholds, spans, [t[2] for t in thresholds])
         return table
 
     def _cell(self, i: int, j: int, den: int, cell: int) -> list:
@@ -225,21 +258,27 @@ class OverlapClosure:
         increasing key order of their shifts.
 
         Over den' = lcm(D, den), x = beta * shift (beta the integer matrix
-        beta_matrix) is placed among the thresholds of the color pair by
-        binary search with NumberField.compare, and each entry (a, b, off)
-        of its cell gives the child (a, b, x + off)."""
+        beta_matrix) is placed among the thresholds of the color pair by a
+        binary search on their float midpoints.  NumberField.compare then
+        checks that place against the two neighbouring thresholds, exactly
+        where the floats do not separate them from x, and a place that
+        fails is found again by binary search with NumberField.compare.
+        Each entry (a, b, off) of its cell gives the child (a, b, x + off)."""
         i, j, dv, v = key
-        system = self.system
+        system, field = self.system, self.system.field
         den = lcm(dv, system.den)
-        bv = system.times_beta(v)
+        bv = mat_vec(system.beta_matrix, v)
         if den != dv:
             bv = tuple((den // dv) * c for c in bv)
-        thresholds = self._table(i, j)[0]
-        x, compare = system.field.enclosed(den, bv), system.field.compare
-        k = bisect_left(thresholds, True, key=lambda t: compare(t, x) >= 0)
-        on = k < len(thresholds) and compare(thresholds[k], x) == 0
+        thresholds, _, mids = self._table(i, j)
+        x, compare = (den, bv, *field.floats(bv, den)), field.compare
+        k, n = bisect_left(mids, x[2]), len(mids)
+        above = compare(thresholds[k], x) if k < n else 1
+        if above < 0 or k and compare(thresholds[k - 1], x) >= 0:
+            k = bisect_left(thresholds, True, key=lambda t: compare(t, x) >= 0)
+            above = compare(thresholds[k], x) if k < n else 1
         return [((a, b, *reduced(den, tuple(map(add, bv, off)))), mult)
-                for a, b, off, mult in self._cell(i, j, den, 2 * k + on)]
+                for a, b, off, mult in self._cell(i, j, den, 2 * k + (above == 0))]
 
     def _levels(self, ids, cap: int, known=()):
         """Breadth-first levels of the classes reachable from ids: ids, then
@@ -282,8 +321,10 @@ class OverlapClosure:
         meets its first known class at level k or less, so the least k + d
         is the distance, and no level past k + 1 >= that least is needed.
         The search visits no class that the plain search up to the first
-        level with a coincidence would not.  Its answer is kept for i, and
-        when it finds no coincidence, None for every class it saw."""
+        level with a coincidence would not.  Its answer is kept for i and
+        for the mirror of i (mirroring is an isomorphism of the graph), and
+        when it finds no coincidence, None for every class it saw and for
+        their mirrors."""
         dist = self._dist
         if i not in dist:
             best, unknown = None, []
@@ -301,8 +342,9 @@ class OverlapClosure:
                 if best is not None and k + 1 >= best:
                     break
             if best is None:
-                dist.update(dict.fromkeys(unknown))
-            dist[i] = best
+                for c in unknown:
+                    dist[c] = dist[self._id(self._mirror(c))] = None
+            dist[i] = dist[self._id(self._mirror(i))] = best
         return dist[i]
 
 

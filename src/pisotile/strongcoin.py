@@ -16,21 +16,24 @@ laid out.
 MSC asks the same questions for many tile maps, so each is decided once per
 system: a pair test's result by class and cap, a control-point difference by
 its pair of points (on the TilingSystem), and module membership by point (on
-the GroupG).  Nothing is kept beyond the system.
+the GroupG).  A family runs one pair test per unordered color pair i < j:
+the result for (j, i) is its mirror, and (i, i) is shared at L = 0.
+Nothing is kept beyond the system.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import gcd, lcm
+from fractions import Fraction
+from math import gcd, lcm, prod
 from operator import sub
 
 from .algebra import CapExceededError, adjugate, hnf, mat_mul, mat_vec, prime_factors
 from .graphkit import cycle_extension, Digraph
 from .numberfield import AlgebraicReal, combine
 from .overlap import OverlapClass, OverlapGraph, overlap_closure
-from .substitution import matrix, power, primitivity_exponent, return_words
+from .substitution import matrix, primitivity_exponent, return_words, word_lengths
 from .tiling import ControlPoints, TileMap, TilingSystem, solve_control_points
 
 
@@ -52,10 +55,11 @@ class GroupG:
 
     Coordinates live in the power basis of the field; the module is stored as
     the Hermite normal form basis (``algebra.hnf``) of integer coordinates
-    over TilingSystem.den.  ``cross_offsets[(i, j)]`` is r_i - r_j over den
-    for representative positions r_c of the colors in one legal word, so a
-    family of points lies in the module iff every c_i - c_j + r_i - r_j
-    does.
+    over TilingSystem.den.  ``cross_offsets[(1, j)]`` is r_1 - r_j over
+    den for representative positions r_c of the colors in one legal word.
+    The points x with some beta^K x in the module form a group (the module
+    is closed under beta), so a family of points lies in the module iff
+    every c_i - c_j + r_i - r_j does, iff every c_1 - c_j + r_1 - r_j does.
     """
 
     def __init__(self, system: TilingSystem, generators):
@@ -86,8 +90,7 @@ class GroupG:
         for a, off in system.subtile_offsets(primitivity_exponent(matrix(s)))[0]:
             rep.setdefault(a, off)
         self.cross_offsets = {
-            (i, j): (self.den, tuple(map(sub, rep[i], rep[j])))
-            for i in range(1, s.m + 1) for j in range(i + 1, s.m + 1)
+            (1, j): (self.den, tuple(map(sub, rep[1], rep[j]))) for j in range(2, s.m + 1)
         }
         self._answers: dict[tuple, tuple] = {}  # point -> contains(point)
 
@@ -182,27 +185,39 @@ class StrongCoincidenceReport:
     def ok(self) -> bool:
         return all(p.ok for p in self.pairs)
 
-    def to_json(self) -> dict:
+    def to_json(self, formatted: dict | None = None) -> dict:
+        """formatted: a point's coordinate strings by point, and a pair's
+        entry by (i, j, status, L), shared by the reports of one MSC result,
+        so that each distinct one is made once (and written once by the
+        CLI's JSON writer)."""
+        if formatted is None:
+            formatted = {}
+        for p in self.control_points.points:
+            if p not in formatted:
+                formatted[p] = [str(Fraction(c, p[0])) for c in p[1]]
+        for p in self.pairs:
+            key = (p.i, p.j, p.status, p.L)
+            if key not in formatted:
+                formatted[key] = {"i": p.i, "j": p.j, "status": p.status, "L": p.L}
         return {
             "choice": list(self.tile_map.choice),
             "level": self.tile_map.n,
-            "control_points": [
-                [str(c) for c in ci.coeffs] for ci in self.control_points.c
-            ],
+            "control_points": [formatted[p] for p in self.control_points.points],
             "admissible": self.admissible,
             "in_group": self.in_group,
-            "pairs": [
-                {"i": p.i, "j": p.j, "status": p.status, "L": p.L}
-                for p in self.pairs
-            ],
+            "pairs": [formatted[p.i, p.j, p.status, p.L] for p in self.pairs],
         }
 
 
-def _pair_test(system: TilingSystem, key: tuple, cap_classes: int) -> PairResult:
+def _pair_test(system: TilingSystem, key: tuple,
+               cap_classes: int) -> tuple[PairResult, PairResult]:
     """Strong coincidence of the pair class with key (i, j, D, v) (see
-    OverlapClosure): shared at L, its distance to a coincidence in the
-    system's overlap closure, or exhausted with the classes reachable from
-    it as the certificate.  Kept per class and cap on the system."""
+    OverlapClosure) and of its mirror (j, i, -v): shared at L, its distance
+    to a coincidence in the system's overlap closure, or exhausted with the
+    classes reachable from it as the certificate.  Mirroring is an
+    isomorphism of the overlap graph, so the mirror class is shared at the
+    same L, or exhausted with the mirrored classes.  Kept per class and cap
+    on the system."""
     closure = overlap_closure(system)
     start = closure._id(key)
     out = system._pair_results.get((start, cap_classes))
@@ -210,13 +225,14 @@ def _pair_test(system: TilingSystem, key: tuple, cap_classes: int) -> PairResult
         i, j = key[:2]
         L = closure.distance(start, cap_classes)
         if L is not None:
-            out = PairResult(i, j, "shared", L)
+            out = PairResult(i, j, "shared", L), PairResult(j, i, "shared", L)
         else:
-            reached = sorted(
-                (closure.overlap_class(k) for k in closure.reach([start], cap_classes)),
-                key=OverlapClass.key,
-            )
-            out = PairResult(i, j, "exhausted", None, tuple(c.label() for c in reached))
+            reached = [closure.overlap_class(k) for k in closure.reach([start], cap_classes)]
+            mirrored = [OverlapClass(c.color_v, c.color_u, -c.shift) for c in reached]
+            out = tuple(
+                PairResult(a, b, "exhausted", None,
+                           tuple(c.label() for c in sorted(classes, key=OverlapClass.key)))
+                for a, b, classes in ((i, j, reached), (j, i, mirrored)))
         system._pair_results[(start, cap_classes)] = out
     return out
 
@@ -239,15 +255,18 @@ def strong_coincidence(
 ) -> StrongCoincidenceReport:
     """For every color pair (i, j), close the pair class (i, j, c_i - c_j)
     under inflation and report the minimal L reaching a shared tile, or the
-    exhausted class set.  Failure is a certificate, not a timeout."""
+    exhausted class set.  Failure is a certificate, not a timeout.  Each
+    unordered pair i < j is tested once (its mirror (j, i) comes with it),
+    and (i, i), a coincidence, is shared at L = 0."""
     if not cp.admissible:
         raise ValueError("control points are not admissible")
     m = system.substitution.m
-    pairs = [
-        _pair_test(system, (i, j, *_difference(system, cp, i, j)), cap_classes)
-        for i in range(1, m + 1)
-        for j in range(1, m + 1)
-    ]
+    pairs = {(i, i): PairResult(i, i, "shared", 0) for i in range(1, m + 1)}
+    for i in range(1, m + 1):
+        for j in range(i + 1, m + 1):
+            pairs[i, j], pairs[j, i] = _pair_test(
+                system, (i, j, *_difference(system, cp, i, j)), cap_classes)
+    pairs = [pairs[i, j] for i in range(1, m + 1) for j in range(1, m + 1)]
     in_group = _family_in_group(cp, group) if group is not None else None
     return StrongCoincidenceReport(cp.tile_map, cp, cp.admissible, in_group, pairs)
 
@@ -256,7 +275,8 @@ def _family_in_group(cp: ControlPoints, group: GroupG) -> bool:
     """Whether the multi-color point family lies in the translation module.
 
     Same-color differences are module generators (k = 0), so only one
-    representative cross-color difference per color pair needs testing."""
+    representative cross-color difference per color j > 1, against color 1,
+    needs testing (see GroupG)."""
     return all(
         group.contains(combine(_difference(group.system, cp, i, j), d))[0]
         for (i, j), d in group.cross_offsets.items()
@@ -267,14 +287,13 @@ def _family_in_group(cp: ControlPoints, group: GroupG) -> bool:
 
 
 def enumerate_tile_maps(system: TilingSystem, n: int, cap_maps: int = 10**5):
-    """All per-color subtile choices of the n-fold inflation, lexicographic."""
+    """All per-color subtile choices of the n-fold inflation, lexicographic.
+    Their number is counted from the rules, so a count over cap_maps raises
+    EnumerationCapError before any word of sigma^n is built."""
     if n < 1:
         raise ValueError("level must be >= 1")
-    s_n = power(system.substitution, n)
-    sizes = [len(w) for w in s_n.rules]
-    total = 1
-    for k in sizes:
-        total *= k
+    sizes = word_lengths(system.substitution, n)
+    total = prod(sizes)
     if total > cap_maps:
         raise EnumerationCapError(
             f"{total} tile maps at level {n} exceed cap {cap_maps}; lower the level"
@@ -292,12 +311,13 @@ class MSCResult:
     vacuous: bool
 
     def to_json(self) -> dict:
+        formatted = {}
         return {
             "level": self.level,
             "verdict": self.verdict,
             "families_considered": self.considered,
             "vacuous": self.vacuous,
-            "reports": [r.to_json() for r in self.reports],
+            "reports": [r.to_json(formatted) for r in self.reports],
         }
 
 
@@ -503,7 +523,7 @@ def extract_witness(
         raise RuntimeError("extracted control points do not match the class shift")
     if not _family_in_group(cp, group):
         raise RuntimeError("extracted witness is not in the translation module")
-    rep = _pair_test(system, (p_col, q_col, *diff), cap_classes)
+    rep = _pair_test(system, (p_col, q_col, *diff), cap_classes)[0]
     if rep.ok:
         raise RuntimeError("extracted witness unexpectedly passes the pair test")
     return tm, cp, (p_col, q_col)

@@ -15,6 +15,7 @@ the number field refines beta from the same stream of disks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .algebra import CapExceededError, adjugate_terms, char_poly, mat_mul, perron_minimal_polynomial
 from .numberfield import NumberField
@@ -96,16 +97,29 @@ def is_irreducible(s: Substitution, min_poly=None) -> bool:
 _WORD_CAP = 10**6
 
 
+def word_lengths(s: Substitution, n: int) -> list[int]:
+    """|sigma^n(i)| for each letter i, without building a word: the column
+    sums of M^n, with M^n by repeated squaring."""
+    lengths, P = [1] * s.m, matrix(s)
+    while n:
+        if n & 1:
+            lengths = [sum(map(mul, lengths, col)) for col in zip(*P)]
+        n >>= 1
+        if n:
+            P = mat_mul(P, P)
+    return lengths
+
+
 def power(s: Substitution, n: int) -> Substitution:
     """The substitution sigma^n (rules composed n times); a rule word longer
-    than _WORD_CAP raises CapExceededError."""
+    than _WORD_CAP raises CapExceededError before any is built."""
     if n < 1:
         raise SubstitutionError("power requires n >= 1")
+    if max(word_lengths(s, n)) > _WORD_CAP:
+        raise CapExceededError(f"rule words exceed cap {_WORD_CAP}")
     rules = tuple((i + 1,) for i in range(s.m))
     for _ in range(n):
         rules = tuple(s.apply(w) for w in rules)
-        if any(len(w) > _WORD_CAP for w in rules):
-            raise CapExceededError(f"rule words exceed cap {_WORD_CAP}")
     return Substitution(s.m, rules)
 
 

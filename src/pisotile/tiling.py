@@ -26,7 +26,7 @@ from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, cmp_to_key
+from functools import cached_property
 from itertools import chain
 from math import inf, lcm
 from operator import add, neg
@@ -39,6 +39,7 @@ from .substitution import (
     fixed_point_seed,
     perron_data,
     power,
+    word_lengths,
 )
 
 _TILE_CAP = 10**6
@@ -149,9 +150,7 @@ class TilingSystem:
         raises CapExceededError before any is built."""
         if n < 0:
             raise ValueError("inflation level must be >= 0")
-        sizes = [1] * self.substitution.m
-        for _ in range(n):
-            sizes = [sum(sizes[c - 1] for c in word) for word in self.substitution.rules]
+        sizes = word_lengths(self.substitution, n)
         if sum(sizes[color - 1] for color, _ in p.tiles) > _TILE_CAP:
             raise CapExceededError(f"patch exceeds tile cap {_TILE_CAP}")
         tiles = p.tiles
@@ -363,11 +362,11 @@ def solve_control_points(system: TilingSystem, tm: TileMap) -> ControlPoints:
     N(beta^(nL) - 1), nonzero as beta > 1.  The other points follow by
     back-substitution toward the cycle, c_i = adj(B^n) (c_j + u_i) /
     det(B^n).  c_i depends only on the choices along the path from i into
-    and around its cycle, so the system keeps each c_i under that path:
-    tile maps of one level share most of them.
+    and around its cycle, so the system keeps each c_i under (n, i, those
+    choices): tile maps of one level share most of them.
     """
     targets = _targets(system, tm)
-    den = system.den
+    n, choice, den, kept = tm.n, tm.choice, system.den, system._control_points
 
     def point(i: int) -> tuple:
         """(c_i, -c_i, l_i - c_i): the point, and the ends of the support of
@@ -375,23 +374,22 @@ def solve_control_points(system: TilingSystem, tm: TileMap) -> ControlPoints:
         path = [i]  # the colors from i until one repeats
         while (j := targets[path[-1]][0] - 1) not in path:
             path.append(j)
-        key = (tm.n, tuple((k, tm.choice[k]) for k in path))
-        out = system._control_points.get(key)
+        key = (n, i, *map(choice.__getitem__, path))
+        out = kept.get(key)
         if out is None:
             if j == i:  # i lies on its cycle, which is the whole path
                 acc = (0,) * system.field.degree
                 for k in path:
-                    acc = tuple(map(add, system.times_beta_power(acc, tm.n), targets[k][1]))
-                adj, det = system.solver(tm.n * len(path), 1)
+                    acc = tuple(map(add, system.times_beta_power(acc, n), targets[k][1]))
+                adj, det = system.solver(n * len(path), 1)
                 c = reduced(det * den, mat_vec(adj, acc))
             else:
-                adj, det = system.solver(tm.n, 0)
+                adj, det = system.solver(n, 0)
                 dc, v = combine(point(path[1])[0], (den, targets[i][1]))
                 c = reduced(det * dc, mat_vec(adj, v))
             ends = [(c[0], tuple(map(neg, c[1]))),
                     combine((den, system.length_coords[i]), c, -1)]
-            out = system._control_points[key] = (c, *(
-                system.field.enclosed(d, v) for d, v in ends))
+            out = kept[key] = (c, *(system.field.enclosed(d, v) for d, v in ends))
         return out
 
     points = [point(i) for i in range(system.substitution.m)]
@@ -399,7 +397,10 @@ def solve_control_points(system: TilingSystem, tm: TileMap) -> ControlPoints:
     # point.  The ends are kept with their points, so their float
     # enclosures are reused across tile maps.
     compare = system.field.compare
-    order = cmp_to_key(compare)
-    lo = max((p[1] for p in points), key=order)
-    hi = min((p[2] for p in points), key=order)
+    _, lo, hi = points[0]
+    for _, a, b in points[1:]:
+        if compare(a, lo) > 0:
+            lo = a
+        if compare(b, hi) < 0:
+            hi = b
     return ControlPoints(tuple(p[0] for p in points), tm, compare(hi, lo) > 0, system.field)

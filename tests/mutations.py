@@ -114,6 +114,45 @@ MUTATIONS = [
         ("tests/test_tiling.py::test_module_vector_floats_are_enclosure_midpoints[rules0]",
          "tests/test_tiling.py::test_module_vector_floats_are_enclosure_midpoints[rules3]"),
     ),
+    # -- one inflation per mirror pair, one pair test per unordered pair --
+    Mutation(
+        "_mirrored: the mirrored children keep s instead of -s",
+        "src/pisotile/overlap.py",
+        (("        kids = [((b, a, den, tuple(map(neg, v))), mult)",
+          "        kids = [((b, a, den, v), mult)"),),
+        ("tests/test_overlap.py::test_mirrored_successors_equal_inflation[tribonacci]",
+         "tests/test_cli.py::test_golden_output[msc tribonacci --map-level 3]"),
+    ),
+    Mutation(
+        "_mirrored: the mirrored successors left unsorted",
+        "src/pisotile/overlap.py",
+        (("        kids.sort(key=lambda kid: kid[0][:2])\n", ""),),
+        ("tests/test_overlap.py::test_mirrored_successors_equal_inflation[tribonacci]",
+         "tests/test_overlap.py::test_mirrored_successors_equal_inflation[1->231,2->323,3->13]"),
+    ),
+    Mutation(
+        "distance: the answer not kept for the mirror class",
+        "src/pisotile/overlap.py",
+        (("            dist[i] = dist[self._id(self._mirror(i))] = best\n",
+          "            dist[i] = best\n"),),
+        ("tests/test_cli.py::test_small_class_cap_with_mirrored_pair_tests",
+         "tests/test_cli.py::test_one_inflation_per_mirror_pair[analyze 1->231,2->323,3->13]"),
+    ),
+    Mutation(
+        "_pair_test: the (j, i) certificate copied from (i, j) without relabelling",
+        "src/pisotile/strongcoin.py",
+        (("for a, b, classes in ((i, j, reached), (j, i, mirrored))",
+          "for a, b, classes in ((i, j, reached), (j, i, reached))"),),
+        ("tests/test_strongcoin.py::test_mirrored_pairs_match_pair_closure",),
+    ),
+    Mutation(
+        "_inflate: the float placement trusted at a threshold without the exact check",
+        "src/pisotile/overlap.py",
+        (("        above = compare(thresholds[k], x) if k < n else 1\n        if above < 0",
+          "        above = (mids[k] > x[2]) - (mids[k] < x[2]) if k < n else 1\n        if above < 0"),),
+        ("tests/test_overlap.py::test_int_inflation_near_touching[2-rules0]",
+         "tests/test_overlap.py::test_int_inflation_near_touching[3-rules2]"),
+    ),
     # -- the stuck part, the Perron lengths and the witness --
     Mutation(
         "OverlapGraph.stuck: trivial components kept",

@@ -172,8 +172,9 @@ def test_input_errors_exit_two(argv, capsys):
 def test_cap_failure_exit_three(monkeypatch, tmp_path, capsys):
     assert main(["analyze", str(FIB), "--cap-classes", "2"]) == 3
     assert "cap" in capsys.readouterr().err
-    # The word cap of sigma^n and the tile cap of a patch are caps too.
-    assert main(["msc", str(FIB), "--map-level", "30"]) == 3
+    # The word cap of sigma^n and the tile cap of a patch are caps too: a
+    # map cap that lets level 30 through meets the word cap.
+    assert main(["msc", str(FIB), "--map-level", "30", "--cap-maps", str(10**13)]) == 3
     assert capsys.readouterr().err == "cap exhausted: rule words exceed cap 1000000\n"
     monkeypatch.setattr(tiling, "_TILE_CAP", 10)
     assert main(["analyze", str(FIB)]) == 3
@@ -335,6 +336,20 @@ def test_map_cap_exits_three(tmp_path, capsys):
         "fibonacci.json: CAP EXHAUSTED (2 tile maps at level 1 exceed cap 1; lower the level)\n")
 
 
+@pytest.mark.parametrize("n", [29, 40])
+def test_map_cap_counts_before_words(n, capsys):
+    # The tile maps of Fibonacci at level n number F(n+2) F(n+1), counted
+    # from the rules: the cap names that count instead of stopping at the
+    # word cap while sigma^n's words are built.
+    fib = [0, 1]
+    while len(fib) < n + 3:
+        fib.append(fib[-1] + fib[-2])
+    assert main(["msc", str(FIB), "--map-level", str(n)]) == 3
+    assert capsys.readouterr().err == (
+        f"cap exhausted: {fib[n + 2] * fib[n + 1]} tile maps at level {n} exceed cap 100000; "
+        "lower the level\n")
+
+
 def test_verify_small_corpus(tmp_path, capsys):
     for f in (FIB, TM, PD):
         (tmp_path / f.name).write_text(f.read_text())
@@ -404,6 +419,11 @@ GOLDEN = [
      "f6a38abe0749b18ad1e8be5852c032072c219431091f3ea712d540b8850e9d1c"),
     (["msc", "s112", "--map-level", "2"],
      "2708c45a683480d3102c9d69468b4b4855c586a2f29e8e1910a350dc2e2209a1"),
+    # 1,001 tile maps; and the deepest Fibonacci level the golden set runs.
+    (["msc", "tribonacci", "--map-level", "4"],
+     "0d738ecfbfe1f7cf38c719087f2d82c35c78b65a1da9414b95f22c7d76e16f7a"),
+    (["msc", "fibonacci", "--map-level", "6"],
+     "f7bdac075dd3c2e9cb3c0ef3cdb54f3a0641ee579c9cbf06550aaa08e22ac0ec"),
     (["strong", "fibonacci", "--map-level", "2", "--choice", "1,0"],
      "6c350034154568bc4d93df710b4f636228a5f803c9f1b598af6ff732fcaa1be6"),
     (["analyze", "fibonacci"], "ae2d492594ac008cae923996474607b1c0712b8a62109e603fceaf0bc02223ff"),
@@ -479,3 +499,38 @@ def test_cap_classes_prints_golden_or_exits_three(argv, digest, capsys):
             printed.append(cap)
     if argv[:2] in (["msc", "fibonacci"], ["msc", "s112"]):
         assert printed  # small caps that suffice
+
+
+@pytest.mark.parametrize("argv, inflations", [
+    (["msc", "tribonacci", "--map-level", "3"], 179),
+    (["analyze", "1->231,2->323,3->13"], 315),
+], ids=["msc tribonacci 3", "analyze 1->231,2->323,3->13"])
+def test_one_inflation_per_mirror_pair(argv, inflations, monkeypatch, capsys):
+    # A class (i, j, s) and its mirror (j, i, -s) cost one inflation
+    # between them: with each orientation inflated on its own these runs
+    # took 358 and 630.  analyze takes 315, three fewer than the mirror
+    # pairs its searches reach, as they also stop at the mirrors of
+    # classes whose distance is known.
+    inflated = []
+    inflate = overlap.OverlapClosure._inflate
+
+    def counting(closure, key):
+        inflated.append(key)
+        return inflate(closure, key)
+
+    monkeypatch.setattr(overlap.OverlapClosure, "_inflate", counting)
+    assert _golden_run(argv, capsys)[0] == 0
+    assert len(inflated) == inflations
+    orbits = {min(key, (b, a, den, tuple(-c for c in v))) for key in inflated
+              for a, b, den, v in (key,)}
+    assert len(orbits) == inflations
+
+
+def test_small_class_cap_with_mirrored_pair_tests(capsys):
+    # A family tests (i, j) for i < j only.  Its distance searches still
+    # stop at the mirrors of the classes whose distance a search found, so
+    # a class cap that sufficed when (j, i) was searched as well still
+    # does: msc at level 3 of 1->12,2->3,3->1 prints with a cap of 20 (25
+    # without the mirrored distances).
+    assert main(["msc", _inline(((1, 2), (3,), (1,))), "--map-level", "3",
+                 "--cap-classes", "20"]) == 0

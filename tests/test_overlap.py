@@ -395,6 +395,27 @@ def test_int_inflation_equals_field_inflation(name, pipeline):
         assert any(system.den % d == 0 < system.den - d and any(v) for _, _, d, v in closure.keys)
 
 
+@pytest.mark.parametrize("name", CLOSURES)
+def test_mirrored_successors_equal_inflation(name, pipeline):
+    # One class of each mirror pair is inflated, and the other takes the
+    # mirrored children of the first: on every class of the closure whose
+    # successors are known, their mirror against _inflate of its mirror
+    # class, children, multiplicities and order, and the successors
+    # themselves against _inflate of the class.
+    system, closure = _closure_of_analyze(name, pipeline)
+    keys, resorted = closure.keys, 0
+    for i, (a, b, den, v) in enumerate(keys):
+        if closure.children[i] is None:
+            continue
+        assert [(keys[k], mult) for k, mult in closure.children[i]] == closure._inflate(keys[i])
+        mirror = closure._inflate((b, a, den, tuple(-c for c in v)))
+        assert closure._mirrored(i) == mirror, closure.overlap_class(i).label()
+        unsorted = [((q, p, d, tuple(-c for c in w)), mult)
+                    for k, mult in reversed(closure.children[i]) for p, q, d, w in (keys[k],)]
+        resorted += unsorted != mirror
+    assert resorted  # classes whose reversed children need the sort by colors
+
+
 def test_int_inflation_exact_fallback(monkeypatch, pipeline):
     # With the field's float enclosure abstaining, the exact sign of
     # NumberField.compare decides each pair alone (0 for tiles that touch),
@@ -451,7 +472,7 @@ def test_inflation_table_cells(m, rules):
     beta, third = system.field.beta(), system.field.from_rational(Fraction(1, 3))
     for i in range(1, m + 1):
         for j in range(1, m + 1):
-            thresholds, spans = closure._table(i, j)
+            thresholds, spans, _ = closure._table(i, j)
             assert all(0 < first <= last < 2 * len(thresholds) for first, last, _ in spans)
             xs = [system.point(t[1]) for t in thresholds]
             assert all((b - a).sign() > 0 for a, b in zip(xs, xs[1:]))

@@ -3,6 +3,7 @@ level computation, and witness extraction."""
 
 import random
 from fractions import Fraction
+from itertools import islice
 from math import lcm
 
 import pytest
@@ -11,9 +12,11 @@ from sympy import Matrix, factorint
 from conftest import CORPUS_RULES, CUBIC_RULES
 from oracles import (
     closed_walk_level,
+    column_check_applies,
     descendant_reference,
     group_G_reference,
     pair_closure,
+    random_substitutions,
     stuck_reference,
 )
 from pisotile import (
@@ -27,6 +30,7 @@ from pisotile import (
     TileMap,
     TilingSystem,
     compute_level_n,
+    dekking_column_check,
     enumerate_tile_maps,
     extract_witness,
     group_G,
@@ -41,6 +45,7 @@ from pisotile import (
 from pisotile import strongcoin
 from pisotile.strongcoin import _descendant, _pair_test
 from pisotile.substitution import matrix
+from test_sweep import COUNT, SEED
 
 
 @pytest.fixture(scope="module")
@@ -242,13 +247,39 @@ def test_pair_lookup_matches_pair_closure(name, n):
             assert (p.status, p.L, p.classes) == expected
 
 
+def test_mirrored_pairs_match_pair_closure():
+    # A family tests each pair i < j once and takes (j, i) as its mirror:
+    # every (j, i) result against the early-exit search over uncached
+    # inflations from (j, i, c_j - c_i), at levels 1 and 2 of the inputs of
+    # the sweep (test_sweep.py) whose column check fails (overlap
+    # coincidence false), where exhausted certificates of a pair and of
+    # its mirror list different classes.
+    inputs = {(m, rules) for m, rules in islice(random_substitutions(random.Random(SEED)), COUNT)
+              if column_check_applies(m, rules) and not dekking_column_check(Substitution(m, rules))}
+    assert len(inputs) >= 5
+    differ = 0
+    for m, rules in sorted(inputs):
+        system = TilingSystem(Substitution(m, rules))
+        for n in (1, 2):
+            for rep in multiple_strong_coincidence(system, n).reports:
+                c = rep.control_points.c
+                pairs = {(p.i, p.j): p for p in rep.pairs}
+                for (i, j), p in pairs.items():
+                    if i > j:
+                        start = OverlapClass(i, j, c[i - 1] - c[j - 1])
+                        expected = pair_closure(lambda x: inflate_class(system, x), start)
+                        assert (p.status, p.L, p.classes) == expected, (rules, n, i, j)
+                        differ += p.classes != pairs[j, i].classes
+    assert differ
+
+
 def test_pair_results_kept_per_cap():
     # An exhausted pair's certificate is all its reachable classes: a kept
     # result is not returned for a smaller cap, which that reach exceeds.
     system = TilingSystem(Substitution(*CORPUS_RULES["thue_morse"]))
     key = (1, 2, 1, (0,))
     full = _pair_test(system, key, 10**4)
-    assert full.classes == ("(1,2,0)", "(2,1,0)")
+    assert full[0].classes == full[1].classes == ("(1,2,0)", "(2,1,0)")
     assert _pair_test(system, key, 10**4) is full
     with pytest.raises(CapExceededError):
         _pair_test(system, key, 1)
