@@ -117,7 +117,7 @@ def mat_mul(A, B) -> list[list[int]]:
 
 
 def mat_vec(M, v) -> tuple[int, ...]:
-    return tuple(sum(map(mul, row, v)) for row in M)
+    return tuple([sum(map(mul, row, v)) for row in M])
 
 
 def prime_factors(n: int) -> list[int]:

@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 import time
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
@@ -151,12 +150,8 @@ def _write_json(x, nl: str = "\n", written: dict | None = None) -> str:
     raise TypeError(f"{type(x).__name__} is not JSON serializable")
 
 
-def _rat(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
-
-
 def _vec(x) -> list[str]:
-    return [_rat(c) for c in x.coeffs]
+    return [str(c) for c in x.coeffs]  # a Fraction prints as n/d, or n when d = 1
 
 
 def _graph_json(system, g) -> dict:
@@ -274,11 +269,6 @@ def _choice(text: str) -> tuple[int, ...]:
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"choice must be comma-separated integers, got {text!r}") from None
-
-
-def _add_common(p):
-    p.add_argument("--cap-classes", type=_count, default=10**4)
-    p.add_argument("--cap-maps", type=_count, default=10**5)
 
 
 def cmd_analyze(args) -> int:
@@ -406,56 +396,56 @@ def cmd_oracle_dekking(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+_CAPS = (("--cap-classes", dict(type=_count, default=10**4)),
+         ("--cap-maps", dict(type=_count, default=10**5)))
+
+# name: (help, function, its arguments as (name, add_argument keywords) in help order)
+COMMANDS = {
+    "analyze": ("full pipeline with equivalence check", cmd_analyze, (("file", {}), *_CAPS)),
+    "overlaps": ("overlap graph, verdict, and DOT export", cmd_overlaps, (
+        ("file", {}), ("--dot", dict(default=None, help="write DOT to this path")), *_CAPS)),
+    "strong": ("strong coincidence for one tile map", cmd_strong, (
+        ("file", {}),
+        ("--map-level", dict(type=_level, default=1, help="tile-map inflation level n")),
+        ("--choice", dict(type=_choice, default=None,
+                          help="comma-separated 0-based subtile choices")), *_CAPS)),
+    "msc": ("multiple strong coincidence of level n", cmd_msc, (
+        ("file", {}),
+        ("--map-level", dict(type=_level, default=None,
+                             help="level n (default: computed from the overlap graph)")), *_CAPS)),
+    "verify": ("run the corpus and check expectations", cmd_verify, (
+        ("corpus", dict(nargs="?", default=None,
+                        help="directory of corpus files (default: shipped corpus)")), *_CAPS)),
+    "oracle-dekking": ("column coincidence oracle (constant-length substitutions)",
+                       cmd_oracle_dekking, (("file", {}),)),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of the named one alone, made anew on
+    each call.  Its usage line lists every command either way (the metavar
+    argparse derives from them all), so top-level errors read the same."""
     p = argparse.ArgumentParser(
         prog="pisotile",
         description="Exact overlap-coincidence and strong-coincidence analysis "
         "of one-dimensional Pisot substitution tilings",
     )
-    sub = p.add_subparsers(dest="command", required=True)
-
-    pa = sub.add_parser("analyze", help="full pipeline with equivalence check")
-    pa.add_argument("file")
-    _add_common(pa)
-    pa.set_defaults(func=cmd_analyze)
-
-    po = sub.add_parser("overlaps", help="overlap graph, verdict, and DOT export")
-    po.add_argument("file")
-    po.add_argument("--dot", default=None, help="write DOT to this path")
-    _add_common(po)
-    po.set_defaults(func=cmd_overlaps)
-
-    ps = sub.add_parser("strong", help="strong coincidence for one tile map")
-    ps.add_argument("file")
-    ps.add_argument("--map-level", type=_level, default=1, help="tile-map inflation level n")
-    ps.add_argument("--choice", type=_choice, default=None,
-                    help="comma-separated 0-based subtile choices")
-    _add_common(ps)
-    ps.set_defaults(func=cmd_strong)
-
-    pm = sub.add_parser("msc", help="multiple strong coincidence of level n")
-    pm.add_argument("file")
-    pm.add_argument("--map-level", type=_level, default=None,
-                    help="level n (default: computed from the overlap graph)")
-    _add_common(pm)
-    pm.set_defaults(func=cmd_msc)
-
-    pv = sub.add_parser("verify", help="run the corpus and check expectations")
-    pv.add_argument("corpus", nargs="?", default=None,
-                    help="directory of corpus files (default: shipped corpus)")
-    _add_common(pv)
-    pv.set_defaults(func=cmd_verify)
-
-    pd = sub.add_parser("oracle-dekking", help="column coincidence oracle "
-                        "(constant-length substitutions)")
-    pd.add_argument("file")
-    pd.set_defaults(func=cmd_oracle_dekking)
-
+    sub = p.add_subparsers(dest="command", required=True,
+                           metavar=command and "{" + ",".join(COMMANDS) + "}")
+    for name, (text, func, arguments) in COMMANDS.items():
+        if command in (None, name):
+            sp = sub.add_parser(name, help=text)
+            for arg, options in arguments:
+                sp.add_argument(arg, **options)
+            sp.set_defaults(func=func)
     return p
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command, building only its parser when the first argument
+    names one (help and a missing or unknown command build them all)."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     try:
         return args.func(args)
     except VerdictMismatch as e:

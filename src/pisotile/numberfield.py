@@ -48,7 +48,7 @@ def reduced(den: int, v) -> tuple[int, tuple[int, ...]]:
         g = -g
     if g == 1:
         return den, tuple(v)
-    return den // g, tuple(c // g for c in v)
+    return den // g, tuple([c // g for c in v])
 
 
 def combine(x, y, sign: int = 1) -> tuple[int, tuple[int, ...]]:
@@ -56,7 +56,7 @@ def combine(x, y, sign: int = 1) -> tuple[int, tuple[int, ...]]:
     (dx, vx), (dy, vy) = x, y
     den = math.lcm(dx, dy)
     fx, fy = den // dx, sign * (den // dy)
-    return reduced(den, tuple(a * fx + b * fy for a, b in zip(vx, vy)))
+    return reduced(den, [a * fx + b * fy for a, b in zip(vx, vy)])
 
 
 class FieldMismatchError(ValueError):

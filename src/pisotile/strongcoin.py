@@ -13,19 +13,18 @@ overlap closure, and the witness search.  The translation module is built
 from the return words of the substitution, so no patch of the tiling is
 laid out.
 
-MSC asks the same questions for many tile maps, so each is decided once per
-system: a pair test's result by class and cap, a control-point difference by
-its pair of points (on the TilingSystem), and module membership by point (on
-the GroupG).  A family runs one pair test per unordered color pair i < j:
-the result for (j, i) is its mirror, and (i, i) is shared at L = 0.
-Nothing is kept beyond the system.
+MSC asks the same questions for many tile maps, so a family is decided by
+its pair classes (i, j, c_i - c_j), i < j (TilingSystem.pair_class), each
+class once: its window (admissibility) and its pair test's result by cap
+on the TilingSystem, and, for the pairs (1, j), its module membership on
+the GroupG.  The result for (j, i) is the mirror of (i, j)'s, and (i, i)
+is shared at L = 0.  Nothing is kept beyond the system.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import sub
 
@@ -92,7 +91,7 @@ class GroupG:
         self.cross_offsets = {
             (1, j): (self.den, tuple(map(sub, rep[1], rep[j]))) for j in range(2, s.m + 1)
         }
-        self._answers: dict[tuple, tuple] = {}  # point -> contains(point)
+        self._pairs: dict[tuple, bool] = {}  # see pair_in_module
 
     def membership(self, x: AlgebraicReal):
         """(bool, K) for the field element x: see contains."""
@@ -100,8 +99,7 @@ class GroupG:
 
     def contains(self, x: tuple[int, tuple[int, ...]]):
         """(True, K) for the least K >= 0 with beta^K x in the module, or
-        (False, None) when there is none; x is a point (D, v).  Each
-        point's answer is kept.
+        (False, None) when there is none; x is a point (D, v).
 
         With H the basis as columns and B_M = H^-1 B H, x = H z / (q den)
         with z integer, q > 0 minimal, and beta^K x lies in the module iff
@@ -114,12 +112,6 @@ class GroupG:
         at least p, so it is stable from K = d e.  Hence K = d max e over the
         primes of N(beta), at most d Omega(q), decides; for a unit beta,
         K = 0 does."""
-        out = self._answers.get(x)
-        if out is None:
-            out = self._answers[x] = self._decide(x)
-        return out
-
-    def _decide(self, x):
         D, v = x
         z = [self.den * c for c in mat_vec(self._adj, v)]
         q = D * self._det
@@ -139,6 +131,13 @@ class GroupG:
 
     def __contains__(self, x: AlgebraicReal) -> bool:
         return self.membership(x)[0]
+
+    def pair_in_module(self, key: tuple) -> bool:
+        """Whether some beta^K (c_1 - c_j + r_1 - r_j) lies in the module,
+        for the pair class key (1, j, D, v) of c_1 - c_j; kept per key."""
+        if key not in self._pairs:
+            self._pairs[key] = self.contains(combine(key[2:], self.cross_offsets[key[:2]]))[0]
+        return self._pairs[key]
 
 
 def group_G(system: TilingSystem) -> GroupG:
@@ -186,27 +185,36 @@ class StrongCoincidenceReport:
         return all(p.ok for p in self.pairs)
 
     def to_json(self, formatted: dict | None = None) -> dict:
-        """formatted: a point's coordinate strings by point, and a pair's
-        entry by (i, j, status, L), shared by the reports of one MSC result,
-        so that each distinct one is made once (and written once by the
-        CLI's JSON writer)."""
+        """formatted: a point's coordinate strings by point, a pair's entry
+        by (i, j, status, L), and a report's list of them by those keys,
+        shared by the reports of one MSC result, so that each distinct one
+        is made once (and written once by the CLI's JSON writer)."""
         if formatted is None:
             formatted = {}
         for p in self.control_points.points:
             if p not in formatted:
-                formatted[p] = [str(Fraction(c, p[0])) for c in p[1]]
-        for p in self.pairs:
-            key = (p.i, p.j, p.status, p.L)
-            if key not in formatted:
-                formatted[key] = {"i": p.i, "j": p.j, "status": p.status, "L": p.L}
+                formatted[p] = [_ratio(c, p[0]) for c in p[1]]
+        keys = tuple([(p.i, p.j, p.status, p.L) for p in self.pairs])
+        pairs = formatted.get(keys)
+        if pairs is None:
+            for k in keys:
+                if k not in formatted:
+                    formatted[k] = dict(zip(("i", "j", "status", "L"), k))
+            pairs = formatted[keys] = [formatted[k] for k in keys]
         return {
             "choice": list(self.tile_map.choice),
             "level": self.tile_map.n,
             "control_points": [formatted[p] for p in self.control_points.points],
             "admissible": self.admissible,
             "in_group": self.in_group,
-            "pairs": [formatted[p.i, p.j, p.status, p.L] for p in self.pairs],
+            "pairs": pairs,
         }
+
+
+def _ratio(c: int, d: int) -> str:
+    """str(Fraction(c, d)) for d > 0."""
+    g = gcd(c, d)
+    return f"{c // g}/{d // g}" if g != d else str(c // g)
 
 
 def _pair_test(system: TilingSystem, key: tuple,
@@ -218,11 +226,10 @@ def _pair_test(system: TilingSystem, key: tuple,
     isomorphism of the overlap graph, so the mirror class is shared at the
     same L, or exhausted with the mirrored classes.  Kept per class and cap
     on the system."""
-    closure = overlap_closure(system)
-    start = closure._id(key)
-    out = system._pair_results.get((start, cap_classes))
+    out = system._pair_results.get((key, cap_classes))
     if out is None:
-        i, j = key[:2]
+        closure = overlap_closure(system)
+        start, (i, j) = closure._id(key), key[:2]
         L = closure.distance(start, cap_classes)
         if L is not None:
             out = PairResult(i, j, "shared", L), PairResult(j, i, "shared", L)
@@ -233,17 +240,7 @@ def _pair_test(system: TilingSystem, key: tuple,
                 PairResult(a, b, "exhausted", None,
                            tuple(c.label() for c in sorted(classes, key=OverlapClass.key)))
                 for a, b, classes in ((i, j, reached), (j, i, mirrored)))
-        system._pair_results[(start, cap_classes)] = out
-    return out
-
-
-def _difference(system: TilingSystem, cp: ControlPoints, i: int, j: int) -> tuple:
-    """The point c_i - c_j of the family, (D, v) in lowest terms, kept per
-    pair of points on the system."""
-    key = (cp.points[i - 1], cp.points[j - 1])
-    out = system._differences.get(key)
-    if out is None:
-        out = system._differences[key] = combine(*key, -1)
+        system._pair_results[key, cap_classes] = out
     return out
 
 
@@ -261,26 +258,23 @@ def strong_coincidence(
     if not cp.admissible:
         raise ValueError("control points are not admissible")
     m = system.substitution.m
-    pairs = {(i, i): PairResult(i, i, "shared", 0) for i in range(1, m + 1)}
-    for i in range(1, m + 1):
-        for j in range(i + 1, m + 1):
-            pairs[i, j], pairs[j, i] = _pair_test(
-                system, (i, j, *_difference(system, cp, i, j)), cap_classes)
-    pairs = [pairs[i, j] for i in range(1, m + 1) for j in range(1, m + 1)]
+    shared = system._pair_results.get(m)  # the pairs (i, i), kept under m
+    if shared is None:
+        shared = system._pair_results[m] = [PairResult(i, i, "shared", 0) for i in range(1, m + 1)]
+    pairs = [None] * (m * m)  # (i, j) at (i - 1) m + j - 1
+    pairs[::m + 1] = shared
+    for key, _ in cp.pairs:
+        i, j = key[0] - 1, key[1] - 1
+        pairs[i * m + j], pairs[j * m + i] = _pair_test(system, key, cap_classes)
     in_group = _family_in_group(cp, group) if group is not None else None
     return StrongCoincidenceReport(cp.tile_map, cp, cp.admissible, in_group, pairs)
 
 
 def _family_in_group(cp: ControlPoints, group: GroupG) -> bool:
-    """Whether the multi-color point family lies in the translation module.
-
-    Same-color differences are module generators (k = 0), so only one
-    representative cross-color difference per color j > 1, against color 1,
-    needs testing (see GroupG)."""
-    return all(
-        group.contains(combine(_difference(group.system, cp, i, j), d))[0]
-        for (i, j), d in group.cross_offsets.items()
-    )
+    """Whether the multi-color point family lies in the translation module:
+    only the pair classes (1, j), which come first in cp.pairs, need testing
+    (see GroupG)."""
+    return all(group.pair_in_module(key) for key, _ in cp.pairs[:len(cp.points) - 1])
 
 
 # -- enumeration and multiple strong coincidence ---------------------------------
@@ -335,21 +329,13 @@ def multiple_strong_coincidence(
     if group is None:
         group = group_G(system)
     reports = []
-    considered = 0
-    verdict = True
     for tm in enumerate_tile_maps(system, n, cap_maps):
         cp = solve_control_points(system, tm)
-        if not cp.admissible:
-            continue
-        if not _family_in_group(cp, group):
-            continue
-        considered += 1
-        rep = strong_coincidence(system, cp, None, cap_classes)
-        rep.in_group = True  # the filter above decided it
-        reports.append(rep)
-        if not rep.ok:
-            verdict = False
-    return MSCResult(verdict, n, reports, considered, considered == 0)
+        if cp.admissible and _family_in_group(cp, group):
+            rep = strong_coincidence(system, cp, None, cap_classes)
+            rep.in_group = True  # the filter above decided it
+            reports.append(rep)
+    return MSCResult(all(r.ok for r in reports), n, reports, len(reports), not reports)
 
 
 # -- the level n0 of the equivalence theorem -------------------------------------
@@ -442,7 +428,7 @@ def _descendant(system: TilingSystem, p: int, q: int, shift: tuple, n: int):
     the integer offsets over den.  Offsets within one word differ, so the
     least ka that has a partner gives the least pair."""
     dv, v = shift
-    w = [system.den * c for c in map(sub, system.times_beta_power(v, n), v)]
+    w = [system.den * c for c in map(sub, mat_vec(system.beta_power(n), v), v)]
     if any(c % dv for c in w):
         return None
     t = [c // dv for c in w]
@@ -518,7 +504,7 @@ def extract_witness(
     # Postconditions from the proof, asserted directly.
     if not cp.admissible:
         raise RuntimeError("extracted witness is not admissible")
-    diff = _difference(system, cp, p_col, q_col)
+    diff = combine(cp.points[p_col - 1], cp.points[q_col - 1], -1)
     if diff != shift:
         raise RuntimeError("extracted control points do not match the class shift")
     if not _family_in_group(cp, group):

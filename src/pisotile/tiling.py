@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from math import inf, lcm
-from operator import add, neg
+from operator import add, itemgetter, neg
 
 from .algebra import adjugate, mat_mul, mat_vec
 from .numberfield import AlgebraicReal, IntEnclosure, NumberField, combine, reduced
@@ -63,10 +63,14 @@ class TilingSystem:
         self._overlap_closure = None  # overlap.OverlapClosure, made on first use
         self._offsets: dict[int, tuple] = {}
         self._solvers: dict[tuple[int, int], tuple] = {}
-        self._control_points: dict[tuple, tuple] = {}  # see solve_control_points
-        # strongcoin._pair_test and strongcoin._difference
-        self._pair_results: dict[tuple[int, int], object] = {}
-        self._differences: dict[tuple, tuple] = {}
+        # solve_control_points: a point's id by its key, and each id's (D, v)
+        self._point_ids: dict[tuple, int] = {}
+        self._points: list[tuple[int, tuple[int, ...]]] = []
+        # pair_class by the ids of the points and by key; strongcoin's pair
+        # results, by (key, cap) and, for the pairs (i, i), by m
+        self._pairs: dict[tuple[int, int], tuple] = {}
+        self._pair_classes: dict[tuple, tuple] = {}
+        self._pair_results: dict = {}
         self._build_module_coords()
 
     def _build_module_coords(self) -> None:
@@ -80,11 +84,14 @@ class TilingSystem:
           matrix (column convention: beta * v = beta_matrix v).
         - length_coords[i]: the coordinates of l_(i+1).
         - prefix_offsets: subtile_offsets(1).
+        - ends[i]: -l_(i+1) and l_(i+1) as enclosed points (pair_class).
         """
         self.den = lcm(*(l.den for l in self.lengths))
         self.beta_matrix = self.field.beta_matrix
+        self._powers = [self.beta_matrix]  # beta_power
         self.length_coords = tuple(self.coords(l) for l in self.lengths)
         self.prefix_offsets = self.subtile_offsets(1)
+        self.ends = tuple(((-l).enclosed(), l.enclosed()) for l in self.lengths)
 
     def subtile_offsets(self, n: int) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]:
         """Per color i, (letter, offset) for each tile of sigma^n(i), the
@@ -118,10 +125,12 @@ class TilingSystem:
     def times_beta(self, v) -> tuple[int, ...]:
         return mat_vec(self.beta_matrix, v)
 
-    def times_beta_power(self, v, e: int) -> tuple[int, ...]:
-        for _ in range(e):
-            v = self.times_beta(v)
-        return v
+    def beta_power(self, e: int) -> list[list[int]]:
+        """B^e for B = beta_matrix and e >= 1, kept for every e up to the
+        largest asked."""
+        while len(self._powers) < e:
+            self._powers.append(mat_mul(self.beta_matrix, self._powers[-1]))
+        return self._powers[e - 1]
 
     def solver(self, e: int, t: int) -> tuple[list[list[int]], int]:
         """(adj, det) of B^e - t I for B = beta_matrix, kept per (e, t): the
@@ -129,13 +138,24 @@ class TilingSystem:
         nonzero unless beta^e = t."""
         out = self._solvers.get((e, t))
         if out is None:
-            d = self.field.degree
-            P = [[int(i == j) for j in range(d)] for i in range(d)]
-            for _ in range(e):
-                P = mat_mul(self.beta_matrix, P)
-            for i in range(d):
+            P = [list(row) for row in self.beta_power(e)]
+            for i in range(len(P)):
                 P[i][i] -= t
             out = self._solvers[(e, t)] = adjugate(P)
+        return out
+
+    def pair_class(self, i: int, j: int, a: int, b: int) -> tuple:
+        """(key, window) of the pair class (i, j, c_i - c_j), i < j, for the
+        control points with ids a and b (solve_control_points): key is
+        (i, j, D, v) of c_i - c_j, the form of overlap-class keys, and window
+        whether -l_j < c_i - c_j < l_i.  Kept by (a, b), decided once per key."""
+        key = (i, j, *combine(self._points[a], self._points[b], -1))
+        out = self._pair_classes.get(key)
+        if out is None:
+            x, compare = self.field.enclosed(*key[2:]), self.field.compare
+            window = compare(self.ends[j - 1][0], x) < 0 and compare(x, self.ends[i - 1][1]) < 0
+            out = self._pair_classes[key] = (key, window)
+        self._pairs[a, b] = out
         return out
 
     def length(self, color: int) -> AlgebraicReal:
@@ -322,12 +342,14 @@ class TileMap:
 @dataclass(frozen=True)
 class ControlPoints:
     """points[i] = (D, v): the control point c_(i+1) = sum_k v_k beta^k / D,
-    in lowest terms.  c holds them as field elements, made on first use."""
+    in lowest terms.  c holds them as field elements, made on first use.
+    pairs: TilingSystem.pair_class for i < j, in order (1, 2), ..., (1, m), (2, 3), ..."""
 
     points: tuple[tuple[int, tuple[int, ...]], ...]
     tile_map: TileMap
     admissible: bool
     number_field: NumberField = field(repr=False, compare=False)
+    pairs: tuple[tuple, ...] = field(repr=False, compare=False)
 
     @cached_property
     def c(self) -> tuple[AlgebraicReal, ...]:
@@ -356,51 +378,53 @@ def solve_control_points(system: TilingSystem, tm: TileMap) -> ControlPoints:
     """Exact solution of beta^n c_i = c_{j_i} + u_i on integer vectors.
 
     With B = beta_matrix and u_i the offsets over den, the functional graph
-    i -> j_i is eventually periodic.  A point on a cycle of length L solves
-    (beta^(nL) - 1) c_i = acc, acc = sum_k beta^(n(L-1-k)) u_(path[k]), so
-    c_i = adj(B^(nL) - I) acc / (det(B^(nL) - I) den); the determinant is
-    N(beta^(nL) - 1), nonzero as beta > 1.  The other points follow by
-    back-substitution toward the cycle, c_i = adj(B^n) (c_j + u_i) /
-    det(B^n).  c_i depends only on the choices along the path from i into
-    and around its cycle, so the system keeps each c_i under (n, i, those
-    choices): tile maps of one level share most of them.
+    i -> j_i is walked once.  A new cycle of length L is entered at its
+    least color i: c_i = adj(B^(nL) - I) acc / (det(B^(nL) - I) den) with
+    acc = sum_k B^(n(L-1-k)) u_(cycle[k]), det = N(beta^(nL) - 1) != 0 as
+    beta > 1.  Every other point follows from its successor's, c_i =
+    adj(B^n) (c_j + u_i) / det(B^n).  The system keeps each point under an
+    id, by (n, i, the choices around the cycle) or by (i, its choice, its
+    successor's id), so tile maps of one level share most.  Admissible: the
+    shifted supports [-c_i, l_i - c_i], intervals, share an interior point
+    iff each two do, iff -l_j < c_i - c_j < l_i for each i < j, the window
+    of the pair class (TilingSystem.pair_class).
     """
     targets = _targets(system, tm)
-    n, choice, den, kept = tm.n, tm.choice, system.den, system._control_points
-
-    def point(i: int) -> tuple:
-        """(c_i, -c_i, l_i - c_i): the point, and the ends of the support of
-        color i shifted by -c_i as (D, v, mid, err) with their enclosures."""
-        path = [i]  # the colors from i until one repeats
-        while (j := targets[path[-1]][0] - 1) not in path:
-            path.append(j)
-        key = (n, i, *map(choice.__getitem__, path))
-        out = kept.get(key)
-        if out is None:
-            if j == i:  # i lies on its cycle, which is the whole path
-                acc = (0,) * system.field.degree
-                for k in path:
-                    acc = tuple(map(add, system.times_beta_power(acc, n), targets[k][1]))
-                adj, det = system.solver(n * len(path), 1)
-                c = reduced(det * den, mat_vec(adj, acc))
-            else:
+    n, choice, den, m = tm.n, tm.choice, system.den, len(targets)
+    point_ids, points, succ = system._point_ids, system._points, [j - 1 for j, _ in targets]
+    ids = [None] * m
+    for start in range(m):
+        path, i = [], start
+        while ids[i] is None and i not in path:
+            path.append(i)
+            i = succ[i]
+        if ids[i] is None:  # a new cycle, path[k:], entered at its least color
+            k = path.index(i)
+            r = path.index(min(path[k:]))
+            cycle = path[r:] + path[k:r]
+            # The third entry is a tuple, so no key of the other kind equals it.
+            key = (n, cycle[0], tuple(map(choice.__getitem__, cycle)))
+            p = point_ids.get(key)
+            if p is None:
+                acc, power = (0,) * system.field.degree, system.beta_power(n)
+                for c in cycle:
+                    acc = tuple(map(add, mat_vec(power, acc), targets[c][1]))
+                adj, det = system.solver(n * len(cycle), 1)
+                p = point_ids[key] = len(points)
+                points.append(reduced(det * den, mat_vec(adj, acc)))
+            ids[cycle[0]] = p
+            path[k:] = cycle[1:]
+        for i in reversed(path):
+            key = (i, choice[i], ids[succ[i]])
+            p = point_ids.get(key)
+            if p is None:
                 adj, det = system.solver(n, 0)
-                dc, v = combine(point(path[1])[0], (den, targets[i][1]))
-                c = reduced(det * dc, mat_vec(adj, v))
-            ends = [(c[0], tuple(map(neg, c[1]))),
-                    combine((den, system.length_coords[i]), c, -1)]
-            out = kept[key] = (c, *(system.field.enclosed(d, v) for d, v in ends))
-        return out
-
-    points = [point(i) for i in range(system.substitution.m)]
-    # Admissible: the shifted supports [-c_i, l_i - c_i] share an interior
-    # point.  The ends are kept with their points, so their float
-    # enclosures are reused across tile maps.
-    compare = system.field.compare
-    _, lo, hi = points[0]
-    for _, a, b in points[1:]:
-        if compare(a, lo) > 0:
-            lo = a
-        if compare(b, hi) < 0:
-            hi = b
-    return ControlPoints(tuple(p[0] for p in points), tm, compare(hi, lo) > 0, system.field)
+                dc, v = combine(points[key[2]], (den, targets[i][1]))
+                p = point_ids[key] = len(points)
+                points.append(reduced(det * dc, mat_vec(adj, v)))
+            ids[i] = p
+    kept = system._pairs
+    pairs = tuple(kept.get((ids[a], ids[b])) or system.pair_class(a + 1, b + 1, ids[a], ids[b])
+                  for a in range(m) for b in range(a + 1, m))
+    return ControlPoints(tuple(map(points.__getitem__, ids)), tm, all(map(itemgetter(1), pairs)),
+                         system.field, pairs)

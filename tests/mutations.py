@@ -153,6 +153,38 @@ MUTATIONS = [
         ("tests/test_overlap.py::test_int_inflation_near_touching[2-rules0]",
          "tests/test_overlap.py::test_int_inflation_near_touching[3-rules2]"),
     ),
+    # -- families decided by their pair classes, one parser per command --
+    Mutation(
+        "pair_class: the window tested on one side only",
+        "src/pisotile/tiling.py",
+        (("window = compare(self.ends[j - 1][0], x) < 0 and compare(x, self.ends[i - 1][1]) < 0",
+          "window = compare(x, self.ends[i - 1][1]) < 0"),),
+        ("tests/test_tiling.py::test_control_points_match_field_solve[rules0-3]",
+         "tests/test_cli.py::test_golden_output[msc fibonacci --map-level 4]"),
+    ),
+    Mutation(
+        "_family_in_group: only the pair class (1, 2) tested",
+        "src/pisotile/strongcoin.py",
+        (("for key, _ in cp.pairs[:len(cp.points) - 1])", "for key, _ in cp.pairs[:1])"),),
+        ("tests/test_strongcoin.py::test_msc_matches_per_family_reference",
+         "tests/test_cli.py::test_golden_output[msc tribonacci --map-level 3]"),
+    ),
+    Mutation(
+        "_pair_test: a result kept without its class cap",
+        "src/pisotile/strongcoin.py",
+        (("    out = system._pair_results.get((key, cap_classes))\n",
+          "    out = system._pair_results.get(key)\n"),
+         ("        system._pair_results[key, cap_classes] = out\n",
+          "        system._pair_results[key] = out\n")),
+        ("tests/test_strongcoin.py::test_pair_results_kept_per_cap",),
+    ),
+    Mutation(
+        "COMMANDS: msc built without --cap-maps",
+        "src/pisotile/cli.py",
+        (('help="level n (default: computed from the overlap graph)")), *_CAPS)),',
+          'help="level n (default: computed from the overlap graph)")), _CAPS[0])),'),),
+        ("tests/test_cli.py::test_help_bytes[msc]",),
+    ),
     # -- the stuck part, the Perron lengths and the witness --
     Mutation(
         "OverlapGraph.stuck: trivial components kept",

@@ -11,7 +11,8 @@ overlap-class children, central patches, tile-map targets and descendants
 on it; perron_equals_reference decides the Perron comparison
 with sympy's factorization and root isolation; group_G_reference builds the
 translation module from the return vectors of a central patch, and
-control_points_reference solves the control points in field elements.
+control_points_reference solves the control points in field elements, and
+msc_reference decides multiple strong coincidence family by family on them.
 seed_overlaps_two_windows seeds overlaps with two float windows per
 position difference, the reference for the library's mirrored seeding.
 RationalField is the arithmetic of Q(beta) on vectors
@@ -409,6 +410,46 @@ def control_points_reference(system, tm):
         return out[i]
 
     return [point(i) for i in range(system.substitution.m)]
+
+
+def msc_reference(system, n):
+    """multiple_strong_coincidence(system, n).to_json(), family by family
+    in field elements: the control points of control_points_reference;
+    admissibility as max(-c_i) < min(l_i - c_i); the module of
+    group_G_reference, which must hold some beta^K (c_i - c_j + r_i - r_j)
+    for every i < j, r_c the first color-c tile of a central patch; and
+    pair_closure from every ordered pair (i, j, c_i - c_j) on the tile
+    inflation of inflate_children, one closure per class."""
+    from pisotile import OverlapClass, TileMap
+
+    group, m = group_G_reference(system), system.substitution.m
+    rep = {}
+    for color, pos in field_tiles(system, system.central_patch(
+            system.field.from_rational(8) * max(system.lengths, key=float))):
+        rep.setdefault(color, pos)
+    sizes = [len(inflate_tiles(system, [(i, system.field.zero())], n)) for i in range(1, m + 1)]
+    closures, reports = {}, []
+    for choice in itertools.product(*map(range, sizes)):
+        c = control_points_reference(system, TileMap(n, choice))
+        if not max(-x for x in c) < min(system.length(i + 1) - x for i, x in enumerate(c)):
+            continue
+        if not all(group.membership(c[i] - c[j] + rep[i + 1] - rep[j + 1])[0]
+                   for i in range(m) for j in range(i + 1, m)):
+            continue
+        pairs = []
+        for i, j in itertools.product(range(m), repeat=2):
+            start = OverlapClass(i + 1, j + 1, c[i] - c[j])
+            if start.key() not in closures:
+                closures[start.key()] = pair_closure(
+                    lambda x: [child for child, _ in inflate_children(system, x)], start)
+            status, L, _ = closures[start.key()]
+            pairs.append({"i": i + 1, "j": j + 1, "status": status, "L": L})
+        reports.append({"choice": list(choice), "level": n, "admissible": True, "in_group": True,
+                        "control_points": [[str(q) for q in x.coeffs] for x in c],
+                        "pairs": pairs})
+    return {"level": n, "families_considered": len(reports), "vacuous": not reports,
+            "verdict": all(p["status"] == "shared" for r in reports for p in r["pairs"]),
+            "reports": reports}
 
 
 def descendant_reference(system, c, n):

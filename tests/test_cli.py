@@ -1,5 +1,6 @@
 """Command-line interface: parsing, exit codes, determinism, round-trips."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -408,6 +409,143 @@ def test_verify_metadata_not_an_object(tmp_path, capsys):
     (tmp_path / "listed.json").write_text(json.dumps(data))
     assert main(["verify", str(tmp_path)]) == 2
     assert "FIXTURE ERROR" in capsys.readouterr().out
+
+
+# -- help and usage errors ---------------------------------------------------------
+#
+# The bytes these printed when every call built the parsers of all commands,
+# at a terminal width of 80 columns.
+
+_TOP_USAGE = "usage: pisotile [-h] {analyze,overlaps,strong,msc,verify,oracle-dekking} ...\n"
+_USAGE = {
+    "analyze": (
+        "usage: pisotile analyze [-h] [--cap-classes CAP_CLASSES] [--cap-maps CAP_MAPS]\n"
+        "                        file\n"),
+    "overlaps": (
+        "usage: pisotile overlaps [-h] [--dot DOT] [--cap-classes CAP_CLASSES]\n"
+        "                         [--cap-maps CAP_MAPS]\n"
+        "                         file\n"),
+    "strong": (
+        "usage: pisotile strong [-h] [--map-level MAP_LEVEL] [--choice CHOICE]\n"
+        "                       [--cap-classes CAP_CLASSES] [--cap-maps CAP_MAPS]\n"
+        "                       file\n"),
+    "msc": (
+        "usage: pisotile msc [-h] [--map-level MAP_LEVEL] [--cap-classes CAP_CLASSES]\n"
+        "                    [--cap-maps CAP_MAPS]\n"
+        "                    file\n"),
+    "verify": (
+        "usage: pisotile verify [-h] [--cap-classes CAP_CLASSES] [--cap-maps CAP_MAPS]\n"
+        "                       [corpus]\n"),
+    "oracle-dekking": "usage: pisotile oracle-dekking [-h] file\n",
+}
+_HELP_H = "  -h, --help            show this help message and exit\n"
+_CAPS_HELP = "  --cap-classes CAP_CLASSES\n  --cap-maps CAP_MAPS\n"
+_FILE_HELP = "\npositional arguments:\n  file\n\noptions:\n" + _HELP_H
+_HELP = {
+    "": _TOP_USAGE + (
+        "\n"
+        "Exact overlap-coincidence and strong-coincidence analysis of one-dimensional\n"
+        "Pisot substitution tilings\n"
+        "\n"
+        "positional arguments:\n"
+        "  {analyze,overlaps,strong,msc,verify,oracle-dekking}\n"
+        "    analyze             full pipeline with equivalence check\n"
+        "    overlaps            overlap graph, verdict, and DOT export\n"
+        "    strong              strong coincidence for one tile map\n"
+        "    msc                 multiple strong coincidence of level n\n"
+        "    verify              run the corpus and check expectations\n"
+        "    oracle-dekking      column coincidence oracle (constant-length\n"
+        "                        substitutions)\n"
+        "\n"
+        "options:\n" + _HELP_H),
+    "analyze": _USAGE["analyze"] + _FILE_HELP + _CAPS_HELP,
+    "overlaps": _USAGE["overlaps"] + _FILE_HELP
+    + "  --dot DOT             write DOT to this path\n" + _CAPS_HELP,
+    "strong": _USAGE["strong"] + _FILE_HELP + (
+        "  --map-level MAP_LEVEL\n"
+        "                        tile-map inflation level n\n"
+        "  --choice CHOICE       comma-separated 0-based subtile choices\n") + _CAPS_HELP,
+    "msc": _USAGE["msc"] + _FILE_HELP + (
+        "  --map-level MAP_LEVEL\n"
+        "                        level n (default: computed from the overlap graph)\n")
+    + _CAPS_HELP,
+    "verify": _USAGE["verify"] + (
+        "\n"
+        "positional arguments:\n"
+        "  corpus                directory of corpus files (default: shipped corpus)\n"
+        "\n"
+        "options:\n") + _HELP_H + _CAPS_HELP,
+    "oracle-dekking": _USAGE["oracle-dekking"] + (
+        "\n"
+        "positional arguments:\n"
+        "  file\n"
+        "\n"
+        "options:\n"
+        "  -h, --help  show this help message and exit\n"),
+}
+_CHOICES = ("analyze", "overlaps", "strong", "msc", "verify", "oracle-dekking")
+_USAGE_ERRORS = [
+    ([], _TOP_USAGE + "pisotile: error: the following arguments are required: command\n"),
+    # Python 3.13 lists the choices without quotes.
+    (["frobnicate"], {
+        _TOP_USAGE + "pisotile: error: argument command: invalid choice: 'frobnicate' "
+        f"(choose from {', '.join(map(fmt.format, _CHOICES))})\n" for fmt in ("'{}'", "{}")}),
+    (["msc"], _USAGE["msc"] + "pisotile msc: error: the following arguments are required: file\n"),
+    (["msc", "f", "--map-level", "0"],
+     _USAGE["msc"] + "pisotile msc: error: argument --map-level: level must be >= 1, got 0\n"),
+    (["strong", "f", "--choice", "a,b"], _USAGE["strong"] + "pisotile strong: error: argument "
+     "--choice: choice must be comma-separated integers, got 'a,b'\n"),
+    (["analyze", "f", "--cap-classes", "-1"],
+     _USAGE["analyze"] + "pisotile analyze: error: argument --cap-classes: must be >= 0, got -1\n"),
+    # Reported by the top-level parser, whose usage line still names every
+    # command when it was built for msc alone.
+    (["msc", "f", "--bogus"], _TOP_USAGE + "pisotile: error: unrecognized arguments: --bogus\n"),
+]
+
+
+@pytest.mark.parametrize("command", _HELP, ids=lambda c: c or "pisotile")
+def test_help_bytes(command, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as stop:
+        main([command, "--help"] if command else ["--help"])
+    assert stop.value.code == 0
+    assert capsys.readouterr() == (_HELP[command], "")
+
+
+@pytest.mark.parametrize("argv, err", _USAGE_ERRORS, ids=lambda a: " ".join(a) or "none")
+def test_usage_error_bytes(argv, err, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    assert stop.value.code == 2
+    out, got = capsys.readouterr()
+    assert out == ""
+    assert got in err if isinstance(err, set) else got == err
+
+
+def test_each_call_builds_its_own_parser(monkeypatch, capsys):
+    # Two calls in one process print the same bytes, and each builds its
+    # parsers anew: the top-level one and the invoked command's; help
+    # builds all seven.  No parser outlives a call.
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counting(parser, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(parser, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    outs = []
+    for _ in range(2):
+        built.clear()
+        assert main(["msc", str(FIB), "--map-level", "2"]) == 0
+        outs.append(capsys.readouterr().out)
+        assert built == ["pisotile", "pisotile msc"]
+    assert outs[0] == outs[1]
+    built.clear()
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    capsys.readouterr()
+    assert len(built) == 7
 
 
 GOLDEN = [

@@ -15,6 +15,7 @@ from oracles import (
     column_check_applies,
     descendant_reference,
     group_G_reference,
+    msc_reference,
     pair_closure,
     random_substitutions,
     stuck_reference,
@@ -271,6 +272,28 @@ def test_mirrored_pairs_match_pair_closure():
                         assert (p.status, p.L, p.classes) == expected, (rules, n, i, j)
                         differ += p.classes != pairs[j, i].classes
     assert differ
+
+
+def test_msc_matches_per_family_reference():
+    # The whole MSC report, decided by pair classes, against the reference
+    # that decides each family on its own in field elements
+    # (oracles.msc_reference): the corpus at levels 1 and 2, and the inputs
+    # of the sweep whose column check fails (overlap coincidence false) at
+    # the levels whose tile maps number at most 400.
+    inputs = {rules for _, rules in CORPUS_RULES.values()}
+    inputs |= {rules for m, rules in islice(random_substitutions(random.Random(SEED)), COUNT)
+               if column_check_applies(m, rules) and not dekking_column_check(Substitution(m, rules))}
+    verdicts = set()
+    for rules in sorted(inputs):
+        system = TilingSystem(Substitution(len(rules), rules))
+        for n in (1, 2):
+            try:
+                got = multiple_strong_coincidence(system, n, cap_maps=400).to_json()
+            except EnumerationCapError:
+                continue
+            assert got == msc_reference(system, n), (rules, n)
+            verdicts.add(got["verdict"])
+    assert verdicts == {True, False}
 
 
 def test_pair_results_kept_per_cap():
