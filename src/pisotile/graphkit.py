@@ -5,22 +5,20 @@ against an algebraic target.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebra import char_poly, peval, sign_changes, squarefree, sturm
 from .numberfield import AlgebraicReal
+from .record import FrozenRecord
 
 
-@dataclass(frozen=True)
-class Digraph:
+class Digraph(FrozenRecord):
     """edges are (src, dst, multiplicity) with 0-based vertices."""
 
-    n: int
-    edges: tuple[tuple[int, int, int], ...]
+    _fields = ("n", "edges")
 
-    def __post_init__(self):
-        for u, v, w in self.edges:
-            if not (0 <= u < self.n and 0 <= v < self.n):
+    def __init__(self, n: int, edges: tuple[tuple[int, int, int], ...]):
+        self.__dict__.update(n=n, edges=edges)
+        for u, v, w in edges:
+            if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range")
             if w < 1:
                 raise ValueError("edge multiplicities must be >= 1")

@@ -22,12 +22,12 @@ of disks goes on to check and refine the enclosure of beta (``isolate``).
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence, Union
 
 from .algebra import CapExceededError, adjugate, isolate, mat_vec, perron_minimal_polynomial
 
-RationalLike = Union[int, Fraction]
+RationalLike = int | Fraction
 
 # Width of the enclosure of beta that the float table is taken from.
 _TABLE_WIDTH = Fraction(1, 2**80)

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property, cmp_to_key
 from math import lcm
 from operator import add, itemgetter, neg, sub
@@ -43,14 +42,15 @@ from operator import add, itemgetter, neg, sub
 from .algebra import CapExceededError, mat_vec
 from .graphkit import Digraph, distances_to, scc, perron_equals
 from .numberfield import _U, AlgebraicReal, reduced
+from .record import FrozenRecord, Record
 from .tiling import ModuleVectors, Patch, TilingSystem
 
 
-@dataclass(frozen=True)
-class OverlapClass:
-    color_u: int
-    color_v: int
-    shift: AlgebraicReal
+class OverlapClass(FrozenRecord):
+    _fields = ("color_u", "color_v", "shift")
+
+    def __init__(self, color_u: int, color_v: int, shift: AlgebraicReal):
+        self.__dict__.update(color_u=color_u, color_v=color_v, shift=shift)
 
     @property
     def is_coincidence(self) -> bool:
@@ -64,14 +64,15 @@ class OverlapClass:
         return f"({self.color_u},{self.color_v},{self.shift})"
 
 
-@dataclass
-class OverlapGraph:
+class OverlapGraph(Record):
     """Overlap classes as vertices and the inflation edges between them.
     Its analysis, the distances into the coincidences and the stuck
     components, is made on first use and kept: a graph is not changed."""
 
-    vertices: list[OverlapClass]
-    edges: dict[tuple[int, int], int]  # (src index, dst index) -> multiplicity
+    _fields = ("vertices", "edges")
+
+    def __init__(self, vertices: list[OverlapClass], edges: dict[tuple[int, int], int]):
+        self.vertices, self.edges = vertices, edges  # edges: (src index, dst index) -> multiplicity
 
     @cached_property
     def _digraph(self) -> Digraph:

@@ -24,7 +24,6 @@ is shared at L = 0.  Nothing is kept beyond the system.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import gcd, lcm, prod
 from operator import sub
 
@@ -32,6 +31,7 @@ from .algebra import CapExceededError, adjugate, hnf, mat_mul, mat_vec, prime_fa
 from .graphkit import cycle_extension, Digraph
 from .numberfield import AlgebraicReal, combine
 from .overlap import OverlapClass, OverlapGraph, overlap_closure
+from .record import FrozenRecord, Record
 from .substitution import matrix, primitivity_exponent, return_words, word_lengths
 from .tiling import ControlPoints, TileMap, TilingSystem, solve_control_points
 
@@ -159,26 +159,23 @@ def group_G(system: TilingSystem) -> GroupG:
 # -- strong coincidence ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PairResult:
-    i: int
-    j: int
-    status: str  # "shared" or "exhausted"
-    L: int | None
-    classes: tuple[str, ...] = ()  # exhausted class labels on failure
+class PairResult(FrozenRecord):
+    _fields = ("i", "j", "status", "L", "classes")  # "shared", or "exhausted" with class labels
+
+    def __init__(self, i: int, j: int, status: str, L: int | None, classes=()):
+        self.__dict__.update(i=i, j=j, status=status, L=L, classes=classes)
 
     @property
     def ok(self) -> bool:
         return self.status == "shared"
 
 
-@dataclass
-class StrongCoincidenceReport:
-    tile_map: TileMap
-    control_points: ControlPoints
-    admissible: bool
-    in_group: bool | None
-    pairs: list[PairResult]
+class StrongCoincidenceReport(Record):
+    _fields = ("tile_map", "control_points", "admissible", "in_group", "pairs")
+
+    def __init__(self, tile_map, control_points, admissible: bool, in_group: bool | None, pairs):
+        self.tile_map, self.control_points, self.admissible = tile_map, control_points, admissible
+        self.in_group, self.pairs = in_group, pairs
 
     @property
     def ok(self) -> bool:
@@ -296,13 +293,12 @@ def enumerate_tile_maps(system: TilingSystem, n: int, cap_maps: int = 10**5):
         yield TileMap(n, choice)
 
 
-@dataclass
-class MSCResult:
-    verdict: bool
-    level: int
-    reports: list[StrongCoincidenceReport]
-    considered: int
-    vacuous: bool
+class MSCResult(Record):
+    _fields = ("verdict", "level", "reports", "considered", "vacuous")
+
+    def __init__(self, verdict: bool, level: int, reports, considered: int, vacuous: bool):
+        self.verdict, self.level, self.reports = verdict, level, reports
+        self.considered, self.vacuous = considered, vacuous
 
     def to_json(self) -> dict:
         formatted = {}

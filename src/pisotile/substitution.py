@@ -14,11 +14,11 @@ the number field refines beta from the same stream of disks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
 
 from .algebra import CapExceededError, adjugate_terms, char_poly, mat_mul, perron_minimal_polynomial
 from .numberfield import NumberField
+from .record import FrozenRecord
 
 
 class SubstitutionError(ValueError):
@@ -29,21 +29,20 @@ class NotPisotError(SubstitutionError):
     """The Perron root of the substitution matrix is not a Pisot number."""
 
 
-@dataclass(frozen=True)
-class Substitution:
+class Substitution(FrozenRecord):
     """rules[i] is the image word of letter i+1, as a tuple of letters 1..m."""
 
-    m: int
-    rules: tuple[tuple[int, ...], ...]
+    _fields = ("m", "rules")
 
-    def __post_init__(self):
-        if len(self.rules) != self.m:
+    def __init__(self, m: int, rules: tuple[tuple[int, ...], ...]):
+        self.__dict__.update(m=m, rules=rules)
+        if len(rules) != m:
             raise SubstitutionError("need exactly one rule per letter")
-        for i, word in enumerate(self.rules):
+        for i, word in enumerate(rules):
             if not word:
                 raise SubstitutionError(f"empty rule for letter {i + 1}")
             for a in word:
-                if not 1 <= a <= self.m:
+                if not 1 <= a <= m:
                     raise SubstitutionError(f"letter {a} out of range in rule {i + 1}")
 
     def apply(self, word):

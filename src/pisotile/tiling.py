@@ -24,7 +24,6 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
@@ -33,6 +32,7 @@ from operator import add, itemgetter, neg
 
 from .algebra import adjugate, mat_mul, mat_vec
 from .numberfield import AlgebraicReal, IntEnclosure, NumberField, combine, reduced
+from .record import FrozenRecord
 from .substitution import (
     CapExceededError,
     Substitution,
@@ -45,12 +45,13 @@ from .substitution import (
 _TILE_CAP = 10**6
 
 
-@dataclass(frozen=True)
-class Patch:
-    """tiles: (color, v) pairs, v the start of the tile as integer
-    coordinates over TilingSystem.den."""
+class Patch(FrozenRecord):
+    """tiles: (color, v) pairs, v the tile's start in integer coordinates over TilingSystem.den."""
 
-    tiles: tuple[tuple[int, tuple[int, ...]], ...]
+    _fields = ("tiles",)
+
+    def __init__(self, tiles: tuple[tuple[int, tuple[int, ...]], ...]):
+        self.__dict__.update(tiles=tiles)
 
 
 class TilingSystem:
@@ -328,28 +329,25 @@ class ModuleVectors(Sequence):
 # -- tile maps and control points ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class TileMap:
-    """Per-color choice of one subtile inside the n-fold inflated prototile.
+class TileMap(FrozenRecord):
+    """One subtile per color of the n-fold inflation: choice[i], 0-based, indexes sigma^n(i+1)."""
 
-    choice[i] is a 0-based index into sigma^n(i+1).
-    """
+    _fields = ("n", "choice")
 
-    n: int
-    choice: tuple[int, ...]
+    def __init__(self, n: int, choice: tuple[int, ...]):
+        self.__dict__.update(n=n, choice=choice)
 
 
-@dataclass(frozen=True)
-class ControlPoints:
+class ControlPoints(FrozenRecord):
     """points[i] = (D, v): the control point c_(i+1) = sum_k v_k beta^k / D,
     in lowest terms.  c holds them as field elements, made on first use.
     pairs: TilingSystem.pair_class for i < j, in order (1, 2), ..., (1, m), (2, 3), ..."""
 
-    points: tuple[tuple[int, tuple[int, ...]], ...]
-    tile_map: TileMap
-    admissible: bool
-    number_field: NumberField = field(repr=False, compare=False)
-    pairs: tuple[tuple, ...] = field(repr=False, compare=False)
+    _fields = ("points", "tile_map", "admissible")  # number_field and pairs are not compared
+
+    def __init__(self, points, tile_map: TileMap, admissible: bool, number_field, pairs):
+        self.__dict__.update(points=points, tile_map=tile_map, admissible=admissible,
+                             number_field=number_field, pairs=pairs)
 
     @cached_property
     def c(self) -> tuple[AlgebraicReal, ...]:

@@ -208,6 +208,22 @@ MUTATIONS = [
           "shift\")\n    if group is not None and not _family_in_group(cp, group):\n")),
         ("tests/test_strongcoin.py::test_witness_is_checked_against_the_module",),
     ),
+    # -- records without dataclasses --
+    Mutation(
+        "graphkit: dataclasses imported again",
+        "src/pisotile/graphkit.py",
+        (("from .algebra import char_poly", "from dataclasses import dataclass\nfrom .algebra import char_poly"),),
+        ("tests/test_record.py::test_import_loads_no_dataclasses_inspect_or_typing",),
+    ),
+    Mutation(
+        "Substitution: no letter-range check",
+        "src/pisotile/substitution.py",
+        (("            for a in word:\n"
+          "                if not 1 <= a <= m:\n"
+          "                    raise SubstitutionError(f\"letter {a} out of range in rule {i + 1}\")\n",
+          ""),),
+        ("tests/test_substitution.py::test_validation",),
+    ),
 ]
 
 
