@@ -10,7 +10,6 @@ from pisotile import (
     TileMap,
     TilingSystem,
     compute_level_n,
-    group_G,
     multiple_strong_coincidence,
     overlap_coincidence,
     solve_control_points,
@@ -43,14 +42,13 @@ print(f"\noverlap coincidence: {oc}")
 print(f"longest path into a coincidence: {max(dist.values())} inflation steps")
 
 n = compute_level_n(graph)
-group = group_G(system)
 print(f"\nlevel n = {n}; enumerating tile maps of sigma^{n}")
 for tm in ((0, 0), (1, 0)):
     cp = solve_control_points(system, TileMap(n, tm))
-    rep = strong_coincidence(system, cp, group)
+    rep = strong_coincidence(system, cp)
     print(f"  tile map {tm}: control points {[str(c) for c in cp.c]},",
           f"strong coincidence = {rep.ok}")
 
-msc = multiple_strong_coincidence(system, n, group=group)
+msc = multiple_strong_coincidence(system, n)
 print(f"\nmultiple strong coincidence of level {n}: {msc.verdict}")
 print(f"equivalence holds: OC = {oc} and MSC = {msc.verdict}")

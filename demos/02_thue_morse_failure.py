@@ -12,7 +12,6 @@ from pisotile import (
     TilingSystem,
     expansive_sccs,
     extract_witness,
-    group_G,
     overlap_coincidence,
     stable_overlap_graph,
     strong_coincidence,
@@ -32,12 +31,11 @@ for desc in expansive_sccs(system, graph):
     print(f"  multiplicity matrix: {desc['matrix']}")
     print(f"  Perron root equals the expansion factor: {desc['perron_is_expansion']}")
 
-group = group_G(system)
 scc = stuck_scc_indices(graph)[0]
-tile_map, cp, pair = extract_witness(system, graph, scc, group)
+tile_map, cp, pair = extract_witness(system, graph, scc)
 print(f"\nextracted witness: tile map {tile_map.choice} at level {tile_map.n}")
 print(f"control points: {[str(c) for c in cp.c]} (admissible: {cp.admissible})")
-rep = strong_coincidence(system, cp, group)
+rep = strong_coincidence(system, cp)
 for p in rep.pairs:
     print(f"  pair ({p.i},{p.j}): {p.status}" + (f" at L={p.L}" if p.ok else ""))
 print(f"failing pair: {pair}")

@@ -10,7 +10,6 @@ from pisotile import (
     Substitution,
     TilingSystem,
     compute_level_n,
-    group_G,
     multiple_strong_coincidence,
     overlap_coincidence,
     stable_overlap_graph,
@@ -30,6 +29,6 @@ oc, dist = overlap_coincidence(graph)
 print(f"overlap coincidence: {oc}")
 
 n = compute_level_n(graph)
-msc = multiple_strong_coincidence(system, n, group=group_G(system))
+msc = multiple_strong_coincidence(system, n)
 print(f"multiple strong coincidence of level {n}: {msc.verdict} "
       f"({msc.considered} admissible in-module families checked)")

@@ -197,10 +197,9 @@ def analyze(s: Substitution, opts) -> dict:
     oc, cert = overlap_coincidence(g)
     t_overlap = time.monotonic() - t0
     n = compute_level_n(g)
-    group = group_G(system)
-    msc = multiple_strong_coincidence(
-        system, n, cap_maps=opts.cap_maps, cap_classes=opts.cap_classes, group=group,
-    )
+    group_G(system)  # the translation module: made here, its own phase, and kept
+    msc = multiple_strong_coincidence(system, n, cap_maps=opts.cap_maps,
+                                      cap_classes=opts.cap_classes)
     report = {
         "substitution": {str(i + 1): "".join(map(str, w)) for i, w in enumerate(s.rules)},
         "gates": gates,
@@ -229,7 +228,7 @@ def analyze(s: Substitution, opts) -> dict:
             for d in expansive_sccs(system, g)
         ]
         try:
-            tm, cp, pair = extract_witness(system, g, sccs[0], group)
+            tm, cp, pair = extract_witness(system, g, sccs[0])
             report["witness"] = {
                 "level": tm.n,
                 "choice": list(tm.choice),
@@ -309,9 +308,9 @@ def cmd_strong(args) -> int:
     n = args.map_level
     tm = TileMap(n, args.choice or (0,) * s.m)
     cp = solve_control_points(system, tm)
-    group = group_G(system)
+    group_G(system)  # the translation module: made here, its own phase, and kept
     if cp.admissible:
-        rep = strong_coincidence(system, cp, group, args.cap_classes)
+        rep = strong_coincidence(system, cp, args.cap_classes)
     else:
         rep = StrongCoincidenceReport(tm, cp, False, None, [])
     print(_write_json(rep.to_json()))
@@ -326,10 +325,9 @@ def cmd_msc(args) -> int:
     else:
         g, _ = stable_overlap_graph(system, cap=args.cap_classes)
         n = compute_level_n(g)
-    group = group_G(system)
-    msc = multiple_strong_coincidence(
-        system, n, cap_maps=args.cap_maps, cap_classes=args.cap_classes, group=group,
-    )
+    group_G(system)  # the translation module: made here, its own phase, and kept
+    msc = multiple_strong_coincidence(system, n, cap_maps=args.cap_maps,
+                                      cap_classes=args.cap_classes)
     print(_write_json(msc.to_json()))
     return 0
 

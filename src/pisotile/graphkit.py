@@ -7,10 +7,10 @@ from __future__ import annotations
 
 from .algebra import char_poly, peval, sign_changes, squarefree, sturm
 from .numberfield import AlgebraicReal
-from .record import FrozenRecord
+from .record import Record
 
 
-class Digraph(FrozenRecord):
+class Digraph(Record):
     """edges are (src, dst, multiplicity) with 0-based vertices."""
 
     _fields = ("n", "edges")

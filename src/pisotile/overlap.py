@@ -42,11 +42,11 @@ from operator import add, itemgetter, neg, sub
 from .algebra import CapExceededError, mat_vec
 from .graphkit import Digraph, distances_to, scc, perron_equals
 from .numberfield import _U, AlgebraicReal, reduced
-from .record import FrozenRecord, Record
+from .record import Record
 from .tiling import ModuleVectors, Patch, TilingSystem
 
 
-class OverlapClass(FrozenRecord):
+class OverlapClass(Record):
     _fields = ("color_u", "color_v", "shift")
 
     def __init__(self, color_u: int, color_v: int, shift: AlgebraicReal):
@@ -72,7 +72,7 @@ class OverlapGraph(Record):
     _fields = ("vertices", "edges")
 
     def __init__(self, vertices: list[OverlapClass], edges: dict[tuple[int, int], int]):
-        self.vertices, self.edges = vertices, edges  # edges: (src index, dst index) -> multiplicity
+        self.__dict__.update(vertices=vertices, edges=edges)  # edges: (src, dst) -> multiplicity
 
     @cached_property
     def _digraph(self) -> Digraph:

@@ -9,9 +9,9 @@ module, and fails strong coincidence for an explicit color pair.
 Everything here works on points of Q(beta) held as (D, v), integer vectors
 over a denominator in lowest terms (numberfield.reduced), the form of field
 elements: control points, the module filter, the pair classes handed to the
-overlap closure, and the witness search.  The translation module is built
-from the return words of the substitution, so no patch of the tiling is
-laid out.
+overlap closure, and the witness search.  The translation module is read
+from one pass over sigma^k of the legal pairs, so no patch of the tiling is
+laid out, and it is made once per system (group_G).
 
 MSC asks the same questions for many tile maps, so a family is decided by
 its pair classes (i, j, c_i - c_j), i < j (TilingSystem.pair_class), each
@@ -25,14 +25,14 @@ from __future__ import annotations
 
 import itertools
 from math import gcd, lcm, prod
-from operator import sub
+from operator import add, sub
 
 from .algebra import CapExceededError, adjugate, hnf, mat_mul, mat_vec, prime_factors
 from .graphkit import cycle_extension, Digraph
 from .numberfield import AlgebraicReal, combine
 from .overlap import OverlapClass, OverlapGraph, overlap_closure
-from .record import FrozenRecord, Record
-from .substitution import matrix, primitivity_exponent, return_words, word_lengths
+from .record import Record
+from .substitution import legal_pairs, matrix, primitivity_exponent, word_lengths
 from .tiling import ControlPoints, TileMap, TilingSystem, solve_control_points
 
 
@@ -141,25 +141,34 @@ class GroupG:
 
 
 def group_G(system: TilingSystem) -> GroupG:
-    """The module generated by the lengths of the return words to every
-    letter, saturated under multiplication by beta.  Every same-color
-    position difference of the fixed tiling is a sum of such lengths, and
-    each of them is one, so this is the module of all of them."""
-    s, lc = system.substitution, system.length_coords
-    generators = set()
-    for a in range(1, s.m + 1):
-        for w in return_words(s, a):
-            v = [0] * system.field.degree
-            for b in w:
-                v = [x + y for x, y in zip(v, lc[b - 1])]
-            generators.add(tuple(v))
-    return GroupG(system, generators)
+    """The translation module of the system, made on first use and kept.
+    Its generators are the differences of consecutive same-letter positions
+    in sigma^k(x) sigma^k(y) over the legal pairs x y, every sigma^k(c)
+    holding every letter: the lengths of the return words to every letter,
+    as a return word meets at most two consecutive blocks sigma^k(c).  Every
+    same-color position difference of the fixed tiling is a sum of them."""
+    if system._group is None:
+        s, lc = system.substitution, system.length_coords
+        offsets = system.subtile_offsets(primitivity_exponent(matrix(s)))
+        generators = set()
+        for x, y in legal_pairs(s):
+            a, start = offsets[x - 1][-1]
+            width = tuple(map(add, start, lc[a - 1]))  # |sigma^k(x)|
+            word = offsets[x - 1] + tuple((b, tuple(map(add, width, off)))
+                                          for b, off in offsets[y - 1])
+            last = {}
+            for b, off in word:
+                if b in last:
+                    generators.add(tuple(map(sub, off, last[b])))
+                last[b] = off
+        system._group = GroupG(system, generators)
+    return system._group
 
 
 # -- strong coincidence ----------------------------------------------------------
 
 
-class PairResult(FrozenRecord):
+class PairResult(Record):
     _fields = ("i", "j", "status", "L", "classes")  # "shared", or "exhausted" with class labels
 
     def __init__(self, i: int, j: int, status: str, L: int | None, classes=()):
@@ -174,8 +183,8 @@ class StrongCoincidenceReport(Record):
     _fields = ("tile_map", "control_points", "admissible", "in_group", "pairs")
 
     def __init__(self, tile_map, control_points, admissible: bool, in_group: bool | None, pairs):
-        self.tile_map, self.control_points, self.admissible = tile_map, control_points, admissible
-        self.in_group, self.pairs = in_group, pairs
+        self.__dict__.update(tile_map=tile_map, control_points=control_points,
+                             admissible=admissible, in_group=in_group, pairs=pairs)
 
     @property
     def ok(self) -> bool:
@@ -244,14 +253,14 @@ def _pair_test(system: TilingSystem, key: tuple,
 def strong_coincidence(
     system: TilingSystem,
     cp: ControlPoints,
-    group: GroupG | None = None,
     cap_classes: int = 10**4,
 ) -> StrongCoincidenceReport:
     """For every color pair (i, j), close the pair class (i, j, c_i - c_j)
     under inflation and report the minimal L reaching a shared tile, or the
     exhausted class set.  Failure is a certificate, not a timeout.  Each
     unordered pair i < j is tested once (its mirror (j, i) comes with it),
-    and (i, i), a coincidence, is shared at L = 0."""
+    and (i, i), a coincidence, is shared at L = 0.  The report also says
+    whether the family lies in the translation module (group_G)."""
     if not cp.admissible:
         raise ValueError("control points are not admissible")
     m = system.substitution.m
@@ -263,8 +272,8 @@ def strong_coincidence(
     for key, _ in cp.pairs:
         i, j = key[0] - 1, key[1] - 1
         pairs[i * m + j], pairs[j * m + i] = _pair_test(system, key, cap_classes)
-    in_group = _family_in_group(cp, group) if group is not None else None
-    return StrongCoincidenceReport(cp.tile_map, cp, cp.admissible, in_group, pairs)
+    return StrongCoincidenceReport(cp.tile_map, cp, cp.admissible,
+                                   _family_in_group(cp, group_G(system)), pairs)
 
 
 def _family_in_group(cp: ControlPoints, group: GroupG) -> bool:
@@ -297,8 +306,8 @@ class MSCResult(Record):
     _fields = ("verdict", "level", "reports", "considered", "vacuous")
 
     def __init__(self, verdict: bool, level: int, reports, considered: int, vacuous: bool):
-        self.verdict, self.level, self.reports = verdict, level, reports
-        self.considered, self.vacuous = considered, vacuous
+        self.__dict__.update(verdict=verdict, level=level, reports=reports,
+                             considered=considered, vacuous=vacuous)
 
     def to_json(self) -> dict:
         formatted = {}
@@ -316,21 +325,17 @@ def multiple_strong_coincidence(
     n: int,
     cap_maps: int = 10**5,
     cap_classes: int = 10**4,
-    group: GroupG | None = None,
 ) -> MSCResult:
     """True iff every admissible, in-module control-point family arising from
     a tile map of the n-fold inflation passes strong coincidence for all
     color pairs.  Vacuously true (with a flag) if no family passes the
     filters."""
-    if group is None:
-        group = group_G(system)
+    group = group_G(system)
     reports = []
     for tm in enumerate_tile_maps(system, n, cap_maps):
         cp = solve_control_points(system, tm)
         if cp.admissible and _family_in_group(cp, group):
-            rep = strong_coincidence(system, cp, None, cap_classes)
-            rep.in_group = True  # the filter above decided it
-            reports.append(rep)
+            reports.append(strong_coincidence(system, cp, cap_classes))
     return MSCResult(all(r.ok for r in reports), n, reports, len(reports), not reports)
 
 
@@ -440,7 +445,6 @@ def extract_witness(
     system: TilingSystem,
     g: OverlapGraph,
     scc: list[int],
-    group: GroupG | None = None,
     cap_classes: int = 10**4,
 ):
     """From a coincidence-free SCC, build (tile map, control points, pair).
@@ -450,8 +454,8 @@ def extract_witness(
     those two subtile choices define self-loops on the two colors, extend to
     every other color by the cycle-extension lemma on the color graph, and
     solve the control points.  The result is asserted admissible, in the
-    translation module (group, built here when not given), and failing
-    strong coincidence for the returned pair.
+    translation module (group_G), and failing strong coincidence for the
+    returned pair.
     """
     cls = None
     for vi in scc:
@@ -464,8 +468,6 @@ def extract_witness(
             "rod-hypothesis violation: every class in the component has equal "
             "colors, so the proof's distinct-color pick is unavailable"
         )
-    if group is None:
-        group = group_G(system)
     n0 = compute_level_n(g)
     p_col, q_col = cls.color_u, cls.color_v
     shift = (cls.shift.den, cls.shift.v)
@@ -503,7 +505,7 @@ def extract_witness(
     diff = combine(cp.points[p_col - 1], cp.points[q_col - 1], -1)
     if diff != shift:
         raise RuntimeError("extracted control points do not match the class shift")
-    if not _family_in_group(cp, group):
+    if not _family_in_group(cp, group_G(system)):
         raise RuntimeError("extracted witness is not in the translation module")
     rep = _pair_test(system, (p_col, q_col, *diff), cap_classes)[0]
     if rep.ok:

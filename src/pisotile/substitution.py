@@ -18,7 +18,7 @@ from operator import mul
 
 from .algebra import CapExceededError, adjugate_terms, char_poly, mat_mul, perron_minimal_polynomial
 from .numberfield import NumberField
-from .record import FrozenRecord
+from .record import Record
 
 
 class SubstitutionError(ValueError):
@@ -29,7 +29,7 @@ class NotPisotError(SubstitutionError):
     """The Perron root of the substitution matrix is not a Pisot number."""
 
 
-class Substitution(FrozenRecord):
+class Substitution(Record):
     """rules[i] is the image word of letter i+1, as a tuple of letters 1..m."""
 
     _fields = ("m", "rules")
@@ -224,27 +224,6 @@ def legal_pairs(s: Substitution) -> set[tuple[int, int]]:
             pairs.add(p)
             todo.append(p)
     return pairs
-
-
-def return_words(s: Substitution, a: int) -> set[tuple[int, ...]]:
-    """The return words to the letter a: each word w that starts with a,
-    holds no other a, and has w a in the language of s (primitive).
-
-    Take k with every sigma^k(c) holding every letter.  Every word of the
-    language lies in some sigma^k(v) with v in the language, and an
-    occurrence of w a there meets at most two consecutive blocks sigma^k(c):
-    a block strictly inside it would hold an a inside w.  So the return
-    words are the ones inside sigma^k(x y) over the legal pairs x y."""
-    k = primitivity_exponent(matrix(s))
-    if k is None:
-        raise SubstitutionError("return words require primitivity")
-    images = power(s, k).rules
-    out = set()
-    for x, y in legal_pairs(s):
-        w = images[x - 1] + images[y - 1]
-        at = [i for i, b in enumerate(w) if b == a]
-        out.update(w[i:j] for i, j in zip(at, at[1:]))
-    return out
 
 
 def dekking_column_check(s: Substitution) -> bool:

@@ -32,7 +32,7 @@ from operator import add, itemgetter, neg
 
 from .algebra import adjugate, mat_mul, mat_vec
 from .numberfield import AlgebraicReal, IntEnclosure, NumberField, combine, reduced
-from .record import FrozenRecord
+from .record import Record
 from .substitution import (
     CapExceededError,
     Substitution,
@@ -45,7 +45,7 @@ from .substitution import (
 _TILE_CAP = 10**6
 
 
-class Patch(FrozenRecord):
+class Patch(Record):
     """tiles: (color, v) pairs, v the tile's start in integer coordinates over TilingSystem.den."""
 
     _fields = ("tiles",)
@@ -62,6 +62,7 @@ class TilingSystem:
         self.field, self.beta, self.lengths = perron_data(s)
         self.seed_power, self.seed_left, self.seed_right = fixed_point_seed(s)
         self._overlap_closure = None  # overlap.OverlapClosure, made on first use
+        self._group = None  # strongcoin.GroupG, made on first use
         self._offsets: dict[int, tuple] = {}
         self._solvers: dict[tuple[int, int], tuple] = {}
         # solve_control_points: a point's id by its key, and each id's (D, v)
@@ -329,7 +330,7 @@ class ModuleVectors(Sequence):
 # -- tile maps and control points ---------------------------------------------
 
 
-class TileMap(FrozenRecord):
+class TileMap(Record):
     """One subtile per color of the n-fold inflation: choice[i], 0-based, indexes sigma^n(i+1)."""
 
     _fields = ("n", "choice")
@@ -338,7 +339,7 @@ class TileMap(FrozenRecord):
         self.__dict__.update(n=n, choice=choice)
 
 
-class ControlPoints(FrozenRecord):
+class ControlPoints(Record):
     """points[i] = (D, v): the control point c_(i+1) = sum_k v_k beta^k / D,
     in lowest terms.  c holds them as field elements, made on first use.
     pairs: TilingSystem.pair_class for i < j, in order (1, 2), ..., (1, m), (2, 3), ..."""

@@ -69,7 +69,7 @@ def _run_pipeline(name: str) -> dict:
             oc, cert = overlap_coincidence(graph)
             n = compute_level_n(graph)
             group = group_G(system)
-            msc = multiple_strong_coincidence(system, n, group=group)
+            msc = multiple_strong_coincidence(system, n)
         finally:
             overlap.OverlapClosure._inflate = inflate
         _cache[name] = {

@@ -201,12 +201,27 @@ MUTATIONS = [
          "tests/test_cli.py::test_golden_output[analyze period_doubling]"),
     ),
     Mutation(
-        "extract_witness: the module checked only when a group is given",
+        "extract_witness: the module not checked",
         "src/pisotile/strongcoin.py",
-        (("    if group is None:\n        group = group_G(system)\n    n0 =", "    n0 ="),
-         ("shift\")\n    if not _family_in_group(cp, group):\n",
-          "shift\")\n    if group is not None and not _family_in_group(cp, group):\n")),
+        (("    if not _family_in_group(cp, group_G(system)):\n"
+          "        raise RuntimeError(\"extracted witness is not in the translation module\")\n", ""),),
         ("tests/test_strongcoin.py::test_witness_is_checked_against_the_module",),
+    ),
+    # -- one translation module per system --
+    Mutation(
+        "group_G: the sigma^k(y) block not shifted by |sigma^k(x)|",
+        "src/pisotile/strongcoin.py",
+        (("offsets[x - 1] + tuple((b, tuple(map(add, width, off)))\n"
+          "                                          for b, off in offsets[y - 1])",
+          "offsets[x - 1] + offsets[y - 1]"),),
+        ("tests/test_strongcoin.py::test_group_from_return_words_equals_patch_group",),
+    ),
+    Mutation(
+        "group_G: a new module per call",
+        "src/pisotile/strongcoin.py",
+        (("    if system._group is None:\n", "    if True:\n"),),
+        ("tests/test_strongcoin.py::test_one_module_per_system",
+         "tests/test_cli.py::test_one_module_per_call"),
     ),
     # -- records without dataclasses --
     Mutation(

@@ -10,7 +10,8 @@ central_patch_reference, tile_map_targets and descendant_reference build
 overlap-class children, central patches, tile-map targets and descendants
 on it; perron_equals_reference decides the Perron comparison
 with sympy's factorization and root isolation; group_G_reference builds the
-translation module from the return vectors of a central patch, and
+translation module from the return vectors of a central patch, return_words
+finds the return words to a letter, the words whose lengths generate it, and
 control_points_reference solves the control points in field elements, and
 msc_reference decides multiple strong coincidence family by family on them.
 seed_overlaps_two_windows seeds overlaps with two float windows per
@@ -330,6 +331,26 @@ def group_G_reference(system):
 
     patch = system.central_patch(system.field.from_rational(8) * max(system.lengths, key=float))
     return GroupG(system, system.return_vectors(patch))
+
+
+def return_words(s, a):
+    """The return words to the letter a: each word w that starts with a,
+    holds no other a, and has w a in the language of s (primitive).
+
+    Take k with every sigma^k(c) holding every letter.  Every word of the
+    language lies in some sigma^k(v) with v in the language, and an
+    occurrence of w a there meets at most two consecutive blocks sigma^k(c):
+    a block strictly inside it would hold an a inside w.  So the return
+    words are the ones inside sigma^k(x y) over the legal pairs x y."""
+    from pisotile.substitution import legal_pairs, matrix, power, primitivity_exponent
+
+    images = power(s, primitivity_exponent(matrix(s))).rules
+    out = set()
+    for x, y in legal_pairs(s):
+        w = images[x - 1] + images[y - 1]
+        at = [i for i, b in enumerate(w) if b == a]
+        out.update(w[i:j] for i, j in zip(at, at[1:]))
+    return out
 
 
 def seed_overlaps_two_windows(system, patch, ys):

@@ -71,7 +71,7 @@ def _fresh_pipeline(name):
     oc, cert = overlap_coincidence(g)
     n = compute_level_n(g)
     group = group_G(system)
-    msc = multiple_strong_coincidence(system, n, group=group)
+    msc = multiple_strong_coincidence(system, n)
     return system, g, radius, oc, cert, n, group, msc
 
 
@@ -98,11 +98,11 @@ def test_criterion_2_thue_morse():
         assert {"(1,2,0)", "(2,1,0)"} <= labels
         assert msc.verdict is False
         sccs = stuck_scc_indices(g)
-        tm_map, cp, pair = extract_witness(system, g, sccs[0], group)
+        tm_map, cp, pair = extract_witness(system, g, sccs[0])
         assert pair == (1, 2)
         assert cp.admissible
         assert _family_in_group(cp, group)
-        rep = strong_coincidence(system, cp, group)
+        rep = strong_coincidence(system, cp)
         assert not rep.ok
         assert any((p.i, p.j) in {(1, 2), (2, 1)} and not p.ok for p in rep.pairs)
         s = Substitution(*CORPUS_RULES["thue_morse"])

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from conftest import CUBIC_RULES
-from pisotile import algebra, cli, overlap, tiling
+from pisotile import algebra, cli, overlap, strongcoin, tiling
 from pisotile.cli import ParseError, main, parse
 
 CORPUS = Path(__file__).resolve().parents[1] / "src" / "pisotile" / "corpus"
@@ -315,6 +315,38 @@ def test_msc_command(capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["verdict"] is True
     assert data["level"] == 1
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in CORPUS.glob("*.json")))
+def test_msc_default_level_is_the_analyze_level(name, capsys):
+    # msc FILE without --map-level takes n0 from the overlap graph, as
+    # analyze does: its JSON is analyze's msc section, with the same level,
+    # verdict and reports.
+    source = str(CORPUS / f"{name}.json")
+    assert main(["analyze", source]) == 0
+    expected = json.loads(capsys.readouterr().out)["msc"]
+    assert main(["msc", source]) == 0
+    assert json.loads(capsys.readouterr().out) == expected
+
+
+def test_one_module_per_call(monkeypatch, capsys):
+    # analyze, msc and strong build the translation module once, in its own
+    # phase; MSC, the pair reports and the witness read the one kept on the
+    # system.
+    built = []
+    init = strongcoin.GroupG.__init__
+
+    def counting(group, *args):
+        built.append(group)
+        init(group, *args)
+
+    monkeypatch.setattr(strongcoin.GroupG, "__init__", counting)
+    for argv in (["analyze", str(TM)], ["msc", str(TM)], ["msc", str(FIB), "--map-level", "3"],
+                 ["strong", str(FIB), "--map-level", "2", "--choice", "1,0"]):
+        built.clear()
+        assert main(argv) == 0
+        assert len(built) == 1, argv
+    capsys.readouterr()
 
 
 def test_oracle_dekking_command(capsys):

@@ -88,9 +88,9 @@ def test_group_beta_closure(fib, fib_group):
         assert fib_group.membership(fib.beta * x)[0]
 
 
-def test_strong_coincidence_fibonacci(fib, fib_group):
+def test_strong_coincidence_fibonacci(fib):
     cp = solve_control_points(fib, TileMap(1, (0, 0)))
-    rep = strong_coincidence(fib, cp, fib_group)
+    rep = strong_coincidence(fib, cp)
     assert rep.ok
     by_pair = {(p.i, p.j): p for p in rep.pairs}
     assert by_pair[(1, 1)].L == 0
@@ -116,9 +116,9 @@ def test_strong_coincidence_requires_admissible(fib):
         strong_coincidence(fib, cp)
 
 
-def test_report_json(fib, fib_group):
+def test_report_json(fib):
     cp = solve_control_points(fib, TileMap(1, (1, 0)))
-    rep = strong_coincidence(fib, cp, fib_group)
+    rep = strong_coincidence(fib, cp)
     data = rep.to_json()
     assert data["choice"] == [1, 0]
     assert data["control_points"] == [["0", "1"], ["1", "0"]]
@@ -135,8 +135,8 @@ def test_enumerate_tile_maps(fib, tm):
         list(enumerate_tile_maps(fib, 0))
 
 
-def test_msc_verdicts(fib, tm, fib_group):
-    res = multiple_strong_coincidence(fib, 1, group=fib_group)
+def test_msc_verdicts(fib, tm):
+    res = multiple_strong_coincidence(fib, 1)
     assert res.verdict and res.considered == 2 and not res.vacuous
     res_tm = multiple_strong_coincidence(tm, 1)
     assert not res_tm.verdict
@@ -145,10 +145,10 @@ def test_msc_verdicts(fib, tm, fib_group):
     assert all(r.admissible and r.in_group for r in res_tm.reports)
 
 
-def test_msc_success_monotone_in_level(fib, fib_group):
+def test_msc_success_monotone_in_level(fib):
     # Coincidences are absorbing, so success persists at higher levels.
-    assert multiple_strong_coincidence(fib, 1, group=fib_group).verdict
-    assert multiple_strong_coincidence(fib, 2, group=fib_group).verdict
+    assert multiple_strong_coincidence(fib, 1).verdict
+    assert multiple_strong_coincidence(fib, 2).verdict
 
 
 def _synthetic_graph(fib, edges, shifts):
@@ -312,28 +312,44 @@ def test_pair_results_kept_per_cap():
 def test_extract_witness_thue_morse(tm):
     g, _ = stable_overlap_graph(tm)
     sccs = stuck_scc_indices(g)
-    group = group_G(tm)
-    tile_map, cp, pair = extract_witness(tm, g, sccs[0], group)
+    tile_map, cp, pair = extract_witness(tm, g, sccs[0])
     assert pair == (1, 2)
     assert cp.admissible
     # The witness control points match the stuck class shift exactly.
     assert (cp.c[0] - cp.c[1]).is_zero()
-    rep = strong_coincidence(tm, cp, group)
+    rep = strong_coincidence(tm, cp)
     assert not rep.ok
     failing = {(p.i, p.j) for p in rep.pairs if not p.ok}
     assert tuple(sorted(pair)) in {tuple(sorted(f)) for f in failing}
 
 
 def test_witness_is_checked_against_the_module(tm, monkeypatch):
-    # A witness outside the translation module is refused whether or not
-    # the caller hands in the module.
+    # A witness outside the translation module is refused.
     g, _ = stable_overlap_graph(tm)
     comp = stuck_scc_indices(g)[0]
-    group = group_G(tm)
     monkeypatch.setattr(strongcoin, "_family_in_group", lambda cp, group: False)
-    for kwargs in ({}, {"group": group}):
-        with pytest.raises(RuntimeError, match="not in the translation module"):
-            extract_witness(tm, g, comp, **kwargs)
+    with pytest.raises(RuntimeError, match="not in the translation module"):
+        extract_witness(tm, g, comp)
+
+
+def test_one_module_per_system(monkeypatch):
+    # group_G makes the module on first use and keeps it on the system: MSC,
+    # the witness and a strong coincidence report on one system share one.
+    built = []
+    init = strongcoin.GroupG.__init__
+
+    def counting(group, *args):
+        built.append(group)
+        init(group, *args)
+
+    monkeypatch.setattr(strongcoin.GroupG, "__init__", counting)
+    system = TilingSystem(Substitution(*CORPUS_RULES["thue_morse"]))
+    g, _ = stable_overlap_graph(system)
+    assert not multiple_strong_coincidence(system, compute_level_n(g)).verdict
+    _, cp, _ = extract_witness(system, g, stuck_scc_indices(g)[0])
+    assert strong_coincidence(system, cp).in_group is True
+    assert len(built) == 1
+    assert group_G(system) is group_G(system) is built[0]
 
 
 def test_descendant_matches_tile_scan():

@@ -6,18 +6,21 @@ from fractions import Fraction
 import pytest
 
 from pisotile import (
+    GroupG,
     NotPisotError,
     Substitution,
     SubstitutionError,
+    TilingSystem,
     dekking_column_check,
     fixed_point_seed,
+    group_G,
     is_irreducible,
     is_primitive,
     perron_data,
     power,
 )
-from oracles import fixed_point_seed_reference, random_substitutions
-from pisotile.substitution import char_poly, legal_pairs, matrix, return_words
+from oracles import fixed_point_seed_reference, random_substitutions, return_words
+from pisotile.substitution import char_poly, legal_pairs, matrix
 
 FIB = Substitution(2, ((1, 2), (1,)))
 TM = Substitution(2, ((1, 2), (2, 1)))
@@ -61,9 +64,12 @@ def test_return_words():
     assert return_words(FIB, 1) == {(1,), (1, 2)}
     assert return_words(FIB, 2) == {(2, 1), (2, 1, 1)}
     # Against a scan of long words of the language: every return word to a
-    # inside sigma^k(c), for k with 3000 letters or more.
+    # inside sigma^k(c), for k with 3000 letters or more.  The lengths of
+    # the return words generate the translation module that group_G reads
+    # off sigma^k of the legal pairs.
     for s in (FIB, TM, PD, TRIB, Substitution(2, ((1, 1, 2), (1, 2))),
               Substitution(3, ((2, 3, 1), (1, 2), (2,)))):
+        system, lengths = TilingSystem(s), set()
         for a in range(1, s.m + 1):
             seen = set()
             for c in range(1, s.m + 1):
@@ -73,6 +79,9 @@ def test_return_words():
                 at = [i for i, b in enumerate(w) if b == a]
                 seen.update(w[i:j] for i, j in zip(at, at[1:]))
             assert return_words(s, a) == seen, (str(s), a)
+            lengths.update(tuple(map(sum, zip(*(system.length_coords[b - 1] for b in w))))
+                           for w in seen)
+        assert GroupG(system, lengths).basis == group_G(system).basis, str(s)
 
 
 def test_power():

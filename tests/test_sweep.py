@@ -43,7 +43,10 @@ def test_analyze_sweep_agrees_with_oracles(monkeypatch, capsys):
     # Each input exits 0, 2 or 3 (never 1, the verdict mismatch, and never
     # a traceback).  On exit 0 the verdict matches the column check where
     # it applies, and else the balanced-pair oracle on unimodular inputs it
-    # can seed; the graph's stuck components and n0 match brute force.
+    # can seed; the graph's stuck components and n0 match brute force.  Every
+    # decided OC-false input carries a checked witness (extract_witness
+    # asserts its admissibility, its module membership and its failing
+    # pair), not a witness error.
     graphs = []
     build = cli.stable_overlap_graph
 
@@ -73,6 +76,10 @@ def test_analyze_sweep_agrees_with_oracles(monkeypatch, capsys):
             report = json.loads(out)
             oc = report["overlap"]["verdict"]
             outcomes["oc false"] += not oc
+            if not oc:
+                witness = report["witness"]
+                outcomes["witness"] += "failing_pair" in witness
+                outcomes["witness error"] += "error" in witness
             g = graphs[-1]
             assert {tuple(comp): mat for comp, mat in g.stuck} == stuck_reference(g), rules
             assert report["msc"]["level"] == closed_walk_level(g), rules
@@ -90,3 +97,4 @@ def test_analyze_sweep_agrees_with_oracles(monkeypatch, capsys):
         signal.signal(signal.SIGALRM, previous)
     assert outcomes[0] >= 40 and outcomes["oc false"] >= 8, outcomes
     assert outcomes["column check"] >= 20 and outcomes["balanced pair"] >= 5, outcomes
+    assert outcomes["witness"] == outcomes["oc false"] and not outcomes["witness error"], outcomes
